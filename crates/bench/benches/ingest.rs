@@ -1,13 +1,12 @@
 //! Update-ingestion micro-benchmarks for the storage layer: hub-vertex
 //! deletes (the degree-adaptive index's reason to exist), batch insertion
-//! through the `apply_batch` fast path, and the three snapshot
-//! materialization variants (serial, parallel, buffer-reuse).
+//! through the `apply_batch` fast path, and snapshot materialization.
 //!
 //! The `ingest` experiment binary runs the paper-scale version of the
 //! hub-delete study (50K deletes) and writes `BENCH_ingest.json`; this
 //! bench keeps the sizes small enough for the CI `--quick` smoke.
 
-use cisgraph_graph::{DynamicGraph, GraphView, SnapshotScratch};
+use cisgraph_graph::{DynamicGraph, GraphView};
 use cisgraph_types::{EdgeUpdate, VertexId, Weight};
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
@@ -104,7 +103,7 @@ fn bench_batch_insert(c: &mut Criterion) {
 }
 
 fn bench_snapshot(c: &mut Criterion) {
-    // 4K vertices x 24 edges = 96K edges, above the parallel-fill floor.
+    // 4K vertices x 24 edges = 96K edges.
     let n = 4096u32;
     let mut g = DynamicGraph::new(n as usize);
     for u in 0..n {
@@ -117,23 +116,10 @@ fn bench_snapshot(c: &mut Criterion) {
             .unwrap();
         }
     }
-    let threads = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let mut group = c.benchmark_group("ingest/snapshot");
     group.throughput(Throughput::Elements(g.num_edges() as u64));
     group.bench_function("serial", |b| {
         b.iter(|| black_box(g.snapshot()));
-    });
-    group.bench_function("parallel", |b| {
-        b.iter(|| black_box(g.snapshot_parallel(threads)));
-    });
-    group.bench_function("parallel_scratch_reuse", |b| {
-        let mut scratch = SnapshotScratch::new();
-        b.iter(|| {
-            let s = g.snapshot_with(&mut scratch, threads);
-            let edges = s.forward().num_edges();
-            scratch.recycle(s);
-            black_box(edges)
-        });
     });
     group.finish();
 }

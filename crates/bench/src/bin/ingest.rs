@@ -31,7 +31,7 @@
 use cisgraph_bench::args::Args;
 use cisgraph_bench::artifacts;
 use cisgraph_bench::obsout::ObsSession;
-use cisgraph_graph::{DynamicGraph, GraphView, SnapshotScratch};
+use cisgraph_graph::{DynamicGraph, GraphView};
 use cisgraph_obs as obs;
 use cisgraph_types::{EdgeUpdate, VertexId, Weight};
 use serde_json::json;
@@ -87,10 +87,9 @@ fn main() {
     } else {
         cisgraph_graph::DEFAULT_PROMOTION_THRESHOLD
     };
-    let threads = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     obs::log!(
         info,
-        "ingest study: {deletes} hub deletes, best of {repeats}, {threads} threads{}",
+        "ingest study: {deletes} hub deletes, best of {repeats}{}",
         if naive_mode { ", naive storage" } else { "" }
     );
 
@@ -141,9 +140,8 @@ fn main() {
         per_update_ns as f64 / batch_ns.max(1) as f64,
     );
 
-    // --- Snapshot materialization: serial vs parallel vs buffer reuse ---
-    // A non-degenerate multi-row graph (the hub graph has one giant row,
-    // which parallel fill handles but does not showcase).
+    // --- Snapshot materialization --------------------------------------
+    // A non-degenerate multi-row graph (the hub graph has one giant row).
     let sv = 4096u32;
     let mut sg = DynamicGraph::with_promotion_threshold(sv as usize, threshold);
     for u in 0..sv {
@@ -159,24 +157,10 @@ fn main() {
     let serial_ns = best_ns(repeats, || {
         black_box(sg.snapshot());
     });
-    let parallel_ns = best_ns(repeats, || {
-        black_box(sg.snapshot_parallel(threads));
-    });
-    let mut scratch = SnapshotScratch::new();
-    let warm = sg.snapshot_with(&mut scratch, threads);
-    scratch.recycle(warm);
-    let scratch_ns = best_ns(repeats, || {
-        let s = sg.snapshot_with(&mut scratch, threads);
-        scratch.recycle(s);
-    });
     println!(
-        "snapshot ({} edges): serial {:.3} ms, parallel {:.3} ms ({:.2}x), scratch reuse {:.3} ms ({:.2}x)",
+        "snapshot ({} edges): {:.3} ms",
         sg.num_edges(),
         serial_ns as f64 / 1e6,
-        parallel_ns as f64 / 1e6,
-        serial_ns as f64 / parallel_ns.max(1) as f64,
-        scratch_ns as f64 / 1e6,
-        serial_ns as f64 / scratch_ns.max(1) as f64,
     );
 
     // The vendored `json!` macro takes each value as one token tree, so
@@ -186,7 +170,6 @@ fn main() {
             "deletes": deletes,
             "repeats": repeats,
             "naive": naive_mode,
-            "threads": threads,
             "snapshot_vertices": (sv as usize),
             "snapshot_edges": (sg.num_edges())
         },
@@ -201,10 +184,7 @@ fn main() {
             "speedup": (per_update_ns as f64 / batch_ns.max(1) as f64)
         },
         "snapshot": {
-            "serial_ns": serial_ns,
-            "parallel_ns": parallel_ns,
-            "scratch_reuse_ns": scratch_ns,
-            "parallel_speedup": (serial_ns as f64 / parallel_ns.max(1) as f64)
+            "serial_ns": serial_ns
         }
     });
     artifacts::write_json("ingest", &report);

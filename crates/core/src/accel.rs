@@ -1,22 +1,17 @@
 //! The accelerator top level: pipelines, identification & scheduling, and
 //! batch orchestration.
 
+use crate::image::LiveImage;
 use crate::prop::Propagator;
-use crate::{AccelReport, AcceleratorConfig, MemoryLayout};
+use crate::{AccelReport, AcceleratorConfig, CsrImage, MemoryLayout};
 use cisgraph_algo::classify::{
     classify_addition, classify_deletion_dependence, ClassificationSummary,
 };
 use cisgraph_algo::{solver, ConvergedResult, Counters, KeyPath, MonotonicAlgorithm};
-use cisgraph_graph::{DynamicGraph, GraphView, Snapshot, SnapshotScratch};
+use cisgraph_graph::{DynamicGraph, Snapshot};
 use cisgraph_sim::{Cycle, MemorySystem};
 use cisgraph_types::{Contribution, EdgeUpdate, PairQuery, State, UpdateKind};
 use std::collections::VecDeque;
-
-/// Worker threads for host-side snapshot materialization (the CSR build
-/// that feeds the simulated memory image, not a simulated quantity).
-pub(crate) fn snapshot_threads() -> usize {
-    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-}
 
 /// The CISGraph accelerator instance for one standing pairwise query.
 ///
@@ -30,9 +25,6 @@ pub struct CisGraphAccel<A: MonotonicAlgorithm> {
     query: PairQuery,
     result: ConvergedResult<A>,
     mem: MemorySystem,
-    /// Host-side snapshot buffers, recycled across batches so the per-batch
-    /// CSR rebuild stops reallocating at steady state.
-    scratch: SnapshotScratch,
 }
 
 impl<A: MonotonicAlgorithm> CisGraphAccel<A> {
@@ -51,7 +43,6 @@ impl<A: MonotonicAlgorithm> CisGraphAccel<A> {
             query,
             result,
             mem,
-            scratch: SnapshotScratch::new(),
         }
     }
 
@@ -77,34 +68,39 @@ impl<A: MonotonicAlgorithm> CisGraphAccel<A> {
 
     /// Simulates one batch. `graph` must reflect the post-batch topology
     /// (the accelerator "modifies graph topology according to edge additions
-    /// and deletions to generate a snapshot", §III-B); the snapshot CSR is
-    /// materialized internally.
+    /// and deletions to generate a snapshot", §III-B).
+    ///
+    /// The simulation reads a CSR image of the live adjacency: only the
+    /// forward and transpose offsets are built (O(V) degree prefix sums);
+    /// rows come straight from `graph`, with in-rows put in transpose order
+    /// on demand. The report is identical to
+    /// [`CisGraphAccel::process_batch_on_snapshot`] on `graph.snapshot()`.
     pub fn process_batch(&mut self, graph: &DynamicGraph, batch: &[EdgeUpdate]) -> AccelReport {
-        let snapshot = graph.snapshot_with(&mut self.scratch, snapshot_threads());
-        let report = self.process_batch_on_snapshot(&snapshot, batch);
-        self.scratch.recycle(snapshot);
-        report
+        self.simulate(&LiveImage::new(graph), batch)
     }
 
-    /// Simulates one batch against a pre-materialized snapshot (avoids
-    /// rebuilding the CSR when the caller already has it).
+    /// Simulates one batch against a materialized snapshot of the
+    /// post-batch topology.
     pub fn process_batch_on_snapshot(
         &mut self,
         snapshot: &Snapshot,
         batch: &[EdgeUpdate],
     ) -> AccelReport {
+        self.simulate(snapshot, batch)
+    }
+
+    fn simulate<G: CsrImage>(&mut self, image: &G, batch: &[EdgeUpdate]) -> AccelReport {
         // The batch gathers while the previous one drains; by the time this
         // batch starts, the memory system is idle (open rows and SPM
         // contents persist, reservations do not).
         self.mem.quiesce();
-        let layout = MemoryLayout::for_snapshot(snapshot);
         simulate_batch(
             &self.config,
             &mut self.mem,
             &mut self.result,
             self.query,
-            snapshot,
-            layout,
+            image,
+            MemoryLayout::for_image(image),
             batch,
             0,
         )
@@ -116,18 +112,18 @@ impl<A: MonotonicAlgorithm> CisGraphAccel<A> {
 /// `t_base = 0`) and by the multi-query accelerator, which time-multiplexes
 /// several source groups over the same pipelines and memory system.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn simulate_batch<A: MonotonicAlgorithm>(
+pub(crate) fn simulate_batch<A: MonotonicAlgorithm, G: CsrImage>(
     config: &AcceleratorConfig,
     mem: &mut MemorySystem,
     result: &mut ConvergedResult<A>,
     query: PairQuery,
-    snapshot: &Snapshot,
+    image: &G,
     layout: MemoryLayout,
     batch: &[EdgeUpdate],
     t_base: Cycle,
 ) -> AccelReport {
     {
-        result.grow(snapshot.num_vertices());
+        result.grow(image.num_vertices());
         let mut counters = Counters::new();
         let mem_before = mem.stats();
 
@@ -181,7 +177,7 @@ pub(crate) fn simulate_batch<A: MonotonicAlgorithm>(
         let pending =
             cisgraph_algo::incremental::PendingDeletions::from_batch(batch.iter().copied());
         let mut propagator =
-            Propagator::new(snapshot, layout, mem, result, &mut counters, units, pending);
+            Propagator::new(image, layout, mem, result, &mut counters, units, pending);
         // Fig. 5(b) counts *net* state changes per phase (a repair that
         // resets and restores a vertex does not activate it for the
         // figure), so states are snapshotted at phase boundaries.

@@ -1,6 +1,6 @@
 //! Simulated physical memory layout of the graph image.
 //!
-//! The accelerator works on the CSR snapshot laid out in DRAM:
+//! The accelerator works on the CSR image laid out in DRAM:
 //!
 //! ```text
 //! state_base      : f64 state per vertex            (8 B each)
@@ -15,7 +15,7 @@
 //! interleaving, row locality, and SPM set conflicts all emerge from this
 //! layout, as they would in the real device.
 
-use cisgraph_graph::{Csr, Snapshot};
+use crate::CsrImage;
 use cisgraph_types::VertexId;
 use serde::{Deserialize, Serialize};
 
@@ -82,12 +82,13 @@ impl MemoryLayout {
         }
     }
 
-    /// Lays out a [`Snapshot`]'s image.
-    pub fn for_snapshot(snapshot: &Snapshot) -> Self {
+    /// Lays out a graph image.
+    pub fn for_image<G: CsrImage>(image: &G) -> Self {
+        let n = image.num_vertices();
         Self::for_sizes(
-            snapshot.forward().num_vertices(),
-            snapshot.forward().num_edges(),
-            snapshot.reverse().num_edges(),
+            n,
+            image.out_offsets()[n] as usize,
+            image.in_offsets()[n] as usize,
         )
     }
 
@@ -138,11 +139,11 @@ impl MemoryLayout {
         self.offset_base + v.raw() as u64 * OFFSET_BYTES
     }
 
-    /// Address and length of `v`'s forward edge list in `csr`.
+    /// Address and length of `v`'s forward edge list in `image`.
     #[inline]
-    pub fn edge_burst(&self, csr: &Csr, v: VertexId) -> (u64, u64) {
-        let lo = csr.offsets()[v.index()];
-        let hi = csr.offsets()[v.index() + 1];
+    pub fn edge_burst<G: CsrImage>(&self, image: &G, v: VertexId) -> (u64, u64) {
+        let lo = image.out_offsets()[v.index()];
+        let hi = image.out_offsets()[v.index() + 1];
         (self.edge_base + lo * EDGE_BYTES, (hi - lo) * EDGE_BYTES)
     }
 
@@ -152,12 +153,11 @@ impl MemoryLayout {
         self.in_offset_base + v.raw() as u64 * OFFSET_BYTES
     }
 
-    /// Address and length of `v`'s transpose edge list in `csr` (the
-    /// snapshot's reverse CSR).
+    /// Address and length of `v`'s transpose edge list in `image`.
     #[inline]
-    pub fn in_edge_burst(&self, csr: &Csr, v: VertexId) -> (u64, u64) {
-        let lo = csr.offsets()[v.index()];
-        let hi = csr.offsets()[v.index() + 1];
+    pub fn in_edge_burst<G: CsrImage>(&self, image: &G, v: VertexId) -> (u64, u64) {
+        let lo = image.in_offsets()[v.index()];
+        let hi = image.in_offsets()[v.index() + 1];
         (self.in_edge_base + lo * EDGE_BYTES, (hi - lo) * EDGE_BYTES)
     }
 }
@@ -204,11 +204,11 @@ mod tests {
         g.insert_edge(VertexId::new(2), VertexId::new(1), Weight::ONE)
             .unwrap();
         let snap = g.snapshot();
-        let l = MemoryLayout::for_snapshot(&snap);
-        let (addr, bytes) = l.edge_burst(snap.forward(), VertexId::new(0));
+        let l = MemoryLayout::for_image(&snap);
+        let (addr, bytes) = l.edge_burst(&snap, VertexId::new(0));
         assert_eq!(addr, l.edge_base);
         assert_eq!(bytes, 2 * EDGE_BYTES);
-        let (_, bytes1) = l.edge_burst(snap.forward(), VertexId::new(1));
+        let (_, bytes1) = l.edge_burst(&snap, VertexId::new(1));
         assert_eq!(bytes1, 0);
     }
 

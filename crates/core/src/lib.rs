@@ -56,6 +56,7 @@
 
 mod accel;
 mod config;
+mod image;
 mod layout;
 mod multi;
 mod prop;
@@ -63,6 +64,7 @@ mod report;
 
 pub use accel::CisGraphAccel;
 pub use config::AcceleratorConfig;
+pub use image::CsrImage;
 pub use layout::MemoryLayout;
 pub use multi::{MultiAccelReport, MultiQueryAccel};
 pub use report::{AccelReport, CycleMilestones};

@@ -16,10 +16,11 @@
 //! this hardware model keeps one result per query so each query's
 //! early-response guarantee holds independently.
 
-use crate::accel::{simulate_batch, snapshot_threads};
-use crate::{AccelReport, AcceleratorConfig, MemoryLayout};
+use crate::accel::simulate_batch;
+use crate::image::LiveImage;
+use crate::{AccelReport, AcceleratorConfig, CsrImage, MemoryLayout};
 use cisgraph_algo::{solver, ConvergedResult, Counters, MonotonicAlgorithm};
-use cisgraph_graph::{DynamicGraph, GraphView, Snapshot, SnapshotScratch};
+use cisgraph_graph::{DynamicGraph, Snapshot};
 use cisgraph_sim::{MemStats, MemorySystem};
 use cisgraph_types::{EdgeUpdate, PairQuery, State};
 use serde::{Deserialize, Serialize};
@@ -47,8 +48,6 @@ pub struct MultiQueryAccel<A: MonotonicAlgorithm> {
     queries: Vec<PairQuery>,
     results: Vec<ConvergedResult<A>>,
     mem: MemorySystem,
-    /// Host-side snapshot buffers, recycled across batches.
-    scratch: SnapshotScratch,
 }
 
 impl<A: MonotonicAlgorithm> MultiQueryAccel<A> {
@@ -69,7 +68,6 @@ impl<A: MonotonicAlgorithm> MultiQueryAccel<A> {
             queries: queries.to_vec(),
             results,
             mem: MemorySystem::new(config.spm, config.dram),
-            scratch: SnapshotScratch::new(),
         }
     }
 
@@ -88,28 +86,32 @@ impl<A: MonotonicAlgorithm> MultiQueryAccel<A> {
     }
 
     /// Simulates one batch across all standing queries on one shared
-    /// timeline. `graph` must reflect the post-batch topology.
+    /// timeline. `graph` must reflect the post-batch topology; the
+    /// simulation reads its live adjacency the same way
+    /// [`CisGraphAccel::process_batch`](crate::CisGraphAccel::process_batch)
+    /// does.
     pub fn process_batch(
         &mut self,
         graph: &DynamicGraph,
         batch: &[EdgeUpdate],
     ) -> MultiAccelReport {
-        let snapshot = graph.snapshot_with(&mut self.scratch, snapshot_threads());
-        let report = self.process_batch_on_snapshot(&snapshot, batch);
-        self.scratch.recycle(snapshot);
-        report
+        self.simulate(&LiveImage::new(graph), batch)
     }
 
-    /// Simulates one batch against a pre-materialized snapshot.
+    /// Simulates one batch against a materialized snapshot.
     pub fn process_batch_on_snapshot(
         &mut self,
         snapshot: &Snapshot,
         batch: &[EdgeUpdate],
     ) -> MultiAccelReport {
+        self.simulate(snapshot, batch)
+    }
+
+    fn simulate<G: CsrImage>(&mut self, image: &G, batch: &[EdgeUpdate]) -> MultiAccelReport {
         self.mem.quiesce();
         let mem_before = self.mem.stats();
-        let base_layout = MemoryLayout::for_snapshot(snapshot);
-        let n = snapshot.num_vertices();
+        let base_layout = MemoryLayout::for_image(image);
+        let n = image.num_vertices();
 
         let mut per_query = Vec::with_capacity(self.queries.len());
         let mut counters = Counters::new();
@@ -122,7 +124,7 @@ impl<A: MonotonicAlgorithm> MultiQueryAccel<A> {
                 &mut self.mem,
                 result,
                 *query,
-                snapshot,
+                image,
                 layout,
                 batch,
                 t,

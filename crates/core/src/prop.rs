@@ -10,10 +10,10 @@
 //! * activated states write back to the SPM, and the activated vertex joins
 //!   the global buffer, redistributed by `id mod units`.
 
-use crate::MemoryLayout;
+use crate::{CsrImage, MemoryLayout};
 use cisgraph_algo::incremental::PendingDeletions;
 use cisgraph_algo::{ConvergedResult, Counters, MonotonicAlgorithm};
-use cisgraph_graph::{GraphView, Snapshot};
+use cisgraph_graph::Edge;
 use cisgraph_sim::{Cycle, MemorySystem};
 use cisgraph_types::{EdgeUpdate, VertexId};
 use std::cmp::Reverse;
@@ -21,8 +21,8 @@ use std::collections::{BinaryHeap, HashSet};
 
 /// The propagation engine for one batch. Borrows the functional state and
 /// the memory system; unit occupancy lives here.
-pub(crate) struct Propagator<'a, A: MonotonicAlgorithm> {
-    pub snapshot: &'a Snapshot,
+pub(crate) struct Propagator<'a, A: MonotonicAlgorithm, G: CsrImage> {
+    pub image: &'a G,
     pub layout: MemoryLayout,
     pub mem: &'a mut MemorySystem,
     pub result: &'a mut ConvergedResult<A>,
@@ -34,11 +34,13 @@ pub(crate) struct Propagator<'a, A: MonotonicAlgorithm> {
     /// Global activation buffer: earliest-ready first.
     heap: BinaryHeap<Reverse<(Cycle, u32)>>,
     queued: HashSet<u32>,
+    /// Buffer for in-rows the image has to reorder (see [`CsrImage::in_row`]).
+    in_scratch: Vec<Edge>,
 }
 
-impl<'a, A: MonotonicAlgorithm> Propagator<'a, A> {
+impl<'a, A: MonotonicAlgorithm, G: CsrImage> Propagator<'a, A, G> {
     pub(crate) fn new(
-        snapshot: &'a Snapshot,
+        image: &'a G,
         layout: MemoryLayout,
         mem: &'a mut MemorySystem,
         result: &'a mut ConvergedResult<A>,
@@ -48,7 +50,7 @@ impl<'a, A: MonotonicAlgorithm> Propagator<'a, A> {
     ) -> Self {
         assert!(num_units > 0, "need at least one propagation unit");
         Self {
-            snapshot,
+            image,
             layout,
             mem,
             result,
@@ -57,6 +59,7 @@ impl<'a, A: MonotonicAlgorithm> Propagator<'a, A> {
             units: vec![0; num_units],
             heap: BinaryHeap::new(),
             queued: HashSet::new(),
+            in_scratch: Vec::new(),
         }
     }
 
@@ -111,7 +114,7 @@ impl<'a, A: MonotonicAlgorithm> Propagator<'a, A> {
         // Offsets (16 B covers offsets[v] and offsets[v+1]).
         let t_off = self.mem.read(self.layout.offset_addr(v), 16, start);
         // Neighbor prefetcher: one burst for the whole edge list (§III-B).
-        let (burst_addr, burst_bytes) = self.layout.edge_burst(self.snapshot.forward(), v);
+        let (burst_addr, burst_bytes) = self.layout.edge_burst(self.image, v);
         let mut cursor = if burst_bytes > 0 {
             self.mem.read(burst_addr, burst_bytes, t_off)
         } else {
@@ -119,7 +122,7 @@ impl<'a, A: MonotonicAlgorithm> Propagator<'a, A> {
         };
         let mut last = cursor;
         let v_state = self.result.state(v);
-        for edge in self.snapshot.out_edges(v) {
+        for edge in self.image.out_row(v) {
             self.counters.computations += 1;
             // State prefetcher: fine-grained random read of the neighbor.
             let t_state = self.mem.read(self.layout.state_addr(edge.to()), 8, cursor);
@@ -163,13 +166,13 @@ impl<'a, A: MonotonicAlgorithm> Propagator<'a, A> {
 
         // Witness search over in-edges.
         now = self.mem.read(self.layout.in_offset_addr(v), 16, now);
-        let (in_addr, in_bytes) = self.layout.in_edge_burst(self.snapshot.reverse(), v);
+        let (in_addr, in_bytes) = self.layout.in_edge_burst(self.image, v);
         if in_bytes > 0 {
             now = self.mem.read(in_addr, in_bytes, now);
         }
         let target = self.result.state(v);
         let mut witness = None;
-        for edge in self.snapshot.in_edges(v) {
+        for edge in self.image.in_row(v, &mut self.in_scratch) {
             self.counters.computations += 1;
             now = self.mem.read(self.layout.state_addr(edge.to()), 8, now) + 1;
             // A sound witness must be strictly better than v (see the
@@ -198,11 +201,11 @@ impl<'a, A: MonotonicAlgorithm> Propagator<'a, A> {
             let x = tagged[cursor_idx];
             cursor_idx += 1;
             now = self.mem.read(self.layout.offset_addr(x), 16, now);
-            let (ea, eb) = self.layout.edge_burst(self.snapshot.forward(), x);
+            let (ea, eb) = self.layout.edge_burst(self.image, x);
             if eb > 0 {
                 now = self.mem.read(ea, eb, now);
             }
-            for edge in self.snapshot.out_edges(x) {
+            for edge in self.image.out_row(x) {
                 let y = edge.to();
                 now = self.mem.read(self.layout.parent_addr(y), 4, now) + 1;
                 if self.result.parent(y) == Some(x) && tagged_mark.insert(y) {
@@ -210,7 +213,7 @@ impl<'a, A: MonotonicAlgorithm> Propagator<'a, A> {
                 }
             }
             // Children hanging off deleted-but-unprocessed edges of this
-            // batch (their dependence link is invisible in the snapshot).
+            // batch (their dependence link is invisible in the image).
             for &y in self.pending.children_of(x) {
                 now = self.mem.read(self.layout.parent_addr(y), 4, now) + 1;
                 if self.result.parent(y) == Some(x) && tagged_mark.insert(y) {
@@ -229,13 +232,13 @@ impl<'a, A: MonotonicAlgorithm> Propagator<'a, A> {
         // Reseed each tagged vertex from its in-neighbors.
         for &x in &tagged {
             now = self.mem.read(self.layout.in_offset_addr(x), 16, now);
-            let (ia, ib) = self.layout.in_edge_burst(self.snapshot.reverse(), x);
+            let (ia, ib) = self.layout.in_edge_burst(self.image, x);
             if ib > 0 {
                 now = self.mem.read(ia, ib, now);
             }
             let mut best = A::unreached();
             let mut best_parent = None;
-            for edge in self.snapshot.in_edges(x) {
+            for edge in self.image.in_row(x, &mut self.in_scratch) {
                 self.counters.computations += 1;
                 now = self.mem.read(self.layout.state_addr(edge.to()), 8, now) + 1;
                 let candidate = A::combine(self.result.state(edge.to()), edge.weight());

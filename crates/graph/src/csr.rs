@@ -35,121 +35,19 @@ pub struct Csr {
     edges: Vec<Edge>,
 }
 
-/// Below this many total edges, the parallel fill falls back to the serial
-/// loop: spawning threads costs more than copying a few thousand rows.
-const PARALLEL_FILL_MIN_EDGES: usize = 1 << 14;
-
 impl Csr {
     /// Builds a CSR from per-vertex adjacency lists (anything slice-like:
     /// `Vec<Edge>` or the hybrid adjacency used by
     /// [`DynamicGraph`](crate::DynamicGraph)).
     pub fn from_adjacency<L: AsRef<[Edge]>>(adjacency: &[L]) -> Self {
-        let (offsets, total) = Self::prefix_offsets(adjacency, Vec::new());
-        let mut edges = Vec::new();
-        edges.resize(total, Edge::new(VertexId::new(0), Weight::ONE));
-        Self::fill_serial(adjacency, offsets, edges)
-    }
-
-    /// Degree prefix sums into a (reused) offsets buffer; returns the
-    /// buffer and the total edge count.
-    fn prefix_offsets<L: AsRef<[Edge]>>(
-        adjacency: &[L],
-        mut offsets: Vec<u64>,
-    ) -> (Vec<u64>, usize) {
-        offsets.clear();
-        offsets.reserve(adjacency.len() + 1);
+        let total = adjacency.iter().map(|list| list.as_ref().len()).sum();
+        let mut offsets = Vec::with_capacity(adjacency.len() + 1);
+        let mut edges = Vec::with_capacity(total);
         offsets.push(0);
-        let mut total = 0u64;
         for list in adjacency {
-            total += list.as_ref().len() as u64;
-            offsets.push(total);
+            edges.extend_from_slice(list.as_ref());
+            offsets.push(edges.len() as u64);
         }
-        (offsets, total as usize)
-    }
-
-    /// Single-threaded row fill (the reference the parallel path must
-    /// match byte for byte).
-    fn fill_serial<L: AsRef<[Edge]>>(
-        adjacency: &[L],
-        offsets: Vec<u64>,
-        mut edges: Vec<Edge>,
-    ) -> Self {
-        for (v, list) in adjacency.iter().enumerate() {
-            let lo = offsets[v] as usize;
-            let hi = offsets[v + 1] as usize;
-            edges[lo..hi].copy_from_slice(list.as_ref());
-        }
-        Self { offsets, edges }
-    }
-
-    /// Builds a CSR from per-vertex adjacency lists, filling disjoint row
-    /// segments with up to `threads` worker threads.
-    ///
-    /// The offsets (degree prefix sums) are computed serially, the vertex
-    /// range is partitioned into contiguous segments balanced by edge
-    /// count, and each worker copies its rows into its disjoint slice of
-    /// the edge array — so the output is **byte-identical** to
-    /// [`Csr::from_adjacency`] at any thread count (pinned by a unit test
-    /// and by the serving-layer equivalence tests).
-    pub fn from_adjacency_parallel<L>(adjacency: &[L], threads: usize) -> Self
-    where
-        L: AsRef<[Edge]> + Sync,
-    {
-        Self::fill_from_adjacency(adjacency, Vec::new(), Vec::new(), threads)
-    }
-
-    /// Shared builder behind the `from_adjacency*` entry points and the
-    /// [`SnapshotScratch`] reuse path: clears and refills the supplied
-    /// buffers (reusing their capacity) instead of allocating fresh ones.
-    pub(crate) fn fill_from_adjacency<L>(
-        adjacency: &[L],
-        offsets: Vec<u64>,
-        mut edges: Vec<Edge>,
-        threads: usize,
-    ) -> Self
-    where
-        L: AsRef<[Edge]> + Sync,
-    {
-        let (offsets, total) = Self::prefix_offsets(adjacency, offsets);
-        edges.clear();
-        edges.resize(total, Edge::new(VertexId::new(0), Weight::ONE));
-
-        let threads = threads.clamp(1, adjacency.len().max(1));
-        if threads == 1 || total < PARALLEL_FILL_MIN_EDGES {
-            return Self::fill_serial(adjacency, offsets, edges);
-        }
-
-        // Cut the vertex range into `threads` contiguous segments of
-        // roughly equal *edge* count (vertex count alone would hand one
-        // worker all the hubs of a skewed graph).
-        let per_worker = total.div_ceil(threads);
-        let mut cuts = vec![0usize];
-        for (v, &offset) in offsets.iter().enumerate().take(adjacency.len()).skip(1) {
-            if offset as usize >= cuts.len() * per_worker {
-                cuts.push(v);
-            }
-        }
-        cuts.push(adjacency.len());
-
-        let offsets_ref = &offsets;
-        crossbeam::thread::scope(|s| {
-            let mut rest: &mut [Edge] = &mut edges;
-            for pair in cuts.windows(2) {
-                let (lo_v, hi_v) = (pair[0], pair[1]);
-                let base = offsets_ref[lo_v] as usize;
-                let seg_len = offsets_ref[hi_v] as usize - base;
-                let (segment, tail) = rest.split_at_mut(seg_len);
-                rest = tail;
-                s.spawn(move |_| {
-                    for v in lo_v..hi_v {
-                        let lo = offsets_ref[v] as usize - base;
-                        let hi = offsets_ref[v + 1] as usize - base;
-                        segment[lo..hi].copy_from_slice(adjacency[v].as_ref());
-                    }
-                });
-            }
-        })
-        .expect("csr fill workers never panic");
         Self { offsets, edges }
     }
 
@@ -220,11 +118,6 @@ impl Csr {
         self.edges.len()
     }
 
-    /// Builds the transpose CSR (in-edges become out-edges).
-    pub fn transpose(&self) -> Csr {
-        self.fill_transpose(Vec::new(), Vec::new())
-    }
-
     /// Reassembles a CSR from raw buffers previously obtained via
     /// [`Csr::offsets`] / [`Csr::edges`] (the checkpoint deserialization
     /// path), validating the structural invariants.
@@ -259,156 +152,30 @@ impl Csr {
         Ok(Self { offsets, edges })
     }
 
-    /// Transpose into caller-supplied buffers (capacity reuse): count
-    /// in-degrees, prefix-sum, then scatter every edge in encounter order —
-    /// the same order the historical triple-collecting implementation
-    /// produced, without materializing the O(E) triple list.
-    pub(crate) fn fill_transpose(&self, mut offsets: Vec<u64>, mut edges: Vec<Edge>) -> Csr {
+    /// Builds the transpose CSR (in-edges become out-edges): count
+    /// in-degrees, prefix-sum, then scatter every edge in encounter order,
+    /// so each transpose row lists sources ascending and parallel edges in
+    /// their source row's order.
+    pub fn transpose(&self) -> Csr {
         let n = self.num_vertices();
-        offsets.clear();
-        offsets.resize(n + 1, 0);
+        let mut offsets = vec![0u64; n + 1];
         for e in &self.edges {
             offsets[e.to().index() + 1] += 1;
         }
         for v in 0..n {
             offsets[v + 1] += offsets[v];
         }
-        edges.clear();
-        edges.resize(self.edges.len(), Edge::new(VertexId::new(0), Weight::ONE));
+        let mut edges = vec![Edge::new(VertexId::new(0), Weight::ONE); self.edges.len()];
         let mut cursor = offsets.clone();
         for u in 0..n {
             let src = VertexId::from_index(u);
-            let row = &self.edges[self.offsets[u] as usize..self.offsets[u + 1] as usize];
-            for e in row {
-                let slot = cursor[e.to().index()];
-                edges[slot as usize] = Edge::new(src, e.weight());
-                cursor[e.to().index()] += 1;
+            for e in self.neighbors(src) {
+                let slot = &mut cursor[e.to().index()];
+                edges[*slot as usize] = Edge::new(src, e.weight());
+                *slot += 1;
             }
         }
         Csr { offsets, edges }
-    }
-
-    /// Transpose into caller-supplied buffers with up to `threads` worker
-    /// threads, byte-identical to [`Csr::fill_transpose`] at any thread
-    /// count (small graphs fall back to the serial loop).
-    pub(crate) fn fill_transpose_with(
-        &self,
-        offsets: Vec<u64>,
-        edges: Vec<Edge>,
-        threads: usize,
-    ) -> Csr {
-        let threads = threads.clamp(1, self.num_vertices().max(1));
-        if threads == 1 || self.num_edges() < PARALLEL_FILL_MIN_EDGES {
-            self.fill_transpose(offsets, edges)
-        } else {
-            self.fill_transpose_parallel(offsets, edges, threads)
-        }
-    }
-
-    /// Parallel transpose: per-worker in-degree counting over contiguous
-    /// chunks of the edge array, a serial merge + prefix sum, then a
-    /// scatter pass in which each worker *owns a contiguous destination
-    /// range* (balanced by in-degree) and therefore a contiguous, disjoint
-    /// slice of the output edge array. Every worker scans all source rows
-    /// in ascending order and keeps only the edges landing in its range,
-    /// so per-destination encounter order — and hence every output byte —
-    /// matches the serial scatter exactly.
-    fn fill_transpose_parallel(
-        &self,
-        mut offsets: Vec<u64>,
-        mut edges: Vec<Edge>,
-        threads: usize,
-    ) -> Csr {
-        let n = self.num_vertices();
-        let m = self.num_edges();
-
-        // Phase 1: count in-degrees, one private count array per worker.
-        let chunk = m.div_ceil(threads);
-        let fwd_edges = &self.edges;
-        let counts = crossbeam::thread::scope(|s| {
-            let handles: Vec<_> = (0..threads)
-                .map(|w| {
-                    let lo = (w * chunk).min(m);
-                    let hi = ((w + 1) * chunk).min(m);
-                    s.spawn(move |_| {
-                        let mut local = vec![0u64; n];
-                        for e in &fwd_edges[lo..hi] {
-                            local[e.to().index()] += 1;
-                        }
-                        local
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("transpose count workers never panic"))
-                .collect::<Vec<_>>()
-        })
-        .expect("transpose count scope never panics");
-
-        // Merge into the usual exclusive prefix-sum offsets array.
-        offsets.clear();
-        offsets.resize(n + 1, 0);
-        for local in &counts {
-            for (v, c) in local.iter().enumerate() {
-                offsets[v + 1] += c;
-            }
-        }
-        for v in 0..n {
-            offsets[v + 1] += offsets[v];
-        }
-
-        // Phase 2: cut the destination range into contiguous segments of
-        // roughly equal in-edge count; each segment is one worker's
-        // contiguous slice of the output.
-        let per_worker = m.div_ceil(threads);
-        let mut cuts = vec![0usize];
-        for (v, &off) in offsets.iter().enumerate().take(n).skip(1) {
-            if off as usize >= cuts.len() * per_worker {
-                cuts.push(v);
-            }
-        }
-        cuts.push(n);
-
-        edges.clear();
-        edges.resize(m, Edge::new(VertexId::new(0), Weight::ONE));
-        let offsets_ref = &offsets;
-        let fwd_offsets = &self.offsets;
-        crossbeam::thread::scope(|s| {
-            let mut rest: &mut [Edge] = &mut edges;
-            for pair in cuts.windows(2) {
-                let (d_lo, d_hi) = (pair[0], pair[1]);
-                let base = offsets_ref[d_lo] as usize;
-                let seg_len = offsets_ref[d_hi] as usize - base;
-                let (segment, tail) = rest.split_at_mut(seg_len);
-                rest = tail;
-                s.spawn(move |_| {
-                    let mut cursor: Vec<usize> = offsets_ref[d_lo..d_hi]
-                        .iter()
-                        .map(|&o| o as usize - base)
-                        .collect();
-                    for u in 0..n {
-                        let src = VertexId::from_index(u);
-                        let row = &fwd_edges[fwd_offsets[u] as usize..fwd_offsets[u + 1] as usize];
-                        for e in row {
-                            let d = e.to().index();
-                            if (d_lo..d_hi).contains(&d) {
-                                segment[cursor[d - d_lo]] = Edge::new(src, e.weight());
-                                cursor[d - d_lo] += 1;
-                            }
-                        }
-                    }
-                });
-            }
-        })
-        .expect("transpose scatter workers never panic");
-        Csr { offsets, edges }
-    }
-
-    /// Consumes the CSR, handing back its raw buffers for reuse (the
-    /// [`SnapshotScratch`] recycling path).
-    pub(crate) fn into_buffers(self) -> (Vec<u64>, Vec<Edge>) {
-        (self.offsets, self.edges)
     }
 }
 
@@ -446,16 +213,7 @@ impl Snapshot {
         Self { forward, reverse }
     }
 
-    /// Assembles a snapshot from a forward CSR and a pre-computed
-    /// transpose. Crate-internal: callers must guarantee `reverse` really
-    /// is `forward.transpose()` (the scratch-buffer snapshot path does).
-    pub(crate) fn from_parts(forward: Csr, reverse: Csr) -> Self {
-        Self { forward, reverse }
-    }
-
-    /// Consumes the snapshot, handing back `(forward, reverse)` CSRs — for
-    /// buffer reuse and for serialization paths (checkpointing persists the
-    /// forward CSR only, since the reverse is derived from it).
+    /// Consumes the snapshot, handing back `(forward, reverse)` CSRs.
     pub fn into_parts(self) -> (Csr, Csr) {
         (self.forward, self.reverse)
     }
@@ -470,56 +228,6 @@ impl Snapshot {
     #[inline]
     pub fn reverse(&self) -> &Csr {
         &self.reverse
-    }
-}
-
-/// Reusable buffers for repeated snapshot materialization.
-///
-/// Each [`DynamicGraph::snapshot_with`](crate::DynamicGraph::snapshot_with)
-/// call builds its four arrays (forward/reverse offsets and edges) inside
-/// the scratch's buffers, and [`SnapshotScratch::recycle`] reclaims a
-/// snapshot the caller has finished with — so a bench or accelerator loop
-/// that snapshots after every batch reaches a steady state with **zero**
-/// per-snapshot heap allocation once capacities have grown to the
-/// high-water mark.
-///
-/// # Examples
-///
-/// ```
-/// use cisgraph_graph::{DynamicGraph, GraphView, SnapshotScratch};
-/// use cisgraph_types::{VertexId, Weight};
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let mut g = DynamicGraph::new(2);
-/// g.insert_edge(VertexId::new(0), VertexId::new(1), Weight::new(1.0)?)?;
-/// let mut scratch = SnapshotScratch::new();
-/// let snap = g.snapshot_with(&mut scratch, 1);
-/// assert_eq!(snap.num_edges(), 1);
-/// scratch.recycle(snap); // hand the buffers back for the next call
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct SnapshotScratch {
-    pub(crate) forward_offsets: Vec<u64>,
-    pub(crate) forward_edges: Vec<Edge>,
-    pub(crate) reverse_offsets: Vec<u64>,
-    pub(crate) reverse_edges: Vec<Edge>,
-}
-
-impl SnapshotScratch {
-    /// Creates an empty scratch; buffers grow on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Reclaims a snapshot's buffers so the next
-    /// [`DynamicGraph::snapshot_with`](crate::DynamicGraph::snapshot_with)
-    /// call reuses their capacity instead of reallocating.
-    pub fn recycle(&mut self, snapshot: Snapshot) {
-        let (forward, reverse) = snapshot.into_parts();
-        (self.forward_offsets, self.forward_edges) = forward.into_buffers();
-        (self.reverse_offsets, self.reverse_edges) = reverse.into_buffers();
     }
 }
 
@@ -606,67 +314,6 @@ mod tests {
     #[should_panic(expected = "out of bounds")]
     fn from_triples_rejects_oob() {
         let _ = Csr::from_edge_triples(2, vec![(v(0), v(5), w(1.0))]);
-    }
-
-    /// A deterministic skewed adjacency big enough to cross the parallel
-    /// fill threshold (one hub plus a long tail of small vertices).
-    fn skewed_adjacency() -> Vec<Vec<Edge>> {
-        let n = 512usize;
-        let mut adjacency = vec![Vec::new(); n];
-        for (u, list) in adjacency.iter_mut().enumerate() {
-            let degree = if u == 3 { 20_000 } else { (u * 7) % 23 };
-            for i in 0..degree {
-                let dst = ((u + i * 31 + 1) % n) as u32;
-                let weight = w(((u + i) % 9 + 1) as f64);
-                list.push(Edge::new(v(dst), weight));
-            }
-        }
-        assert!(
-            adjacency.iter().map(Vec::len).sum::<usize>() > super::PARALLEL_FILL_MIN_EDGES,
-            "fixture must exercise the threaded path"
-        );
-        adjacency
-    }
-
-    #[test]
-    fn parallel_fill_is_byte_identical_to_serial() {
-        let adjacency = skewed_adjacency();
-        let serial = Csr::from_adjacency(&adjacency);
-        for threads in [2, 3, 8, 64] {
-            let parallel = Csr::from_adjacency_parallel(&adjacency, threads);
-            assert_eq!(serial.offsets(), parallel.offsets(), "{threads} threads");
-            assert_eq!(serial.edges(), parallel.edges(), "{threads} threads");
-        }
-    }
-
-    #[test]
-    fn parallel_transpose_is_byte_identical_to_serial() {
-        let adjacency = skewed_adjacency();
-        let csr = Csr::from_adjacency(&adjacency);
-        assert!(csr.num_edges() >= super::PARALLEL_FILL_MIN_EDGES);
-        let serial = csr.transpose();
-        for threads in [2, 3, 8, 64] {
-            let parallel = csr.fill_transpose_with(Vec::new(), Vec::new(), threads);
-            assert_eq!(serial.offsets(), parallel.offsets(), "{threads} threads");
-            assert_eq!(serial.edges(), parallel.edges(), "{threads} threads");
-        }
-        // Dirty reuse buffers must not leak into the parallel path either.
-        let dirty = csr.fill_transpose_with(vec![7u64; 5], vec![Edge::new(v(2), w(3.0)); 13], 4);
-        assert_eq!(serial, dirty);
-    }
-
-    #[test]
-    fn buffer_reuse_is_byte_identical_to_fresh_build() {
-        let adjacency = skewed_adjacency();
-        let fresh = Csr::from_adjacency(&adjacency);
-        // Dirty buffers with stale capacity and contents.
-        let offsets = vec![99u64; 7];
-        let edges = vec![Edge::new(v(1), w(2.0)); 31];
-        let reused = Csr::fill_from_adjacency(&adjacency, offsets, edges, 4);
-        assert_eq!(fresh, reused);
-        let t = fresh.transpose();
-        let t_reused = reused.fill_transpose(vec![5u64; 3], vec![Edge::new(v(0), w(1.0)); 9]);
-        assert_eq!(t, t_reused);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Mutable adjacency-list graph that consumes streaming updates.
 
 use crate::adjacency::{AdjacencyList, DEFAULT_PROMOTION_THRESHOLD};
-use crate::{Csr, Edge, GraphError, GraphView, Snapshot, SnapshotScratch};
+use crate::{Csr, Edge, GraphError, GraphView, Snapshot};
 use cisgraph_types::{EdgeUpdate, UpdateKind, VertexId, Weight};
 use std::collections::{HashMap, HashSet};
 use std::time::Instant;
@@ -404,47 +404,21 @@ impl DynamicGraph {
     /// Materializes an immutable CSR [`Snapshot`] of the current topology.
     ///
     /// When the metrics sink is enabled the build time is recorded into the
-    /// `graph.snapshot_build_ns` histogram (all snapshot variants share it).
+    /// `graph.snapshot_build_ns` histogram.
     pub fn snapshot(&self) -> Snapshot {
         let start = cisgraph_obs::enabled().then(Instant::now);
-        let forward = Csr::from_adjacency(&self.out);
-        let snap = Snapshot::from_forward(forward);
-        record_snapshot_build(start);
+        let snap = Snapshot::from_forward(self.forward_csr());
+        if let Some(start) = start {
+            cisgraph_obs::histogram("graph.snapshot_build_ns")
+                .record(start.elapsed().as_nanos() as u64);
+        }
         snap
     }
 
-    /// Like [`DynamicGraph::snapshot`] but fills the forward CSR's rows
-    /// with up to `threads` worker threads. The result is byte-identical
-    /// to the serial build at any thread count.
-    pub fn snapshot_parallel(&self, threads: usize) -> Snapshot {
-        let start = cisgraph_obs::enabled().then(Instant::now);
-        let forward = Csr::from_adjacency_parallel(&self.out, threads);
-        let reverse = forward.fill_transpose_with(Vec::new(), Vec::new(), threads);
-        let snap = Snapshot::from_parts(forward, reverse);
-        record_snapshot_build(start);
-        snap
-    }
-
-    /// Like [`DynamicGraph::snapshot_parallel`] but builds into (and so
-    /// reuses the capacity of) `scratch`'s buffers. Call
-    /// [`SnapshotScratch::recycle`] with the previous snapshot first to
-    /// make a repeated snapshot loop allocation-free at steady state.
-    pub fn snapshot_with(&self, scratch: &mut SnapshotScratch, threads: usize) -> Snapshot {
-        let start = cisgraph_obs::enabled().then(Instant::now);
-        let forward = Csr::fill_from_adjacency(
-            &self.out,
-            std::mem::take(&mut scratch.forward_offsets),
-            std::mem::take(&mut scratch.forward_edges),
-            threads,
-        );
-        let reverse = forward.fill_transpose_with(
-            std::mem::take(&mut scratch.reverse_offsets),
-            std::mem::take(&mut scratch.reverse_edges),
-            threads,
-        );
-        let snap = Snapshot::from_parts(forward, reverse);
-        record_snapshot_build(start);
-        snap
+    /// The forward CSR alone (the rows [`DynamicGraph::snapshot`] starts
+    /// from, without the transpose), which is all a checkpoint stores.
+    pub fn forward_csr(&self) -> Csr {
+        Csr::from_adjacency(&self.out)
     }
 
     /// Rebuilds a dynamic graph from a forward CSR (the checkpoint
@@ -474,14 +448,6 @@ impl DynamicGraph {
                 .iter()
                 .map(move |e| (VertexId::from_index(u), e.to(), e.weight()))
         })
-    }
-}
-
-/// Records elapsed time into the shared snapshot-build histogram.
-fn record_snapshot_build(start: Option<Instant>) {
-    if let Some(start) = start {
-        cisgraph_obs::histogram("graph.snapshot_build_ns")
-            .record(start.elapsed().as_nanos() as u64);
     }
 }
 
@@ -694,23 +660,6 @@ mod tests {
         assert_eq!(s.num_edges(), 3);
         assert_eq!(s.out_degree(v(0)), 2);
         assert_eq!(s.in_degree(v(1)), 2);
-    }
-
-    #[test]
-    fn snapshot_variants_are_identical() {
-        let mut g = DynamicGraph::new(64);
-        for i in 0..4096u32 {
-            g.insert_edge(v(i % 64), v((i * 7 + 3) % 64), w(f64::from(i % 9 + 1)))
-                .unwrap();
-        }
-        let serial = g.snapshot();
-        assert_eq!(serial, g.snapshot_parallel(4));
-        let mut scratch = SnapshotScratch::new();
-        let first = g.snapshot_with(&mut scratch, 4);
-        assert_eq!(serial, first);
-        // Recycle and rebuild: the reused buffers must not leak stale data.
-        scratch.recycle(first);
-        assert_eq!(serial, g.snapshot_with(&mut scratch, 2));
     }
 
     #[test]

@@ -49,7 +49,7 @@ mod stats;
 mod view;
 
 pub use adjacency::DEFAULT_PROMOTION_THRESHOLD;
-pub use csr::{Csr, Snapshot, SnapshotScratch};
+pub use csr::{Csr, Snapshot};
 pub use dynamic::DynamicGraph;
 pub use edge::Edge;
 pub use error::GraphError;

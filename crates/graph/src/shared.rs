@@ -11,7 +11,7 @@
 //! handles are still alive the storage is cloned first, so those readers
 //! keep seeing the snapshot they started with.
 
-use crate::{DynamicGraph, Edge, GraphError, GraphView, Snapshot, SnapshotScratch};
+use crate::{DynamicGraph, Edge, GraphError, GraphView, Snapshot};
 use cisgraph_types::{EdgeUpdate, VertexId};
 use std::sync::Arc;
 
@@ -104,18 +104,6 @@ impl SharedGraph {
     /// Materializes an immutable CSR [`Snapshot`] of the current topology.
     pub fn snapshot(&self) -> Snapshot {
         self.inner.snapshot()
-    }
-
-    /// Like [`SharedGraph::snapshot`] but fills CSR rows with up to
-    /// `threads` workers; byte-identical to the serial build.
-    pub fn snapshot_parallel(&self, threads: usize) -> Snapshot {
-        self.inner.snapshot_parallel(threads)
-    }
-
-    /// Like [`SharedGraph::snapshot_parallel`] but reuses `scratch`'s
-    /// buffer capacity (see [`DynamicGraph::snapshot_with`]).
-    pub fn snapshot_with(&self, scratch: &mut SnapshotScratch, threads: usize) -> Snapshot {
-        self.inner.snapshot_with(scratch, threads)
     }
 
     /// Whether this handle is the only one alive (i.e. the next mutation

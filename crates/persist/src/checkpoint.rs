@@ -124,12 +124,16 @@ pub fn list_all(dir: &Path) -> Result<Vec<CheckpointEntry>> {
 /// update with sequence number below `next_seq`, atomically (temp file +
 /// rename). Returns the checkpoint's final path.
 pub fn write(dir: &Path, next_seq: u64, graph: &DynamicGraph) -> Result<PathBuf> {
-    let (forward, _reverse) = graph.snapshot().into_parts();
-    write_snapshot(dir, next_seq, graph.promotion_threshold() as u64, &forward)
+    write_snapshot(
+        dir,
+        next_seq,
+        graph.promotion_threshold() as u64,
+        &graph.forward_csr(),
+    )
 }
 
 /// Like [`write()`], but from an already-materialized forward CSR — the form
-/// the background checkpointer uses after the ingest thread has snapshotted.
+/// the background checkpointer uses after the ingest thread has built it.
 pub fn write_snapshot(dir: &Path, next_seq: u64, threshold: u64, forward: &Csr) -> Result<PathBuf> {
     let obs_on = cisgraph_obs::enabled();
     let start = obs_on.then(Instant::now);

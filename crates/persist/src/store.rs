@@ -11,7 +11,7 @@ use std::sync::mpsc;
 use std::thread;
 
 use bytes::BufMut;
-use cisgraph_graph::{DynamicGraph, Snapshot, SnapshotScratch};
+use cisgraph_graph::{Csr, DynamicGraph, Snapshot};
 use cisgraph_types::EdgeUpdate;
 
 use crate::checkpoint::CkptKind;
@@ -69,10 +69,9 @@ pub struct PersistConfig {
     pub full_every: u64,
     /// Serialize + fsync + rename on a background worker thread instead of
     /// the ingest thread. The ingest thread syncs the WAL and captures the
-    /// payload before handing off — the full CSR snapshot for a full
-    /// checkpoint (reusing scratch buffers), just the changed rows for a
-    /// delta — and completions are drained by the next
-    /// [`DurableStore::maybe_checkpoint`] call. At most one checkpoint is
+    /// payload before handing off — the forward CSR for a full checkpoint,
+    /// just the changed rows for a delta — and completions are drained by
+    /// the next [`DurableStore::maybe_checkpoint`] call. At most one checkpoint is
     /// in flight — while one is, the cadence simply re-fires on a later
     /// batch.
     pub background: bool,
@@ -97,11 +96,11 @@ impl PersistConfig {
 }
 
 /// What gets written: decided (and fully materialized) on the ingest
-/// thread, executed wherever. A full checkpoint carries the CSR snapshot;
+/// thread, executed wherever. A full checkpoint carries the forward CSR;
 /// a delta carries only the changed rows — so delta submissions never pay
-/// the full-snapshot materialization at all.
+/// the CSR materialization at all.
 enum WritePayload {
-    Full(Snapshot),
+    Full(Csr),
     Delta {
         parent_seq: u64,
         num_rows: u64,
@@ -117,23 +116,20 @@ struct WriteJob {
     payload: WritePayload,
 }
 
-/// The worker's answer: a full checkpoint's snapshot comes back so the
-/// ingest thread can recycle its buffers.
+/// The worker's answer.
 struct WriteDone {
     next_seq: u64,
     wrote_full: bool,
-    snapshot: Option<Snapshot>,
     result: Result<()>,
 }
 
 /// Executes one job: write the file, then prune best-effort. Never fails
 /// after the checkpoint itself is durable.
 fn run_write_job(dir: &Path, keep: usize, job: WriteJob) -> WriteDone {
-    let (wrote_full, snapshot, result) = match job.payload {
-        WritePayload::Full(snapshot) => {
-            let result =
-                checkpoint::write_snapshot(dir, job.next_seq, job.threshold, snapshot.forward());
-            (true, Some(snapshot), result.map(|_| ()))
+    let (wrote_full, result) = match job.payload {
+        WritePayload::Full(forward) => {
+            let result = checkpoint::write_snapshot(dir, job.next_seq, job.threshold, &forward);
+            (true, result.map(|_| ()))
         }
         WritePayload::Delta {
             parent_seq,
@@ -148,7 +144,7 @@ fn run_write_job(dir: &Path, keep: usize, job: WriteJob) -> WriteDone {
                 num_rows,
                 &rows,
             );
-            (false, None, result.map(|_| ()))
+            (false, result.map(|_| ()))
         }
     };
     if result.is_ok() {
@@ -157,7 +153,6 @@ fn run_write_job(dir: &Path, keep: usize, job: WriteJob) -> WriteDone {
     WriteDone {
         next_seq: job.next_seq,
         wrote_full,
-        snapshot,
         result,
     }
 }
@@ -217,7 +212,6 @@ pub struct DurableStore {
     /// Set after any checkpoint failure or suspicious recovery: the next
     /// checkpoint is written full so the chain self-heals.
     force_full: bool,
-    scratch: SnapshotScratch,
     worker: Option<CheckpointWorker>,
     /// First error a background checkpoint reported; surfaced (once) by
     /// the next cadence call.
@@ -286,7 +280,6 @@ impl DurableStore {
                 batches_since_checkpoint,
                 last_ckpt_seq,
                 deltas_since_full,
-                scratch: SnapshotScratch::new(),
                 worker: None,
                 pending_error: None,
             },
@@ -413,23 +406,17 @@ impl DurableStore {
 
     /// Picks full vs. delta and captures the payload, all against the
     /// *live* graph — a delta submission copies only the changed rows and
-    /// never materializes a CSR snapshot (that cost is what background
-    /// checkpointing exists to keep off the ingest path). Full whenever
+    /// never materializes a CSR (that cost is what background checkpointing
+    /// exists to keep off the ingest path). Full whenever
     /// the mode says so, the chain must be re-anchored (`force_full`,
     /// missing tracking, `full_every`), or the delta would not actually be
     /// smaller than the full serialization.
     fn build_payload(&mut self, graph: &mut DynamicGraph) -> WritePayload {
         use cisgraph_graph::GraphView;
 
-        let full = |store: &mut Self, graph: &DynamicGraph| {
-            let threads = thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-                .min(8);
-            WritePayload::Full(graph.snapshot_with(&mut store.scratch, threads))
-        };
+        let full = |graph: &DynamicGraph| WritePayload::Full(graph.forward_csr());
         if self.config.mode == CheckpointMode::Full {
-            return full(self, graph);
+            return full(graph);
         }
         let must_full =
             self.force_full || self.deltas_since_full + 1 >= self.config.full_every.max(1);
@@ -439,9 +426,9 @@ impl DurableStore {
                 // without `open`): enable it so the *next* cadence can go
                 // incremental, and anchor with a full now.
                 graph.enable_dirty_rows();
-                full(self, graph)
+                full(graph)
             }
-            Some(_) if must_full => full(self, graph),
+            Some(_) if must_full => full(graph),
             Some(rows) => {
                 // Bytes-written comparison: per changed row 12 bytes of
                 // framing plus 12 per edge, vs. the full file's offset
@@ -453,7 +440,7 @@ impl DurableStore {
                     .sum();
                 let full_payload = 8 * (graph.num_vertices() + 1) + 12 * graph.num_edges();
                 if delta_payload >= full_payload {
-                    full(self, graph)
+                    full(graph)
                 } else {
                     WritePayload::Delta {
                         parent_seq: self.last_ckpt_seq,
@@ -466,12 +453,8 @@ impl DurableStore {
     }
 
     /// Applies one finished checkpoint's outcome to the store's chain
-    /// state and recycles the snapshot buffers (full checkpoints only —
-    /// deltas never took one).
+    /// state.
     fn finish(&mut self, done: WriteDone) -> Result<()> {
-        if let Some(snapshot) = done.snapshot {
-            self.scratch.recycle(snapshot);
-        }
         match done.result {
             Ok(()) => {
                 self.last_ckpt_seq = done.next_seq;

@@ -22,6 +22,9 @@ use crate::{Cycle, DramConfig, DramModel, MemStats, Spm, SpmConfig};
 pub struct MemorySystem {
     spm: Spm,
     dram: DramModel,
+    /// Per-access SPM results, reused so an access allocates nothing.
+    miss_lines: Vec<u64>,
+    writebacks: Vec<u64>,
 }
 
 impl MemorySystem {
@@ -34,37 +37,42 @@ impl MemorySystem {
         Self {
             spm: Spm::new(spm),
             dram: DramModel::new(dram),
+            miss_lines: Vec::new(),
+            writebacks: Vec::new(),
         }
     }
 
     /// Reads `bytes` at `addr`; returns the completion cycle.
     pub fn read(&mut self, addr: u64, bytes: u64, now: Cycle) -> Cycle {
-        let access = self.spm.read(addr, bytes);
-        let mut done = now + self.spm.latency();
-        for wb in &access.writebacks {
-            // Write-backs drain in the background; they occupy the channel
-            // but do not delay this read.
-            self.dram.write(*wb, self.spm.config().line_bytes, now);
-        }
-        for line in &access.miss_lines {
-            done = done
-                .max(self.dram.read(*line, self.spm.config().line_bytes, now) + self.spm.latency());
-        }
-        done
+        self.access(addr, bytes, false, now)
     }
 
     /// Writes `bytes` at `addr` (write-allocate); returns the completion
     /// cycle of the SPM update — the DRAM fill of a missing line overlaps.
     pub fn write(&mut self, addr: u64, bytes: u64, now: Cycle) -> Cycle {
-        let access = self.spm.write(addr, bytes);
-        for wb in &access.writebacks {
-            self.dram.write(*wb, self.spm.config().line_bytes, now);
+        self.access(addr, bytes, true, now)
+    }
+
+    fn access(&mut self, addr: u64, bytes: u64, write: bool, now: Cycle) -> Cycle {
+        self.spm.access_into(
+            addr,
+            bytes,
+            write,
+            &mut self.miss_lines,
+            &mut self.writebacks,
+        );
+        let line_bytes = self.spm.config().line_bytes;
+        let latency = self.spm.latency();
+        for &wb in &self.writebacks {
+            // Write-backs drain in the background; they occupy the channel
+            // but do not delay this access.
+            self.dram.write(wb, line_bytes, now);
         }
-        let mut done = now + self.spm.latency();
-        for line in &access.miss_lines {
-            // Write-allocate: the line must be fetched before merging.
-            done = done
-                .max(self.dram.read(*line, self.spm.config().line_bytes, now) + self.spm.latency());
+        let mut done = now + latency;
+        for &line in &self.miss_lines {
+            // A read miss, or write-allocate: the line is fetched before
+            // the access completes.
+            done = done.max(self.dram.read(line, line_bytes, now) + latency);
         }
         done
     }

@@ -108,7 +108,10 @@ pub struct SpmAccess {
 #[derive(Debug, Clone)]
 pub struct Spm {
     config: SpmConfig,
-    sets: Vec<Vec<Line>>,
+    num_sets: usize,
+    /// Every set's ways, back to back: set `s` is
+    /// `lines[s * ways..(s + 1) * ways]`.
+    lines: Vec<Line>,
     tick: u64,
     hits: u64,
     misses: u64,
@@ -127,7 +130,8 @@ impl Spm {
         assert!(config.ways > 0, "spm must have at least one way");
         Self {
             config,
-            sets: vec![vec![INVALID; config.ways]; sets],
+            num_sets: sets,
+            lines: vec![INVALID; sets * config.ways],
             tick: 0,
             hits: 0,
             misses: 0,
@@ -164,20 +168,17 @@ impl Spm {
     /// occupancy. Grows monotonically from zero until the working set fills
     /// the geometry, then saturates at [`Spm::total_lines`].
     pub fn occupied_lines(&self) -> usize {
-        self.sets
-            .iter()
-            .map(|set| set.iter().filter(|l| l.valid).count())
-            .sum()
+        self.lines.iter().filter(|l| l.valid).count()
     }
 
     /// Total line slots in the geometry (`sets × ways`).
     pub fn total_lines(&self) -> usize {
-        self.sets.len() * self.config.ways
+        self.lines.len()
     }
 
     fn set_and_tag(&self, line_addr: u64) -> (usize, u64) {
         let line = line_addr / self.config.line_bytes;
-        let set = (line % self.sets.len() as u64) as usize;
+        let set = (line % self.num_sets as u64) as usize;
         (set, line)
     }
 
@@ -185,7 +186,8 @@ impl Spm {
         self.tick += 1;
         let (set_idx, tag) = self.set_and_tag(line_addr);
         let line_bytes = self.config.line_bytes;
-        let set = &mut self.sets[set_idx];
+        let ways = self.config.ways;
+        let set = &mut self.lines[set_idx * ways..(set_idx + 1) * ways];
         if let Some(line) = set.iter_mut().find(|l| l.valid && l.tag == tag) {
             line.lru = self.tick;
             line.dirty |= write;
@@ -217,27 +219,45 @@ impl Spm {
         (false, writeback)
     }
 
-    fn access(&mut self, addr: u64, bytes: u64, write: bool) -> SpmAccess {
+    /// Looks up an access spanning `bytes` at `addr`, replacing the
+    /// contents of `miss_lines` with the lines to fetch from DRAM and of
+    /// `writebacks` with the dirty victims their fills evicted, both in
+    /// line order. Returns whether every touched line was resident.
+    pub(crate) fn access_into(
+        &mut self,
+        addr: u64,
+        bytes: u64,
+        write: bool,
+        miss_lines: &mut Vec<u64>,
+        writebacks: &mut Vec<u64>,
+    ) -> bool {
+        miss_lines.clear();
+        writebacks.clear();
         let bytes = bytes.max(1);
         let lb = self.config.line_bytes;
         let first = addr / lb;
         let last = (addr + bytes - 1) / lb;
-        let mut out = SpmAccess {
-            all_hit: true,
-            ..SpmAccess::default()
-        };
         for line in first..=last {
             let line_addr = line * lb;
             let (hit, wb) = self.touch_line(line_addr, write);
             if !hit {
-                out.all_hit = false;
-                out.miss_lines.push(line_addr);
+                miss_lines.push(line_addr);
             }
             if let Some(wb) = wb {
-                out.writebacks.push(wb);
+                writebacks.push(wb);
             }
         }
-        out
+        miss_lines.is_empty()
+    }
+
+    fn access(&mut self, addr: u64, bytes: u64, write: bool) -> SpmAccess {
+        let (mut miss_lines, mut writebacks) = (Vec::new(), Vec::new());
+        let all_hit = self.access_into(addr, bytes, write, &mut miss_lines, &mut writebacks);
+        SpmAccess {
+            miss_lines,
+            writebacks,
+            all_hit,
+        }
     }
 
     /// Looks up a read; returns which lines miss and which dirty victims

@@ -8,10 +8,27 @@ fn bin() -> Command {
     Command::new(env!("CARGO_BIN_EXE_cisgraph"))
 }
 
-fn write_demo_files() -> (std::path::PathBuf, std::path::PathBuf) {
-    let dir = std::env::temp_dir();
-    let graph = dir.join(format!("cisgraph_cli_graph_{}.txt", std::process::id()));
-    let updates = dir.join(format!("cisgraph_cli_updates_{}.txt", std::process::id()));
+/// A temp dir private to one test (tests in this file run in parallel
+/// within one process), removed on drop.
+struct TestDir(std::path::PathBuf);
+
+impl TestDir {
+    fn new(test: &str) -> Self {
+        let dir = std::env::temp_dir().join(format!("cisgraph_cli_{test}_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        Self(dir)
+    }
+}
+
+impl Drop for TestDir {
+    fn drop(&mut self) {
+        std::fs::remove_dir_all(&self.0).ok();
+    }
+}
+
+fn write_demo_files(dir: &TestDir) -> (std::path::PathBuf, std::path::PathBuf) {
+    let graph = dir.0.join("graph.txt");
+    let updates = dir.0.join("updates.txt");
     let mut f = std::fs::File::create(&graph).unwrap();
     // 0 -> 1 -> 2 -> 3 chain plus a slow direct edge.
     writeln!(f, "# demo\n0 1 1\n1 2 1\n2 3 1\n0 3 9").unwrap();
@@ -23,7 +40,8 @@ fn write_demo_files() -> (std::path::PathBuf, std::path::PathBuf) {
 
 #[test]
 fn answers_and_verifies_end_to_end() {
-    let (graph, updates) = write_demo_files();
+    let dir = TestDir::new("answers_and_verifies_end_to_end");
+    let (graph, updates) = write_demo_files(&dir);
     let out = bin()
         .args([
             "--graph",
@@ -64,13 +82,12 @@ fn answers_and_verifies_end_to_end() {
         stderr.contains("verified against full recomputation"),
         "stderr: {stderr}"
     );
-    std::fs::remove_file(graph).ok();
-    std::fs::remove_file(updates).ok();
 }
 
 #[test]
 fn accelerator_engine_reports_simulated_time() {
-    let (graph, updates) = write_demo_files();
+    let dir = TestDir::new("accelerator_engine_reports_simulated_time");
+    let (graph, updates) = write_demo_files(&dir);
     let out = bin()
         .args([
             "--graph",
@@ -89,8 +106,6 @@ fn accelerator_engine_reports_simulated_time() {
     assert!(out.status.success());
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("simulated"), "stdout: {stdout}");
-    std::fs::remove_file(graph).ok();
-    std::fs::remove_file(updates).ok();
 }
 
 #[test]
