@@ -1,6 +1,6 @@
 //! Update-ingestion micro-benchmarks for the storage layer: hub-vertex
-//! deletes (the degree-adaptive index's reason to exist), batch insertion
-//! through the `apply_batch` fast path, and snapshot materialization.
+//! deletes (the degree-adaptive index's reason to exist) and snapshot
+//! materialization.
 //!
 //! The `ingest` experiment binary runs the paper-scale version of the
 //! hub-delete study (50K deletes) and writes `BENCH_ingest.json`; this
@@ -68,40 +68,6 @@ fn bench_hub_delete(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_batch_insert(c: &mut Criterion) {
-    // 8K inserts over 1K sources: enough per-source repetition that the
-    // pre-grouped reservation pass has something to coalesce.
-    let updates: Vec<EdgeUpdate> = (0..8192u32)
-        .map(|i| {
-            EdgeUpdate::insert(
-                VertexId::new(i % 1024),
-                VertexId::new(i % 977),
-                w(i % 5 + 1),
-            )
-        })
-        .collect();
-    let n = 1024;
-    let mut group = c.benchmark_group("ingest/batch_insert");
-    group.throughput(Throughput::Elements(updates.len() as u64));
-    group.bench_function("per_update", |b| {
-        b.iter(|| {
-            let mut g = DynamicGraph::new(n);
-            for u in &updates {
-                g.insert_edge(u.src(), u.dst(), u.weight()).unwrap();
-            }
-            black_box(g.num_edges())
-        });
-    });
-    group.bench_function("apply_batch", |b| {
-        b.iter(|| {
-            let mut g = DynamicGraph::new(n);
-            g.apply_batch(black_box(&updates)).unwrap();
-            black_box(g.num_edges())
-        });
-    });
-    group.finish();
-}
-
 fn bench_snapshot(c: &mut Criterion) {
     // 4K vertices x 24 edges = 96K edges.
     let n = 4096u32;
@@ -124,10 +90,5 @@ fn bench_snapshot(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_hub_delete,
-    bench_batch_insert,
-    bench_snapshot
-);
+criterion_group!(benches, bench_hub_delete, bench_snapshot);
 criterion_main!(benches);

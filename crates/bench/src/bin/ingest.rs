@@ -1,7 +1,7 @@
 //! Storage-layer ingestion study: the paper-scale hub-delete microbench
 //! (50K deletes against one high-degree vertex, §IV-A batch shape) run
-//! against both adjacency representations, plus batch-insert and snapshot
-//! materialization timings.
+//! against both adjacency representations, plus a snapshot
+//! materialization timing.
 //!
 //! The "naive" rows pin the promotion threshold to `usize::MAX`, which is
 //! exactly the pre-hybrid `Vec<Vec<Edge>>` behavior, so one run records
@@ -119,27 +119,6 @@ fn main() {
         hybrid_ns as f64 / 1e6,
     );
 
-    // --- Batch-insert fast path vs per-update application ---------------
-    let per_update_ns = best_ns(repeats, || {
-        let mut g = DynamicGraph::with_promotion_threshold(n, threshold);
-        for u in &inserts {
-            g.insert_edge(u.src(), u.dst(), u.weight()).expect("insert");
-        }
-        black_box(g.num_edges());
-    });
-    let batch_ns = best_ns(repeats, || {
-        let mut g = DynamicGraph::with_promotion_threshold(n, threshold);
-        g.apply_batch(&inserts).expect("batch insert");
-        black_box(g.num_edges());
-    });
-    println!(
-        "batch_insert ({} inserts): per-update {:.3} ms, apply_batch {:.3} ms ({:.2}x)",
-        inserts.len(),
-        per_update_ns as f64 / 1e6,
-        batch_ns as f64 / 1e6,
-        per_update_ns as f64 / batch_ns.max(1) as f64,
-    );
-
     // --- Snapshot materialization --------------------------------------
     // A non-degenerate multi-row graph (the hub graph has one giant row).
     let sv = 4096u32;
@@ -177,11 +156,6 @@ fn main() {
             "naive_ns": naive_ns,
             "hybrid_ns": hybrid_ns,
             "speedup": speedup
-        },
-        "batch_insert": {
-            "per_update_ns": per_update_ns,
-            "apply_batch_ns": batch_ns,
-            "speedup": (per_update_ns as f64 / batch_ns.max(1) as f64)
         },
         "snapshot": {
             "serial_ns": serial_ns

@@ -26,13 +26,13 @@
 //! inside the fan-out (see `docs/observability.md`).
 //!
 //! With a [`DurableStore`] attached ([`QueryServer::attach_durability`]),
-//! every batch is validated, appended to the write-ahead log, and only
-//! then applied — a batch the graph would reject never reaches the WAL
-//! (a poisoned frame would otherwise be replayed on every recovery) —
-//! and the graph is checkpointed on the store's cadence (full or delta,
-//! inline or on a background worker), so a crashed server recovers to a
-//! consistent prefix of the acknowledged stream (see
-//! `docs/persistence.md`).
+//! every batch is applied, appended to the write-ahead log, and only then
+//! served. [`SharedGraph::apply_batch_undoable`] is atomic, so a batch the
+//! graph rejects leaves it untouched and never reaches the WAL; a batch the
+//! WAL refuses is undone before anything reads it. The graph is
+//! checkpointed on the store's cadence (full or delta, inline or on a
+//! background worker), so a crashed server recovers to a consistent prefix
+//! of the acknowledged stream (see `docs/persistence.md`).
 
 use crate::{BatchReport, MultiQuery, ReportCore};
 use cisgraph_algo::classify::ClassificationSummary;
@@ -117,6 +117,10 @@ pub struct ServeReport {
     /// Every standing query's post-batch answer, sorted by
     /// (source, destination).
     pub answers: Vec<(PairQuery, State)>,
+    /// Why the checkpoint this batch triggered failed, if it did. The
+    /// batch itself is logged, applied, and served either way; the next
+    /// checkpoint is written full so the chain heals.
+    pub checkpoint_error: Option<String>,
 }
 
 impl ServeReport {
@@ -186,7 +190,7 @@ pub struct QueryServer<A: MonotonicAlgorithm> {
     /// per-batch fan-out never formats strings on the hot path.
     shard_span_names: Vec<String>,
     /// Write-ahead durability, when attached: every batch is logged here
-    /// *before* it is applied (see [`QueryServer::attach_durability`]).
+    /// before any shard serves it (see [`QueryServer::attach_durability`]).
     persist: Option<DurableStore>,
 }
 
@@ -234,8 +238,8 @@ impl<A: MonotonicAlgorithm> QueryServer<A> {
     }
 
     /// Attaches a durability handle: from now on every
-    /// [`process_batch`](QueryServer::process_batch) call validates the
-    /// batch, logs it to the WAL, applies it, and checkpoints on the
+    /// [`process_batch`](QueryServer::process_batch) call applies the
+    /// batch, logs it to the WAL, serves it, and checkpoints on the
     /// store's configured cadence. The store should have been opened
     /// against this server's graph (i.e. the graph passed to
     /// [`QueryServer::new`] came out of the same [`DurableStore::open`]
@@ -309,35 +313,45 @@ impl<A: MonotonicAlgorithm> QueryServer<A> {
         self.shards.iter().find_map(|s| s.answer(query))
     }
 
-    /// Applies `batch` to the owned graph, then serves it to every shard
-    /// concurrently and merges the per-group reports.
+    /// Applies `batch` to the owned graph, appends it to the WAL (when
+    /// durable), then serves it to every shard concurrently and merges the
+    /// per-group reports. Finally it runs the checkpoint cadence.
     ///
     /// # Errors
     ///
-    /// Rejects invalid batches (deleting an absent edge, out-of-bounds
-    /// endpoints) up front — before the WAL append and before the graph
-    /// mutation — so a failed call leaves the durable log, the graph, and
-    /// all standing query state exactly as they were.
+    /// A failed call leaves the graph, the durable log, and all standing
+    /// query state exactly as they were:
+    ///
+    /// - an invalid batch (deleting an absent edge, out-of-bounds
+    ///   endpoints) is rolled back by the atomic apply before it is logged;
+    /// - a batch the WAL refuses ([`GraphError::Io`]) is undone before any
+    ///   shard reads it. The WAL is then poisoned and refuses every later
+    ///   batch until the store is reopened through recovery.
+    ///
+    /// A failed checkpoint is *not* a failed batch: the batch is already
+    /// logged, applied, and served, so the call returns `Ok` with the
+    /// failure in [`ServeReport::checkpoint_error`] (and the
+    /// `serve.checkpoint_failures` counter). Retrying would apply the
+    /// batch twice.
     ///
     /// # Panics
     ///
     /// Panics if a worker thread panics.
     pub fn process_batch(&mut self, batch: &[EdgeUpdate]) -> Result<ServeReport, GraphError> {
         let _span = cisgraph_obs::span("serve.batch");
-        // Validate-before-log: a batch the graph would reject must reach
-        // neither the WAL (every later recovery would replay the poisoned
-        // frame and fail) nor the graph, so a rejected batch leaves both
-        // the durable log and the in-memory state exactly as they were.
-        self.graph.graph().validate_batch(batch)?;
+        // Apply, then log: the apply is atomic, so a batch the graph
+        // rejects leaves no trace and never reaches the WAL.
+        let undo = {
+            let _ingest = cisgraph_obs::span("serve.ingest");
+            self.graph.apply_batch_undoable(batch)?
+        };
         if let Some(store) = &mut self.persist {
             let _wal = cisgraph_obs::span("serve.wal_append");
-            store
-                .log_batch(batch)
-                .map_err(|e| GraphError::Io(e.into()))?;
-        }
-        {
-            let _ingest = cisgraph_obs::span("serve.ingest");
-            self.graph.apply_batch(batch)?;
+            if let Err(e) = store.log_batch(batch) {
+                // The WAL took its frame back; no shard has read the batch.
+                self.graph.undo(undo);
+                return Err(GraphError::Io(e.into()));
+            }
         }
         let view = self.graph.graph();
         let shards = &mut self.shards;
@@ -361,12 +375,14 @@ impl<A: MonotonicAlgorithm> QueryServer<A> {
         })
         .expect("thread scope");
         let wall_time = start.elapsed();
-        let report = self.merge(&per_shard, wall_time);
+        let mut report = self.merge(&per_shard, wall_time);
         self.record_obs(&per_shard, &report);
         if let Some(store) = &mut self.persist {
-            store
-                .maybe_checkpoint(self.graph.graph_mut())
-                .map_err(|e| GraphError::Io(e.into()))?;
+            if let Err(e) = store.maybe_checkpoint(self.graph.graph_mut()) {
+                cisgraph_obs::counter("serve.checkpoint_failures").inc();
+                cisgraph_obs::log!(warn, "checkpoint failed; the batch stands: {e}");
+                report.checkpoint_error = Some(e.to_string());
+            }
         }
         Ok(report)
     }
@@ -428,6 +444,7 @@ impl<A: MonotonicAlgorithm> QueryServer<A> {
             work,
             classification,
             answers,
+            checkpoint_error: None,
         }
     }
 }
@@ -689,10 +706,9 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// Regression: a batch the graph rejects must never reach the WAL.
-    /// Before validate-before-log, the frame was already durable when
-    /// `apply_batch` failed, so every later recovery replayed the poisoned
-    /// frame and died.
+    /// Regression: a batch the graph rejects must never reach the WAL, or
+    /// every later recovery would replay the bad frame. The atomic apply
+    /// runs before the append, so the rejected batch is never logged.
     #[test]
     fn rejected_batch_never_reaches_the_wal() {
         use cisgraph_persist::{DurableStore, PersistConfig};
@@ -731,6 +747,104 @@ mod tests {
         let server2 =
             QueryServer::<Ppsp>::new(recovered.graph, &queries, &ServeConfig::with_threads(1));
         assert_eq!(server2.answers(), expected_answers);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Regression: a batch the WAL refuses must leave no trace. Before
+    /// apply → log, the frame the failed rotation had already written
+    /// stayed in the segment and recovery replayed a batch the server had
+    /// reported as failed.
+    #[test]
+    fn failed_wal_append_undoes_the_batch() {
+        use cisgraph_persist::{snapshot_digest, DurableStore, PersistConfig};
+
+        let dir = std::env::temp_dir().join(format!(
+            "cisgraph_serve_wal_append_fail_{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let (g, queries, batches) = scenario();
+        let bootstrap = move || g.clone();
+        let mut cfg = PersistConfig::new(&dir);
+        cfg.segment_bytes = 1; // every append rotates to a new segment
+        let (store, recovered) = DurableStore::open(cfg.clone(), bootstrap.clone()).unwrap();
+        let mut server =
+            QueryServer::<Ppsp>::new(recovered.graph, &queries, &ServeConfig::with_threads(2));
+        server.attach_durability(store);
+        server.process_batch(&batches[0]).unwrap();
+        let digest = snapshot_digest(&server.graph().snapshot());
+        let answers = server.answers();
+
+        // Batch 1 gets seq 1; the rotation after it opens segment 2, which
+        // a directory now squats on, so the append fails after its frame
+        // was written and synced.
+        let squat = dir.join(format!("wal-{:016x}.seg", 2));
+        std::fs::create_dir(&squat).unwrap();
+        let err = server.process_batch(&batches[1]).unwrap_err();
+        assert!(matches!(err, GraphError::Io(_)), "{err:?}");
+        assert_eq!(snapshot_digest(&server.graph().snapshot()), digest);
+        assert_eq!(server.answers(), answers);
+        // The WAL is poisoned until the store is reopened.
+        assert!(server.process_batch(&batches[2]).is_err());
+        assert_eq!(snapshot_digest(&server.graph().snapshot()), digest);
+        drop(server);
+
+        std::fs::remove_dir(&squat).unwrap();
+        let (_store, recovered) = DurableStore::open(cfg, bootstrap).unwrap();
+        assert_eq!(
+            recovered.stats.replayed_batches, 1,
+            "only batch 0 was logged"
+        );
+        assert_eq!(snapshot_digest(&recovered.graph.snapshot()), digest);
+        let server2 =
+            QueryServer::<Ppsp>::new(recovered.graph, &queries, &ServeConfig::with_threads(1));
+        assert_eq!(server2.answers(), answers);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Regression: a checkpoint failure used to turn an applied, logged,
+    /// and served batch into an `Err`, inviting a retry that would apply
+    /// it twice.
+    #[test]
+    fn failed_checkpoint_does_not_fail_the_batch() {
+        use cisgraph_persist::{DurableStore, PersistConfig};
+
+        let dir =
+            std::env::temp_dir().join(format!("cisgraph_serve_ckpt_fail_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let (g, queries, batches) = scenario();
+        let mut reference = g.clone();
+        let bootstrap = move || g.clone();
+        let mut cfg = PersistConfig::new(&dir);
+        cfg.checkpoint_every = Some(1);
+        let (store, recovered) = DurableStore::open(cfg.clone(), bootstrap.clone()).unwrap();
+        // The checkpoint after batch `i` covers seq `i + 1`; a directory
+        // on its temp-file path makes the write fail even as root.
+        for seq in 1..=batches.len() {
+            std::fs::create_dir(dir.join(format!("ckpt-{seq:016x}.ckpt.tmp"))).unwrap();
+        }
+        let mut server =
+            QueryServer::<Ppsp>::new(recovered.graph, &queries, &ServeConfig::with_threads(2));
+        server.attach_durability(store);
+        cisgraph_obs::enable();
+        for batch in &batches {
+            let before = server.answers();
+            let report = server.process_batch(batch).expect("the batch stands");
+            assert!(report.checkpoint_error.is_some());
+            assert_eq!(report.answers, server.answers());
+            reference.apply_batch(batch).unwrap();
+            assert_ne!(report.answers, before, "answers moved with the batch");
+        }
+        assert!(
+            cisgraph_obs::snapshot().counters["serve.checkpoint_failures"] >= batches.len() as u64
+        );
+        let expected = server.graph().snapshot();
+        assert_eq!(expected, reference.snapshot());
+        drop(server);
+
+        let (_store, recovered) = DurableStore::open(cfg, bootstrap).unwrap();
+        assert_eq!(recovered.stats.replayed_batches, batches.len() as u64);
+        assert_eq!(recovered.graph.snapshot(), expected);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -19,22 +19,116 @@
 //!
 //! Lists are promoted at most once and never demoted — a vertex that was
 //! ever hot keeps its index, so a delete-heavy batch against a former hub
-//! stays O(1) even after the degree drops.
+//! stays O(1) even after the degree drops. (Undoing the very insert that
+//! promoted a list drops the index again, restoring the pre-batch state.)
 
 use crate::Edge;
 use cisgraph_types::{VertexId, Weight};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Default out/in-list length beyond which an adjacency list grows its
-/// destination index. Below this, a linear scan over the inline vector is
-/// cheaper than a hash lookup.
-pub const DEFAULT_PROMOTION_THRESHOLD: usize = 64;
+/// destination index. Below this, a linear scan over the inline vector
+/// (at most 4 KiB of contiguous entries) is cheaper than the index's
+/// scattered lookups: on the mixed add/delete batches of the repository
+/// benchmark's write-heavy workload, `apply_batch` ran about 30% faster
+/// at 256 than at 64, and the index's memory fell to a fraction.
+pub const DEFAULT_PROMOTION_THRESHOLD: usize = 256;
+
+/// Multiplicative (Fibonacci) hasher for index keys. Keys are internal
+/// vertex ids below `V`, not attacker-chosen strings, so a keyed hash buys
+/// nothing: one multiply spreads dense ids across the table, and folding
+/// the high half down feeds the table's bucket bits as well as its tag
+/// bits.
+#[derive(Debug, Default, Clone, Copy)]
+struct VertexHasher(u64);
+
+impl Hasher for VertexHasher {
+    #[inline]
+    fn write_u32(&mut self, key: u32) {
+        let h = (u64::from(key) ^ self.0).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.0 = h ^ (h >> 32);
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u32(u32::from(b));
+        }
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
 
 /// Positions (indices into the edge vector) of every entry sharing one
-/// destination. `u32` keeps hub indexes at half the footprint of `usize`;
-/// a single vertex cannot hold 2^32 adjacency entries before `num_edges`
-/// (a `usize` counting 16-byte entries) exhausts memory.
-type Positions = Vec<u32>;
+/// destination. Almost every destination has exactly one entry, so that
+/// case is stored inline and only parallel edges allocate. `u32` keeps hub
+/// indexes at half the footprint of `usize`; a single vertex cannot hold
+/// 2^32 adjacency entries before `num_edges` (a `usize` counting 16-byte
+/// entries) exhausts memory.
+#[derive(Debug, Clone)]
+enum Positions {
+    One(u32),
+    /// Two or more positions, in no particular order.
+    Many(Vec<u32>),
+}
+
+impl Positions {
+    #[inline]
+    fn as_slice(&self) -> &[u32] {
+        match self {
+            Self::One(p) => std::slice::from_ref(p),
+            Self::Many(ps) => ps,
+        }
+    }
+
+    fn push(&mut self, pos: u32) {
+        match self {
+            Self::One(p) => *self = Self::Many(vec![*p, pos]),
+            Self::Many(ps) => ps.push(pos),
+        }
+    }
+
+    /// Rewrites the recorded position `from` to `to`.
+    fn replace(&mut self, from: u32, to: u32) {
+        let slot = match self {
+            Self::One(p) => p,
+            Self::Many(ps) => ps
+                .iter_mut()
+                .find(|p| **p == from)
+                .expect("indexed edge missing its position"),
+        };
+        debug_assert_eq!(*slot, from, "indexed edge missing its position");
+        *slot = to;
+    }
+
+    /// Drops the recorded position `pos`; returns `true` when none are
+    /// left (the caller then removes the key).
+    fn remove(&mut self, pos: u32) -> bool {
+        match self {
+            Self::One(p) => {
+                debug_assert_eq!(*p, pos, "indexed edge missing its position");
+                true
+            }
+            Self::Many(ps) => {
+                let i = ps
+                    .iter()
+                    .position(|&p| p == pos)
+                    .expect("indexed edge missing its position");
+                ps.swap_remove(i);
+                if let [last] = ps[..] {
+                    *self = Self::One(last);
+                }
+                false
+            }
+        }
+    }
+}
+
+/// `destination -> positions`, keyed by the destination's raw id.
+type Index = HashMap<u32, Positions, BuildHasherDefault<VertexHasher>>;
 
 /// One vertex's adjacency: an inline edge vector plus, past the promotion
 /// threshold, a `destination -> positions` index.
@@ -43,9 +137,9 @@ pub(crate) struct AdjacencyList {
     edges: Vec<Edge>,
     /// Boxed so the (per-vertex) struct stays at `Vec` + pointer size:
     /// unindexed vertices — the overwhelming majority — pay 8 bytes for
-    /// this field instead of an inline 48-byte `HashMap` header.
+    /// this field instead of an inline `HashMap` header.
     #[allow(clippy::box_collection)]
-    index: Option<Box<HashMap<VertexId, Positions>>>,
+    index: Option<Box<Index>>,
 }
 
 impl AsRef<[Edge]> for AdjacencyList {
@@ -69,20 +163,28 @@ impl AdjacencyList {
         self.index.is_some()
     }
 
-    /// Reserves room for `additional` more entries (batch fast path).
     #[inline]
-    pub(crate) fn reserve(&mut self, additional: usize) {
-        self.edges.reserve(additional);
+    fn positions(&self, dst: VertexId) -> Option<&[u32]> {
+        Some(self.index.as_ref()?.get(&dst.raw())?.as_slice())
+    }
+
+    /// Records `pos` as holding an entry for `dst` (indexed lists only).
+    fn index_insert(index: &mut Index, dst: VertexId, pos: u32) {
+        index
+            .entry(dst.raw())
+            .and_modify(|ps| ps.push(pos))
+            .or_insert(Positions::One(pos));
     }
 
     /// Appends an entry, promoting the list to the indexed representation
     /// when its length crosses `threshold`. Returns `true` iff this call
-    /// performed the promotion (for the `graph.index_promotions` counter).
+    /// performed the promotion (for the `graph.index_promotions` counter
+    /// and the undo log).
     pub(crate) fn push(&mut self, edge: Edge, threshold: usize) -> bool {
         let pos = self.edges.len() as u32;
         self.edges.push(edge);
         if let Some(index) = &mut self.index {
-            index.entry(edge.to()).or_default().push(pos);
+            Self::index_insert(index, edge.to(), pos);
             false
         } else if self.edges.len() > threshold {
             self.build_index();
@@ -92,10 +194,21 @@ impl AdjacencyList {
         }
     }
 
+    /// Undoes the latest [`push`](Self::push); `demote` drops the index
+    /// that push built.
+    pub(crate) fn pop(&mut self, demote: bool) {
+        let edge = self.edges.pop().expect("undo of a push on an empty list");
+        if demote {
+            self.index = None;
+        } else if let Some(index) = &mut self.index {
+            Self::index_remove(index, edge.to(), self.edges.len() as u32);
+        }
+    }
+
     fn build_index(&mut self) {
-        let mut index: HashMap<VertexId, Positions> = HashMap::with_capacity(self.edges.len());
+        let mut index = Index::with_capacity_and_hasher(self.edges.len(), Default::default());
         for (pos, edge) in self.edges.iter().enumerate() {
-            index.entry(edge.to()).or_default().push(pos as u32);
+            Self::index_insert(&mut index, edge.to(), pos as u32);
         }
         self.index = Some(Box::new(index));
     }
@@ -106,136 +219,146 @@ impl AdjacencyList {
         match &self.index {
             // Emptied position lists are pruned on removal, so key
             // presence is entry presence.
-            Some(index) => index.contains_key(&dst),
+            Some(index) => index.contains_key(&dst.raw()),
             None => self.edges.iter().any(|e| e.to() == dst),
         }
     }
 
     /// The weight of the first (lowest-position) entry pointing at `dst`.
     pub(crate) fn first_weight(&self, dst: VertexId) -> Option<Weight> {
-        match &self.index {
-            Some(index) => {
-                let first = *index.get(&dst)?.iter().min()?;
-                Some(self.edges[first as usize].weight())
-            }
-            None => self
-                .edges
+        if self.index.is_some() {
+            let first = *self.positions(dst)?.iter().min()?;
+            Some(self.edges[first as usize].weight())
+        } else {
+            self.edges
                 .iter()
                 .find(|e| e.to() == dst)
-                .map(|e| e.weight()),
+                .map(|e| e.weight())
         }
     }
 
     /// Removes one entry pointing at `dst`, preferring the first entry
     /// whose weight equals `expect` and falling back to the first `dst`
     /// entry — the exact semantics of the historical double linear scan,
-    /// in one pass (and O(multiplicity) on indexed lists).
+    /// in one pass (and O(multiplicity) on indexed lists). Returns the
+    /// removed entry and the position it held.
     pub(crate) fn remove_weight_preferred(
         &mut self,
         dst: VertexId,
         expect: Option<Weight>,
-    ) -> Option<Edge> {
-        let pos = match &self.index {
-            Some(index) => {
-                let positions = index.get(&dst)?;
-                let mut first = u32::MAX;
-                let mut matched = u32::MAX;
-                for &p in positions {
-                    first = first.min(p);
-                    if expect == Some(self.edges[p as usize].weight()) {
-                        matched = matched.min(p);
-                    }
-                }
-                if matched != u32::MAX {
-                    matched as usize
-                } else {
-                    first as usize
+    ) -> Option<(u32, Edge)> {
+        let pos = if self.index.is_some() {
+            let positions = self.positions(dst)?;
+            let mut first = u32::MAX;
+            let mut matched = u32::MAX;
+            for &p in positions {
+                first = first.min(p);
+                if expect == Some(self.edges[p as usize].weight()) {
+                    matched = matched.min(p);
                 }
             }
-            None => {
-                // Single pass tracking both the exact-weight match and the
-                // first destination match (the fallback when parallel
-                // edges carry other weights).
-                let mut first = None;
-                let mut matched = None;
-                for (i, e) in self.edges.iter().enumerate() {
-                    if e.to() != dst {
-                        continue;
-                    }
-                    if first.is_none() {
-                        first = Some(i);
-                    }
-                    match expect {
-                        Some(w) if e.weight() == w => {
-                            matched = Some(i);
-                            break;
-                        }
-                        Some(_) => {}
-                        // No expected weight: the first match is final.
-                        None => break,
-                    }
-                }
-                matched.or(first)?
+            if matched != u32::MAX {
+                matched
+            } else {
+                first
             }
+        } else {
+            // Single pass tracking both the exact-weight match and the
+            // first destination match (the fallback when parallel edges
+            // carry other weights).
+            let mut first = None;
+            let mut matched = None;
+            for (i, e) in self.edges.iter().enumerate() {
+                if e.to() != dst {
+                    continue;
+                }
+                if first.is_none() {
+                    first = Some(i);
+                }
+                match expect {
+                    Some(w) if e.weight() == w => {
+                        matched = Some(i);
+                        break;
+                    }
+                    Some(_) => {}
+                    // No expected weight: the first match is final.
+                    None => break,
+                }
+            }
+            matched.or(first)? as u32
         };
-        Some(self.swap_remove(pos))
+        Some((pos, self.swap_remove(pos)))
     }
 
     /// Removes the first entry that matches `dst` *and* `weight` exactly
     /// (the transpose-side removal, where the forward side already fixed
-    /// the weight).
-    pub(crate) fn remove_exact(&mut self, dst: VertexId, weight: Weight) -> Option<Edge> {
-        let pos = match &self.index {
-            Some(index) => {
-                let positions = index.get(&dst)?;
-                let matched = positions
-                    .iter()
-                    .copied()
-                    .filter(|&p| self.edges[p as usize].weight() == weight)
-                    .min()?;
-                matched as usize
-            }
-            None => self
-                .edges
+    /// the weight). Returns the position it held.
+    pub(crate) fn remove_exact(&mut self, dst: VertexId, weight: Weight) -> Option<u32> {
+        let pos = if self.index.is_some() {
+            self.positions(dst)?
                 .iter()
-                .position(|e| e.to() == dst && e.weight() == weight)?,
+                .copied()
+                .filter(|&p| self.edges[p as usize].weight() == weight)
+                .min()?
+        } else {
+            self.edges
+                .iter()
+                .position(|e| e.to() == dst && e.weight() == weight)? as u32
         };
-        Some(self.swap_remove(pos))
+        self.swap_remove(pos);
+        Some(pos)
     }
 
     /// `Vec::swap_remove` plus index maintenance: the entry previously at
     /// the tail now lives at `pos`, so its recorded position is rewritten.
-    fn swap_remove(&mut self, pos: usize) -> Edge {
-        let last = self.edges.len() - 1;
-        let removed = self.edges.swap_remove(pos);
+    fn swap_remove(&mut self, pos: u32) -> Edge {
+        let removed = self.edges.swap_remove(pos as usize);
         if let Some(index) = &mut self.index {
-            // Drop `pos` from the removed entry's position list (positions
-            // are unique across the whole index, so exactly one hit).
-            let positions = index
-                .get_mut(&removed.to())
-                .expect("indexed edge missing its position list");
-            let i = positions
-                .iter()
-                .position(|&p| p as usize == pos)
-                .expect("indexed edge missing its own position");
-            positions.swap_remove(i);
-            if positions.is_empty() {
-                index.remove(&removed.to());
-            }
+            let last = self.edges.len() as u32;
+            // Drop `pos` from the removed entry's positions (positions are
+            // unique across the whole index, so exactly one hit).
+            Self::index_remove(index, removed.to(), pos);
             if pos != last {
                 // The former tail entry moved into `pos`.
-                let moved = self.edges[pos];
-                let positions = index
-                    .get_mut(&moved.to())
-                    .expect("moved edge missing its position list");
-                let j = positions
-                    .iter()
-                    .position(|&p| p as usize == last)
-                    .expect("moved edge missing its tail position");
-                positions[j] = pos as u32;
+                let moved = self.edges[pos as usize].to();
+                index
+                    .get_mut(&moved.raw())
+                    .expect("moved edge missing its positions")
+                    .replace(last, pos);
             }
         }
         removed
+    }
+
+    /// The inverse of a removal that took `edge` from `pos`: the entry now
+    /// at `pos` (the former tail) moves back to the tail and `edge` returns
+    /// to `pos`, restoring the exact pre-removal layout.
+    pub(crate) fn unremove(&mut self, pos: u32, edge: Edge) {
+        let tail = self.edges.len() as u32;
+        if pos == tail {
+            self.edges.push(edge);
+        } else {
+            let moved = std::mem::replace(&mut self.edges[pos as usize], edge);
+            self.edges.push(moved);
+            if let Some(index) = &mut self.index {
+                index
+                    .get_mut(&moved.to().raw())
+                    .expect("moved edge missing its positions")
+                    .replace(pos, tail);
+            }
+        }
+        if let Some(index) = &mut self.index {
+            Self::index_insert(index, edge.to(), pos);
+        }
+    }
+
+    fn index_remove(index: &mut Index, dst: VertexId, pos: u32) {
+        let positions = index
+            .get_mut(&dst.raw())
+            .expect("indexed edge missing its positions");
+        if positions.remove(pos) {
+            index.remove(&dst.raw());
+        }
     }
 
     /// Internal consistency check used by tests: every index entry points
@@ -245,9 +368,11 @@ impl AdjacencyList {
         let Some(index) = &self.index else { return };
         let mut seen = 0;
         for (dst, positions) in index.iter() {
-            assert!(!positions.is_empty(), "empty position list for {dst}");
-            for &p in positions {
-                assert_eq!(self.edges[p as usize].to(), *dst, "stale position");
+            if let Positions::Many(ps) = positions {
+                assert!(ps.len() >= 2, "short position list for {dst}");
+            }
+            for &p in positions.as_slice() {
+                assert_eq!(self.edges[p as usize].to().raw(), *dst, "stale position");
                 seen += 1;
             }
         }
@@ -319,7 +444,7 @@ mod tests {
         let a = naive.remove_weight_preferred(v(1), Some(w(3.0)));
         let b = hybrid.remove_weight_preferred(v(1), Some(w(3.0)));
         assert_eq!(a, b);
-        assert_eq!(a.unwrap().weight(), w(3.0));
+        assert_eq!(a.unwrap(), (2, e(1, 3.0)));
         // ... fall back to the first entry when no weight matches ...
         let a = naive.remove_weight_preferred(v(1), Some(w(9.0)));
         let b = hybrid.remove_weight_preferred(v(1), Some(w(9.0)));
@@ -334,7 +459,7 @@ mod tests {
         let mut list = AdjacencyList::default();
         list.push(e(1, 1.0), 0);
         assert!(list.remove_exact(v(1), w(2.0)).is_none());
-        assert_eq!(list.remove_exact(v(1), w(1.0)), Some(e(1, 1.0)));
+        assert_eq!(list.remove_exact(v(1), w(1.0)), Some(0));
         assert!(list.as_slice().is_empty());
         list.check_index();
     }
@@ -344,7 +469,7 @@ mod tests {
         let mut list = AdjacencyList::default();
         list.push(e(1, 1.0), 0);
         list.push(e(2, 2.0), 0);
-        assert_eq!(list.remove_exact(v(2), w(2.0)), Some(e(2, 2.0)));
+        assert_eq!(list.remove_exact(v(2), w(2.0)), Some(1));
         list.check_index();
         assert!(list.contains(v(1)));
         assert!(!list.contains(v(2)));
@@ -358,7 +483,7 @@ mod tests {
         list.push(e(7, 1.0), 0);
         list.push(e(7, 2.0), 0);
         list.push(e(7, 3.0), 0);
-        assert_eq!(list.remove_exact(v(7), w(1.0)), Some(e(7, 1.0)));
+        assert_eq!(list.remove_exact(v(7), w(1.0)), Some(0));
         list.check_index();
         assert_eq!(list.as_slice(), &[e(7, 3.0), e(7, 2.0)]);
         assert_eq!(list.first_weight(v(7)), Some(w(3.0)));
@@ -372,5 +497,56 @@ mod tests {
         assert!(naive.remove_weight_preferred(v(5), None).is_none());
         assert!(hybrid.remove_weight_preferred(v(5), None).is_none());
         assert!(hybrid.remove_exact(v(5), w(1.0)).is_none());
+    }
+
+    #[test]
+    fn unremove_restores_layout_and_index() {
+        for threshold in [0, usize::MAX] {
+            let mut list = AdjacencyList::default();
+            for edge in [e(7, 1.0), e(3, 2.0), e(7, 3.0), e(5, 1.0), e(3, 4.0)] {
+                list.push(edge, threshold);
+            }
+            let before = list.as_slice().to_vec();
+            // Head (moves the tail), middle parallel edge, and the tail.
+            for (dst, weight) in [(7, 1.0), (7, 3.0), (3, 4.0)] {
+                let (pos, removed) = list
+                    .remove_weight_preferred(v(dst), Some(w(weight)))
+                    .unwrap();
+                list.check_index();
+                list.unremove(pos, removed);
+                assert_eq!(list.as_slice(), &before[..], "threshold {threshold}");
+                list.check_index();
+            }
+            assert_eq!(list.first_weight(v(7)), Some(w(1.0)));
+        }
+    }
+
+    #[test]
+    fn pop_undoes_push_and_its_promotion() {
+        let mut list = AdjacencyList::default();
+        list.push(e(1, 1.0), 1);
+        assert!(list.push(e(1, 2.0), 1), "second push promotes");
+        list.pop(true);
+        assert!(!list.is_indexed(), "undoing the promoting push demotes");
+        assert!(list.push(e(1, 2.0), 1));
+        list.push(e(4, 1.0), 1);
+        list.pop(false);
+        list.check_index();
+        assert!(!list.contains(v(4)));
+        assert_eq!(list.as_slice(), &[e(1, 1.0), e(1, 2.0)]);
+    }
+
+    #[test]
+    fn vertex_hasher_spreads_dense_ids() {
+        use std::hash::BuildHasher;
+        let build = BuildHasherDefault::<VertexHasher>::default();
+        let mut buckets = [0u32; 64];
+        for id in 0..4096u32 {
+            buckets[(build.hash_one(id) % 64) as usize] += 1;
+        }
+        assert!(
+            buckets.iter().all(|&b| (32..=96).contains(&b)),
+            "{buckets:?}"
+        );
     }
 }

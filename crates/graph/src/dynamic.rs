@@ -3,13 +3,8 @@
 use crate::adjacency::{AdjacencyList, DEFAULT_PROMOTION_THRESHOLD};
 use crate::{Csr, Edge, GraphError, GraphView, Snapshot};
 use cisgraph_types::{EdgeUpdate, UpdateKind, VertexId, Weight};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::time::Instant;
-
-/// Batches shorter than this skip the pre-grouping reservation pass: the
-/// scratch hash maps cost more than the handful of `Vec` growths they
-/// would save.
-const BATCH_PREGROUP_MIN: usize = 32;
 
 /// A mutable directed graph keeping both out- and in-adjacency.
 ///
@@ -57,7 +52,70 @@ pub struct DynamicGraph {
     /// When `Some`, source vertices whose out-list changed since the last
     /// [`DynamicGraph::take_dirty_rows`]. Off by default (no per-update
     /// cost); delta checkpointing opts in.
-    dirty: Option<HashSet<u32>>,
+    dirty: Option<DirtyRows>,
+}
+
+/// Dirty-row set: one bit per vertex for O(1) membership plus the list of
+/// marked rows, so taking the set costs O(marked), not O(V).
+#[derive(Debug, Clone, Default)]
+struct DirtyRows {
+    bits: Vec<u64>,
+    rows: Vec<u32>,
+}
+
+impl DirtyRows {
+    #[inline]
+    fn mark(&mut self, row: u32) {
+        let (word, bit) = (row as usize / 64, 1u64 << (row % 64));
+        if word >= self.bits.len() {
+            self.bits.resize(word + 1, 0);
+        }
+        if self.bits[word] & bit == 0 {
+            self.bits[word] |= bit;
+            self.rows.push(row);
+        }
+    }
+
+    fn take(&mut self) -> Vec<u32> {
+        let mut rows = std::mem::take(&mut self.rows);
+        for &row in &rows {
+            self.bits[row as usize / 64] = 0;
+        }
+        rows.sort_unstable();
+        rows
+    }
+}
+
+/// One applied update's inverse, recorded by
+/// [`DynamicGraph::apply_batch_undoable`].
+#[derive(Debug, Clone, Copy)]
+enum UndoOp {
+    /// Pop the tail of `out[src]` and `inc[dst]`, dropping any index the
+    /// insert built.
+    Insert {
+        src: VertexId,
+        dst: VertexId,
+        promoted_out: bool,
+        promoted_in: bool,
+    },
+    /// Put `src -> dst` (weight `weight`) back at the positions the
+    /// swap-remove took it from.
+    Delete {
+        src: VertexId,
+        dst: VertexId,
+        weight: Weight,
+        out_pos: u32,
+        in_pos: u32,
+    },
+}
+
+/// The inverse of one batch that [`DynamicGraph::apply_batch_undoable`]
+/// applied. Hand it back to [`DynamicGraph::undo`] to restore the graph to
+/// exactly its pre-batch adjacency; dropping it keeps the batch.
+#[derive(Debug)]
+#[must_use = "dropping an undo log keeps the batch; pass it to `undo` to revert"]
+pub struct UndoLog {
+    ops: Vec<UndoOp>,
 }
 
 impl Default for DynamicGraph {
@@ -93,9 +151,14 @@ impl DynamicGraph {
     /// repeated call never clears rows already recorded. Only **source**
     /// vertices are tracked — checkpoints serialize the forward CSR only,
     /// so the reverse side is derived state.
+    ///
+    /// Rows are marked as updates apply, so a batch that
+    /// [`apply_batch`](Self::apply_batch) rolls back (or that
+    /// [`undo`](Self::undo) reverts) may leave its rows marked. That is
+    /// harmless: a delta checkpoint then rewrites a few unchanged rows.
     pub fn enable_dirty_rows(&mut self) {
         if self.dirty.is_none() {
-            self.dirty = Some(HashSet::new());
+            self.dirty = Some(DirtyRows::default());
         }
     }
 
@@ -104,21 +167,18 @@ impl DynamicGraph {
         self.dirty.is_some()
     }
 
-    /// Takes the set of source rows mutated since the last call, sorted
+    /// Takes the set of source rows marked since the last call, sorted
     /// ascending, and resets tracking to empty. Returns `None` when
     /// tracking was never enabled (callers must then fall back to a full
     /// serialization).
     pub fn take_dirty_rows(&mut self) -> Option<Vec<u32>> {
-        let set = self.dirty.as_mut()?;
-        let mut rows: Vec<u32> = set.drain().collect();
-        rows.sort_unstable();
-        Some(rows)
+        self.dirty.as_mut().map(DirtyRows::take)
     }
 
     #[inline]
     fn mark_dirty(&mut self, src: VertexId) {
         if let Some(dirty) = &mut self.dirty {
-            dirty.insert(src.raw());
+            dirty.mark(src.raw());
         }
     }
 
@@ -140,13 +200,7 @@ impl DynamicGraph {
         edges: impl IntoIterator<Item = (VertexId, VertexId, Weight)>,
     ) -> Self {
         let mut g = Self::new(min_vertices);
-        for (u, v, w) in edges {
-            let needed = u.index().max(v.index()) + 1;
-            if needed > g.out.len() {
-                g.grow(needed);
-            }
-            g.insert_edge_unchecked(u, v, w);
-        }
+        g.extend(edges);
         g
     }
 
@@ -165,15 +219,20 @@ impl DynamicGraph {
         Ok(())
     }
 
-    fn insert_edge_unchecked(&mut self, u: VertexId, v: VertexId, w: Weight) {
-        if self.out[u.index()].push(Edge::new(v, w), self.threshold) {
-            self.promotions += 1;
-        }
-        if self.inc[v.index()].push(Edge::new(u, w), self.threshold) {
-            self.promotions += 1;
-        }
+    /// Appends `u -> v` to both sides; the result records which lists
+    /// this insert promoted, so it can be undone exactly.
+    fn insert_edge_unchecked(&mut self, u: VertexId, v: VertexId, w: Weight) -> UndoOp {
+        let promoted_out = self.out[u.index()].push(Edge::new(v, w), self.threshold);
+        let promoted_in = self.inc[v.index()].push(Edge::new(u, w), self.threshold);
+        self.promotions += u64::from(promoted_out) + u64::from(promoted_in);
         self.num_edges += 1;
         self.mark_dirty(u);
+        UndoOp::Insert {
+            src: u,
+            dst: v,
+            promoted_out,
+            promoted_in,
+        }
     }
 
     /// Inserts the edge `u -> v` with weight `w`.
@@ -206,17 +265,52 @@ impl DynamicGraph {
         v: VertexId,
         expect_weight: Option<Weight>,
     ) -> Result<Weight, GraphError> {
+        self.remove_edge_at(u, v, expect_weight)
+            .map(|(weight, _, _)| weight)
+    }
+
+    /// [`remove_edge`](Self::remove_edge), also returning the out- and
+    /// in-list positions the edge was taken from (for the undo log).
+    fn remove_edge_at(
+        &mut self,
+        u: VertexId,
+        v: VertexId,
+        expect_weight: Option<Weight>,
+    ) -> Result<(Weight, u32, u32), GraphError> {
         self.check(u)?;
         self.check(v)?;
-        let removed = self.out[u.index()]
+        let (out_pos, removed) = self.out[u.index()]
             .remove_weight_preferred(v, expect_weight)
             .ok_or(GraphError::EdgeNotFound { src: u, dst: v })?;
-        self.inc[v.index()]
+        let in_pos = self.inc[v.index()]
             .remove_exact(u, removed.weight())
             .expect("in-adjacency out of sync with out-adjacency");
         self.num_edges -= 1;
         self.mark_dirty(u);
-        Ok(removed.weight())
+        Ok((removed.weight(), out_pos, in_pos))
+    }
+
+    /// Applies one update and returns its inverse.
+    fn apply_recorded(&mut self, update: EdgeUpdate) -> Result<UndoOp, GraphError> {
+        let (src, dst) = (update.src(), update.dst());
+        match update.kind() {
+            UpdateKind::Insert => {
+                self.check(src)?;
+                self.check(dst)?;
+                Ok(self.insert_edge_unchecked(src, dst, update.weight()))
+            }
+            UpdateKind::Delete => {
+                let (weight, out_pos, in_pos) =
+                    self.remove_edge_at(src, dst, Some(update.weight()))?;
+                Ok(UndoOp::Delete {
+                    src,
+                    dst,
+                    weight,
+                    out_pos,
+                    in_pos,
+                })
+            }
+        }
     }
 
     /// Applies one streaming update (insert or delete).
@@ -226,54 +320,65 @@ impl DynamicGraph {
     /// Propagates [`GraphError::EdgeNotFound`] for deletions of absent edges
     /// and [`GraphError::VertexOutOfBounds`] for invalid endpoints.
     pub fn apply(&mut self, update: EdgeUpdate) -> Result<(), GraphError> {
-        match update.kind() {
-            UpdateKind::Insert => self.insert_edge(update.src(), update.dst(), update.weight()),
-            UpdateKind::Delete => self
-                .remove_edge(update.src(), update.dst(), Some(update.weight()))
-                .map(|_| ()),
-        }
+        self.apply_recorded(update).map(drop)
     }
 
-    /// Applies a whole batch, stopping at the first error.
+    /// Applies a whole batch atomically: either every update applies, or
+    /// the graph is left exactly as it was.
     ///
-    /// Large batches take a fast path: a pre-pass groups the batch's
-    /// insertions by endpoint so every touched adjacency list reserves its
-    /// full growth once, up front, instead of reallocating incrementally.
-    /// Updates are then applied **in stream order** — reordering by source
-    /// would change the adjacency layout (and the error-prefix semantics
-    /// below), which the storage-equivalence guarantee forbids.
-    ///
-    /// When the metrics sink is enabled this records `graph.inserts`,
-    /// `graph.deletes`, `graph.index_promotions` counters and the
-    /// `graph.apply_batch_ns` histogram.
+    /// This is [`apply_batch_undoable`](Self::apply_batch_undoable) with
+    /// its undo log dropped.
     ///
     /// # Errors
     ///
-    /// Same as [`DynamicGraph::apply`]; the graph retains all updates applied
-    /// before the failure.
+    /// Same as [`DynamicGraph::apply`], for the first offending update in
+    /// stream order; the updates before it are rolled back.
     pub fn apply_batch(&mut self, batch: &[EdgeUpdate]) -> Result<(), GraphError> {
+        self.apply_batch_undoable(batch).map(drop)
+    }
+
+    /// Applies a whole batch in stream order, recording each update's
+    /// inverse: an insert undoes as a pop, a delete as the inverse of its
+    /// swap-remove. At the first error the recorded prefix is undone, so a
+    /// rejected batch leaves every adjacency slice, `num_edges`, and the
+    /// promotion count exactly as they were. On success the returned log
+    /// can still revert the batch through [`DynamicGraph::undo`] — the
+    /// serving layer does that when the write-ahead log refuses it.
+    ///
+    /// Updates apply **in stream order** — reordering by source would
+    /// change the adjacency layout, which the storage-equivalence
+    /// guarantee forbids.
+    ///
+    /// When the metrics sink is enabled a successful batch records the
+    /// `graph.inserts`, `graph.deletes`, `graph.index_promotions` counters
+    /// and the `graph.apply_batch_ns` histogram.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`DynamicGraph::apply_batch`].
+    pub fn apply_batch_undoable(&mut self, batch: &[EdgeUpdate]) -> Result<UndoLog, GraphError> {
         let obs_on = cisgraph_obs::enabled();
         let start = obs_on.then(Instant::now);
         let promotions_before = self.promotions;
-        if batch.len() >= BATCH_PREGROUP_MIN {
-            self.reserve_for_batch(batch);
-        }
-        let mut inserts = 0u64;
-        let mut deletes = 0u64;
-        let mut first_err = None;
+        let mut log = UndoLog {
+            ops: Vec::with_capacity(batch.len()),
+        };
         for &u in batch {
-            if let Err(e) = self.apply(u) {
-                first_err = Some(e);
-                break;
-            }
-            match u.kind() {
-                UpdateKind::Insert => inserts += 1,
-                UpdateKind::Delete => deletes += 1,
+            match self.apply_recorded(u) {
+                Ok(op) => log.ops.push(op),
+                Err(e) => {
+                    self.undo(log);
+                    return Err(e);
+                }
             }
         }
         if obs_on {
+            let inserts = batch
+                .iter()
+                .filter(|u| matches!(u.kind(), UpdateKind::Insert))
+                .count() as u64;
             cisgraph_obs::counter("graph.inserts").add(inserts);
-            cisgraph_obs::counter("graph.deletes").add(deletes);
+            cisgraph_obs::counter("graph.deletes").add(batch.len() as u64 - inserts);
             cisgraph_obs::counter("graph.index_promotions")
                 .add(self.promotions - promotions_before);
             if let Some(start) = start {
@@ -281,16 +386,51 @@ impl DynamicGraph {
                     .record(start.elapsed().as_nanos() as u64);
             }
         }
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(()),
+        Ok(log)
+    }
+
+    /// Reverts the batch `log` was recorded for, newest update first. The
+    /// graph must not have been mutated since that
+    /// [`apply_batch_undoable`](Self::apply_batch_undoable) call; the
+    /// adjacency slices, `num_edges`, and the promotion count then return
+    /// exactly to their pre-batch values (dirty-row marks stay, see
+    /// [`enable_dirty_rows`](Self::enable_dirty_rows)).
+    pub fn undo(&mut self, log: UndoLog) {
+        for op in log.ops.into_iter().rev() {
+            match op {
+                UndoOp::Insert {
+                    src,
+                    dst,
+                    promoted_out,
+                    promoted_in,
+                } => {
+                    self.out[src.index()].pop(promoted_out);
+                    self.inc[dst.index()].pop(promoted_in);
+                    self.promotions -= u64::from(promoted_out) + u64::from(promoted_in);
+                    self.num_edges -= 1;
+                }
+                UndoOp::Delete {
+                    src,
+                    dst,
+                    weight,
+                    out_pos,
+                    in_pos,
+                } => {
+                    self.out[src.index()].unremove(out_pos, Edge::new(dst, weight));
+                    self.inc[dst.index()].unremove(in_pos, Edge::new(src, weight));
+                    self.num_edges += 1;
+                }
+            }
         }
     }
 
     /// Checks whether [`DynamicGraph::apply_batch`] would accept the whole
-    /// batch, **without mutating anything**. A write-ahead log can call
-    /// this before persisting a frame so a rejected batch never reaches
-    /// disk (or the graph).
+    /// batch, **without mutating anything**.
+    ///
+    /// No serving path needs this any more — `apply_batch` is atomic, so
+    /// `QueryServer` applies first and undoes on failure. It stays public
+    /// because the repository benchmark's traced replica still times it as
+    /// a layer of its own.
     ///
     /// The simulation tracks per-`(src, dst)` edge multiplicity: a delete
     /// succeeds iff at least one `src -> dst` edge would exist at that
@@ -335,58 +475,6 @@ impl DynamicGraph {
             }
         }
         Ok(())
-    }
-
-    /// The batch fast-path pre-pass: tally per-endpoint insertion counts so
-    /// each touched list is located and grown exactly once. Out-of-bounds
-    /// endpoints are skipped here — `apply` reports them in stream order.
-    fn reserve_for_batch(&mut self, batch: &[EdgeUpdate]) {
-        // Dense tallies (one u32 per vertex, zeroed once) when the batch is
-        // large relative to the vertex count; hashed tallies otherwise, so
-        // a small batch on a huge graph never pays an O(V) memset.
-        if batch.len() >= self.out.len() / 8 {
-            let mut out_extra = vec![0u32; self.out.len()];
-            let mut inc_extra = vec![0u32; self.inc.len()];
-            for u in batch {
-                if matches!(u.kind(), UpdateKind::Insert) {
-                    if let Some(c) = out_extra.get_mut(u.src().index()) {
-                        *c += 1;
-                    }
-                    if let Some(c) = inc_extra.get_mut(u.dst().index()) {
-                        *c += 1;
-                    }
-                }
-            }
-            for (list, &extra) in self.out.iter_mut().zip(&out_extra) {
-                if extra > 0 {
-                    list.reserve(extra as usize);
-                }
-            }
-            for (list, &extra) in self.inc.iter_mut().zip(&inc_extra) {
-                if extra > 0 {
-                    list.reserve(extra as usize);
-                }
-            }
-        } else {
-            let mut out_extra: HashMap<usize, usize> = HashMap::new();
-            let mut inc_extra: HashMap<usize, usize> = HashMap::new();
-            for u in batch {
-                if matches!(u.kind(), UpdateKind::Insert) {
-                    *out_extra.entry(u.src().index()).or_insert(0) += 1;
-                    *inc_extra.entry(u.dst().index()).or_insert(0) += 1;
-                }
-            }
-            for (v, extra) in out_extra {
-                if let Some(list) = self.out.get_mut(v) {
-                    list.reserve(extra);
-                }
-            }
-            for (v, extra) in inc_extra {
-                if let Some(list) = self.inc.get_mut(v) {
-                    list.reserve(extra);
-                }
-            }
-        }
     }
 
     /// Whether at least one `u -> v` edge exists. O(1) expected on indexed
@@ -576,12 +664,12 @@ mod tests {
     }
 
     #[test]
-    fn large_batch_fast_path_matches_per_update_application() {
-        // Past BATCH_PREGROUP_MIN the reservation pre-pass kicks in; the
-        // result must be indistinguishable from applying one-by-one.
+    fn large_batch_matches_per_update_application() {
+        // The undo-logged batch path must be indistinguishable from
+        // applying one-by-one.
         let n = 16u32;
         let mut batch = Vec::new();
-        for i in 0..(BATCH_PREGROUP_MIN as u32 * 4) {
+        for i in 0..128 {
             batch.push(EdgeUpdate::insert(
                 v(i % n),
                 v((i * 13 + 1) % n),
@@ -595,7 +683,6 @@ mod tests {
                 ));
             }
         }
-        assert!(batch.len() >= BATCH_PREGROUP_MIN);
         let mut fast = DynamicGraph::new(n as usize);
         fast.apply_batch(&batch).unwrap();
         let mut slow = DynamicGraph::new(n as usize);
@@ -609,19 +696,65 @@ mod tests {
         assert_eq!(fast.num_edges(), slow.num_edges());
     }
 
-    #[test]
-    fn large_batch_error_retains_prefix() {
-        // A failing delete in the middle of a fast-path batch must keep
-        // everything applied before it — the reservation pre-pass must not
-        // change error semantics.
-        let mut batch: Vec<EdgeUpdate> = (0..BATCH_PREGROUP_MIN as u32 * 2)
-            .map(|i| EdgeUpdate::insert(v(0), v(1), w(f64::from(i + 1))))
+    /// Every adjacency slice, the edge count, and the promotion count.
+    fn fingerprint(g: &DynamicGraph) -> (Vec<Vec<Edge>>, usize, u64) {
+        let n = g.num_vertices() as u32;
+        let rows = (0..n)
+            .flat_map(|u| [g.out_edges(v(u)).to_vec(), g.in_edges(v(u)).to_vec()])
             .collect();
+        (rows, g.num_edges(), g.index_promotions())
+    }
+
+    #[test]
+    fn large_batch_error_rolls_back_everything() {
+        // A failing delete in the middle of a large batch undoes the
+        // prefix before it, including the hub promotions it caused and the
+        // deletes that swap-moved tail entries.
+        let mut g = DynamicGraph::with_promotion_threshold(4, 8);
+        for i in 0..12 {
+            g.insert_edge(v(0), v(i % 3 + 1), w(f64::from(i + 1)))
+                .unwrap();
+        }
+        let before = fingerprint(&g);
+        let mut batch: Vec<EdgeUpdate> = (0..64)
+            .map(|i| EdgeUpdate::insert(v(i % 4), v(1), w(f64::from(i + 1))))
+            .collect();
+        batch.insert(10, EdgeUpdate::delete(v(0), v(2), w(2.0)));
+        batch.insert(20, EdgeUpdate::delete(v(0), v(1), w(7.0)));
         batch.insert(40, EdgeUpdate::delete(v(0), v(3), w(1.0)));
-        let mut g = DynamicGraph::new(4);
+        batch.insert(41, EdgeUpdate::delete(v(3), v(2), w(1.0)));
         let err = g.apply_batch(&batch).unwrap_err();
-        assert!(matches!(err, GraphError::EdgeNotFound { .. }));
-        assert_eq!(g.num_edges(), 40, "prefix before the failure is retained");
+        assert!(matches!(
+            err,
+            GraphError::EdgeNotFound { src, dst } if src == v(3) && dst == v(2)
+        ));
+        assert_eq!(fingerprint(&g), before, "a rejected batch leaves no trace");
+        // The same graph still accepts a valid batch afterwards.
+        g.apply_batch(&batch[..41]).unwrap();
+    }
+
+    #[test]
+    fn undo_reverts_an_applied_batch() {
+        let mut g = DynamicGraph::with_promotion_threshold(5, 2);
+        g.enable_dirty_rows();
+        for d in 1..5 {
+            g.insert_edge(v(0), v(d), w(f64::from(d))).unwrap();
+        }
+        let _ = g.take_dirty_rows();
+        let before = fingerprint(&g);
+        let batch = [
+            EdgeUpdate::delete(v(0), v(1), w(1.0)),
+            EdgeUpdate::insert(v(2), v(3), w(1.0)),
+            EdgeUpdate::insert(v(2), v(4), w(1.0)),
+            EdgeUpdate::insert(v(2), v(1), w(1.0)),
+            EdgeUpdate::delete(v(0), v(3), w(9.0)),
+        ];
+        let log = g.apply_batch_undoable(&batch).unwrap();
+        assert!(g.index_promotions() > before.2, "v2's out-list promoted");
+        g.undo(log);
+        assert_eq!(fingerprint(&g), before);
+        // Rows the reverted batch touched may stay marked.
+        assert_eq!(g.take_dirty_rows(), Some(vec![0, 2]));
     }
 
     #[test]
@@ -660,6 +793,21 @@ mod tests {
         assert_eq!(s.num_edges(), 3);
         assert_eq!(s.out_degree(v(0)), 2);
         assert_eq!(s.in_degree(v(1)), 2);
+    }
+
+    #[test]
+    fn dirty_rows_are_deduplicated_and_sorted() {
+        let mut g = DynamicGraph::new(200);
+        g.enable_dirty_rows();
+        for u in [130u32, 3, 64, 3, 199, 130, 0] {
+            g.insert_edge(v(u), v(1), w(1.0)).unwrap();
+        }
+        assert_eq!(g.take_dirty_rows(), Some(vec![0, 3, 64, 130, 199]));
+        g.insert_edge(v(130), v(2), w(1.0)).unwrap();
+        assert_eq!(g.take_dirty_rows(), Some(vec![130]), "take clears the bits");
+        // Vertices added after tracking started are tracked too.
+        g.extend([(v(500), v(0), w(1.0))]);
+        assert_eq!(g.take_dirty_rows(), Some(vec![500]));
     }
 
     #[test]

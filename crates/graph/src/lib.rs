@@ -50,7 +50,7 @@ mod view;
 
 pub use adjacency::DEFAULT_PROMOTION_THRESHOLD;
 pub use csr::{Csr, Snapshot};
-pub use dynamic::DynamicGraph;
+pub use dynamic::{DynamicGraph, UndoLog};
 pub use edge::Edge;
 pub use error::GraphError;
 pub use io::{

@@ -5,13 +5,13 @@
 //! graph in an [`Arc`] so every worker holds a handle to the same storage:
 //! cloning is a pointer copy, not an adjacency copy.
 //!
-//! Mutation goes through [`SharedGraph::apply_batch`], which uses
-//! copy-on-write semantics: while the owner holds the only handle (the
+//! Mutation goes through [`SharedGraph::apply_batch`] (or its undoable
+//! form), which uses copy-on-write semantics: while the owner holds the only handle (the
 //! common case between batches) the update is applied in place; if reader
 //! handles are still alive the storage is cloned first, so those readers
 //! keep seeing the snapshot they started with.
 
-use crate::{DynamicGraph, Edge, GraphError, GraphView, Snapshot};
+use crate::{DynamicGraph, Edge, GraphError, GraphView, Snapshot, UndoLog};
 use cisgraph_types::{EdgeUpdate, VertexId};
 use std::sync::Arc;
 
@@ -80,15 +80,34 @@ impl SharedGraph {
         Arc::make_mut(&mut self.inner)
     }
 
-    /// Applies a whole batch with copy-on-write semantics: storage is
-    /// cloned first iff other handles to this snapshot are still alive.
+    /// Applies a whole batch atomically, with copy-on-write semantics:
+    /// storage is cloned first iff other handles to this snapshot are
+    /// still alive.
     ///
     /// # Errors
     ///
-    /// Same as [`DynamicGraph::apply_batch`]; on error the graph retains
-    /// the updates applied before the failure.
+    /// Same as [`DynamicGraph::apply_batch`]; on error the graph is left
+    /// exactly as it was.
     pub fn apply_batch(&mut self, batch: &[EdgeUpdate]) -> Result<(), GraphError> {
-        Arc::make_mut(&mut self.inner).apply_batch(batch)
+        self.apply_batch_undoable(batch).map(drop)
+    }
+
+    /// [`DynamicGraph::apply_batch_undoable`] with the copy-on-write
+    /// semantics of [`apply_batch`](SharedGraph::apply_batch): the
+    /// returned log reverts the batch through [`SharedGraph::undo`].
+    ///
+    /// # Errors
+    ///
+    /// Same as [`DynamicGraph::apply_batch`].
+    pub fn apply_batch_undoable(&mut self, batch: &[EdgeUpdate]) -> Result<UndoLog, GraphError> {
+        Arc::make_mut(&mut self.inner).apply_batch_undoable(batch)
+    }
+
+    /// Reverts the batch `log` was recorded for (see
+    /// [`DynamicGraph::undo`]). Readers cloned before the batch never saw
+    /// it; readers cloned after it keep seeing it (copy-on-write).
+    pub fn undo(&mut self, log: UndoLog) {
+        Arc::make_mut(&mut self.inner).undo(log);
     }
 
     /// Applies one update with the same copy-on-write semantics as
@@ -185,6 +204,18 @@ mod tests {
         assert!(reader.graph().contains_edge(v(0), v(1)));
         assert_eq!(shared.num_edges(), 1);
         assert!(shared.graph().contains_edge(v(1), v(2)));
+    }
+
+    #[test]
+    fn undo_after_a_reader_clone_keeps_the_reader_view() {
+        let mut shared = SharedGraph::with_vertices(3);
+        let log = shared
+            .apply_batch_undoable(&[EdgeUpdate::insert(v(0), v(1), w(1.0))])
+            .unwrap();
+        let reader = shared.clone();
+        shared.undo(log);
+        assert_eq!(shared.num_edges(), 0);
+        assert_eq!(reader.num_edges(), 1, "the reader keeps the applied batch");
     }
 
     #[test]

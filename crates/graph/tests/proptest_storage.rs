@@ -132,8 +132,8 @@ proptest! {
     }
 
     /// A hub whose out-list crosses the promotion threshold mid-batch:
-    /// `apply_batch` (pre-grouping fast path) must agree with the naive
-    /// side in both the success case and the error-prefix case.
+    /// `apply_batch` must agree with the naive side in both the success
+    /// case and the rejected case.
     #[test]
     fn hub_batches_agree_across_representations(
         inserts in proptest::collection::vec((vertex(), 1..6u32), 64..200),
@@ -158,7 +158,7 @@ proptest! {
         assert_same_view(&hybrid, &naive)?;
 
         // Now a possibly-failing batch (the appended delete names a weight
-        // that may not exist): outcome and retained prefix must match,
+        // that may not exist): outcome and resulting graph must match,
         // identically on both sides.
         let mut failing = deletes.clone();
         failing.push(EdgeUpdate::delete(v(HUB), v(1), w(99)));
@@ -170,5 +170,68 @@ proptest! {
         let b = naive2.apply_batch(&failing);
         prop_assert_eq!(format!("{a:?}"), format!("{b:?}"));
         assert_same_view(&hybrid2, &naive2)?;
+    }
+
+    /// A rejected batch leaves no trace: whatever prefix applied before the
+    /// offending update — hub inserts past the threshold, deletes whose
+    /// swap-remove moved a tail entry, parallel edges with different
+    /// weights — is rolled back, leaving every out- and in-slice and
+    /// `num_edges` identical, on both representations. The offending
+    /// update is placed at a generated position and, separately, last.
+    #[test]
+    fn rejected_batches_leave_the_graph_identical(
+        setup in proptest::collection::vec((vertex(), vertex(), 1..6u32), 0..150),
+        ops in proptest::collection::vec((0..4u32, vertex(), vertex(), 1..6u32, any::<usize>()), 0..80),
+        bad_at in any::<usize>(),
+        out_of_bounds in any::<bool>(),
+    ) {
+        // Vertex N exists but never gets an edge, so deleting from it fails.
+        let n = N as usize + 1;
+        let mut hybrid = DynamicGraph::with_promotion_threshold(n, THRESHOLD);
+        let mut naive = DynamicGraph::with_promotion_threshold(n, usize::MAX);
+        for &(u, d, wt) in &setup {
+            hybrid.insert_edge(v(u), v(d), w(wt)).unwrap();
+            naive.insert_edge(v(u), v(d), w(wt)).unwrap();
+        }
+        let mut batch: Vec<EdgeUpdate> = ops
+            .iter()
+            .map(|&(kind, u, d, wt, pick)| match (kind, setup.len()) {
+                // Delete a standing edge, by its own weight or (parallel
+                // edges) by another.
+                (0 | 1, len) if len > 0 => {
+                    let (su, sd, sw) = setup[pick % len];
+                    let weight = if kind == 0 { sw } else { sw % 5 + 1 };
+                    EdgeUpdate::delete(v(su), v(sd), w(weight))
+                }
+                _ => EdgeUpdate::insert(v(u), v(d), w(wt)),
+            })
+            .collect();
+        let bad = if out_of_bounds {
+            EdgeUpdate::insert(v(0), v(N + 7), w(1))
+        } else {
+            EdgeUpdate::delete(v(N), v(0), w(1))
+        };
+        let mut last = batch.clone();
+        last.push(bad);
+        batch.insert(bad_at % (batch.len() + 1), bad);
+        for batch in [batch, last] {
+            for g in [&mut hybrid, &mut naive] {
+                let before = (0..n as u32)
+                    .map(|x| (g.out_edges(v(x)).to_vec(), g.in_edges(v(x)).to_vec()))
+                    .collect::<Vec<_>>();
+                let (edges, promotions) = (g.num_edges(), g.index_promotions());
+                prop_assert!(g.apply_batch(&batch).is_err());
+                for (x, (out, inc)) in before.iter().enumerate() {
+                    prop_assert_eq!(g.out_edges(v(x as u32)), &out[..], "out-slice of {} changed", x);
+                    prop_assert_eq!(g.in_edges(v(x as u32)), &inc[..], "in-slice of {} changed", x);
+                }
+                prop_assert_eq!(g.num_edges(), edges);
+                prop_assert_eq!(g.index_promotions(), promotions);
+            }
+        }
+        // Point lookups through the (rolled-back) index still agree.
+        for d in 0..N {
+            prop_assert_eq!(hybrid.edge_weight(v(HUB), v(d)), naive.edge_weight(v(HUB), v(d)));
+        }
     }
 }

@@ -24,8 +24,9 @@
 //!   fault-injection tests and `tests/proptest_recovery.rs` pin down.
 //!
 //! [`DurableStore`] bundles the three into the one handle the serving
-//! layer and the bench harness use: open (which recovers), log a batch
-//! *before* applying it, checkpoint every N batches.
+//! layer and the bench harness use: open (which recovers), log each
+//! applied batch (undoing it if the log refuses it), checkpoint every N
+//! batches.
 //!
 //! When the [`cisgraph_obs`] sink is enabled, every layer records into the
 //! `persist.*` counter/histogram family (bytes written, fsync latency,
@@ -49,8 +50,11 @@
 //! let mut graph = recovered.graph;
 //!
 //! let batch = [EdgeUpdate::insert(VertexId::new(0), VertexId::new(1), Weight::ONE)];
-//! store.log_batch(&batch)?; // durable first ...
-//! graph.apply_batch(&batch)?; // ... then applied
+//! let undo = graph.apply_batch_undoable(&batch)?; // atomic apply ...
+//! if let Err(e) = store.log_batch(&batch) {
+//!     graph.undo(undo); // ... reverted if the log refuses the batch
+//!     return Err(e.into());
+//! }
 //! drop(store);
 //!
 //! // Second open: the logged batch is replayed onto the checkpoint.

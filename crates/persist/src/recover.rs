@@ -16,10 +16,10 @@
 //!    **truncated in place** at the last good frame boundary and any later
 //!    segments are deleted,
 //! 4. every surviving frame is replayed with
-//!    [`DynamicGraph::apply_batch`], whose error behavior is
-//!    deterministic (the prefix before a failing update is retained), so a
-//!    batch that partially failed in the original run partially fails the
-//!    same way here.
+//!    [`DynamicGraph::apply_batch`], which is atomic: a logged batch the
+//!    graph rejected in the original run (possible only for a writer that
+//!    logs before applying) is rejected whole here too, so replay is
+//!    deterministic.
 
 use std::fs::{self, OpenOptions};
 use std::path::Path;
@@ -166,9 +166,9 @@ pub fn recover_with(
                     }
                     stats.replayed_batches += 1;
                     stats.replayed_updates += frame.updates.len() as u64;
-                    // apply_batch is deterministic under errors (the prefix
-                    // before a failing update sticks); the original run hit
-                    // the identical outcome, so errors are expected here.
+                    // apply_batch is atomic, so a frame the original run
+                    // rejected is rejected whole here too; such errors are
+                    // expected, not corruption.
                     let _ = graph.apply_batch(&frame.updates);
                     replay_pos += 1;
                 }

@@ -194,8 +194,11 @@ impl CheckpointWorker {
 /// The protocol (see the crate docs for a complete example):
 ///
 /// 1. [`DurableStore::open`] recovers and hands back the graph,
-/// 2. for each incoming batch: [`DurableStore::log_batch`] **then**
-///    `graph.apply_batch`, so no applied update is ever un-logged,
+/// 2. for each incoming batch: `graph.apply_batch_undoable` (atomic, so
+///    a batch the graph rejects is never logged), then
+///    [`DurableStore::log_batch`]; if the append fails, `graph.undo` the
+///    batch, so no applied update is ever un-logged. A failed append
+///    poisons the log until the store is reopened.
 /// 3. after applying: [`DurableStore::maybe_checkpoint`] with the applied
 ///    graph, which drains finished background checkpoints and starts a
 ///    new one on the configured cadence.

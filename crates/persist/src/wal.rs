@@ -8,7 +8,7 @@
 //! the fsync cost is amortized across appends instead of paid per batch.
 
 use std::fs::{self, File, OpenOptions};
-use std::io::Write;
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::str::FromStr;
 use std::time::Instant;
@@ -119,6 +119,13 @@ pub(crate) fn list_segments(dir: &Path) -> Result<Vec<(u64, PathBuf)>> {
 
 /// The append side of the log. Reading it back is
 /// [`recover`](crate::recover())'s job.
+///
+/// An append whose write, sync, or segment rotation fails is taken back —
+/// its frame leaves the buffer and, best effort, the segment file — and
+/// **poisons** the log: every later append, flush, or sync fails, and
+/// `Drop` writes nothing, until the directory is reopened through
+/// recovery. A failed append therefore never reaches disk later as a ghost
+/// frame that recovery would replay.
 #[derive(Debug)]
 pub struct Wal {
     config: WalConfig,
@@ -127,6 +134,10 @@ pub struct Wal {
     next_seq: u64,
     pending: BytesMut,
     unsynced_appends: u64,
+    poisoned: bool,
+    /// Test hook: the next write to the segment file fails.
+    #[cfg(test)]
+    fail_next_write: bool,
 }
 
 impl Wal {
@@ -146,6 +157,9 @@ impl Wal {
             next_seq,
             pending: BytesMut::new(),
             unsynced_appends: 0,
+            poisoned: false,
+            #[cfg(test)]
+            fail_next_write: false,
         })
     }
 
@@ -159,30 +173,42 @@ impl Wal {
         self.config.fsync
     }
 
+    fn check_poisoned(&self) -> Result<()> {
+        if self.poisoned {
+            return Err(io::Error::other(
+                "write-ahead log poisoned by an earlier failed append; reopen it",
+            )
+            .into());
+        }
+        Ok(())
+    }
+
     /// Appends one batch as a frame and returns its assigned sequence
     /// number. When this returns, the batch is durable to the extent the
     /// configured [`FsyncPolicy`] promises — call [`sync`](Self::sync) for
     /// an unconditional barrier.
+    ///
+    /// # Errors
+    ///
+    /// On an I/O failure the batch is **not** logged: its frame is taken
+    /// back, `next_seq` is restored, and the log is poisoned (see
+    /// [`Wal`]). A poisoned log fails every append.
     pub fn append(&mut self, batch: &[EdgeUpdate]) -> Result<u64> {
+        self.check_poisoned()?;
         let obs_on = cisgraph_obs::enabled();
         let start = obs_on.then(Instant::now);
         let seq = self.next_seq;
+        let unsynced_before = self.unsynced_appends;
+        let pending_before = self.pending.len();
+        // Where the frame lands in the current segment once flushed.
+        let frame_offset = self.current_len + pending_before as u64;
         let encoded = WalFrame::encode(seq, batch, &mut self.pending) as u64;
         self.next_seq += 1;
         self.unsynced_appends += 1;
 
-        let must_sync = match self.config.fsync {
-            FsyncPolicy::EveryBatch => true,
-            FsyncPolicy::EveryN(n) => self.unsynced_appends >= n,
-            FsyncPolicy::Never => false,
-        };
-        if must_sync {
-            self.sync()?;
-        } else if self.pending.len() >= GROUP_BUFFER_BYTES {
-            self.flush()?;
-        }
-        if self.current_len + self.pending.len() as u64 >= self.config.segment_bytes {
-            self.rotate()?;
+        if let Err(e) = self.commit() {
+            self.take_back(seq, unsynced_before, pending_before, frame_offset);
+            return Err(e);
         }
 
         if obs_on {
@@ -197,9 +223,53 @@ impl Wal {
         Ok(seq)
     }
 
+    /// Pushes the just-encoded frame as far as the policy asks: a sync,
+    /// a buffer flush, and a segment rotation as needed.
+    fn commit(&mut self) -> Result<()> {
+        let must_sync = match self.config.fsync {
+            FsyncPolicy::EveryBatch => true,
+            FsyncPolicy::EveryN(n) => self.unsynced_appends >= n,
+            FsyncPolicy::Never => false,
+        };
+        if must_sync {
+            self.sync()?;
+        } else if self.pending.len() >= GROUP_BUFFER_BYTES {
+            self.flush()?;
+        }
+        if self.current_len + self.pending.len() as u64 >= self.config.segment_bytes {
+            self.rotate()?;
+        }
+        Ok(())
+    }
+
+    /// Undoes a failed append and poisons the log. The frame may already
+    /// sit in the segment file (the write succeeded but the sync or
+    /// rotation did not), so the file is cut back to where the frame
+    /// started; that is best effort, as the disk is already failing.
+    fn take_back(&mut self, seq: u64, unsynced: u64, pending_len: usize, frame_offset: u64) {
+        self.poisoned = true;
+        self.next_seq = seq;
+        self.unsynced_appends = unsynced;
+        // A failed flush leaves the whole buffer in place; drop the frame.
+        self.pending.truncate(pending_len);
+        if self
+            .current
+            .metadata()
+            .is_ok_and(|m| m.len() > frame_offset)
+        {
+            let _ = self.current.set_len(frame_offset);
+        }
+        self.current_len = self.current_len.min(frame_offset);
+    }
+
     /// Writes the group-commit buffer to the OS without forcing it to disk.
     pub fn flush(&mut self) -> Result<()> {
+        self.check_poisoned()?;
         if !self.pending.is_empty() {
+            #[cfg(test)]
+            if std::mem::take(&mut self.fail_next_write) {
+                return Err(io::Error::other("injected write failure").into());
+            }
             self.current.write_all(&self.pending)?;
             self.current_len += self.pending.len() as u64;
             self.pending.clear();
@@ -244,9 +314,13 @@ impl Wal {
 impl Drop for Wal {
     /// Best-effort flush so a graceful shutdown under [`FsyncPolicy::Never`]
     /// doesn't discard the buffered tail. Errors are ignored — a crash
-    /// wouldn't have run this at all, and recovery handles the result.
+    /// wouldn't have run this at all, and recovery handles the result. A
+    /// poisoned log writes nothing: it ends as if the process had crashed
+    /// at the failed append.
     fn drop(&mut self) {
-        let _ = self.flush();
+        if !self.poisoned {
+            let _ = self.flush();
+        }
     }
 }
 
@@ -362,6 +436,58 @@ mod tests {
             }
         }
         assert_eq!(want, 40);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Regression: a failed segment rotation used to leave the frame it
+    /// had already written and synced in the old segment, so recovery
+    /// replayed a batch `append` reported as failed. A directory squatting
+    /// on the next segment's name makes the rotation fail even as root.
+    #[test]
+    fn failed_rotation_takes_the_frame_back_and_poisons() {
+        let dir = tmpdir("rotate_fail");
+        let mut cfg = WalConfig::new(&dir);
+        cfg.segment_bytes = 1; // rotate after every append
+        let mut wal = Wal::open(cfg, 0).unwrap();
+        assert_eq!(wal.append(&[upd(0)]).unwrap(), 0);
+        fs::create_dir(dir.join(segment_file_name(2))).unwrap();
+        assert!(wal.append(&[upd(1)]).is_err());
+        assert!(wal.poisoned);
+        assert_eq!(wal.next_seq(), 1, "the failed frame's seq is reused");
+        assert!(
+            wal.append(&[upd(2)]).is_err(),
+            "a poisoned log refuses appends"
+        );
+        drop(wal);
+        let seg1 = dir.join(segment_file_name(1));
+        assert!(
+            decode_all(&seg1).is_empty(),
+            "the failed frame left the file"
+        );
+        assert_eq!(decode_all(&dir.join(segment_file_name(0))).len(), 1);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Regression: a failed flush used to leave the frame in the
+    /// group-commit buffer, and the next append or `Drop` wrote it out.
+    #[test]
+    fn failed_write_never_reaches_disk_later() {
+        let dir = tmpdir("write_fail");
+        let mut wal = Wal::open(WalConfig::new(&dir), 0).unwrap();
+        wal.append(&[upd(0)]).unwrap();
+        wal.fail_next_write = true;
+        assert!(wal.append(&[upd(1)]).is_err());
+        assert_eq!(wal.next_seq(), 1);
+        assert!(
+            wal.append(&[upd(2)]).is_err(),
+            "a poisoned log refuses appends"
+        );
+        assert!(wal.sync().is_err(), "and refuses to write its buffer");
+        drop(wal);
+        let (_, path) = list_segments(&dir).unwrap().pop().unwrap();
+        let frames = decode_all(&path);
+        assert_eq!(frames.len(), 1, "only the acknowledged frame is on disk");
+        assert_eq!(frames[0].seq, 0);
         fs::remove_dir_all(&dir).unwrap();
     }
 }
