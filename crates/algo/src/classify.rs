@@ -70,8 +70,9 @@ pub fn classify_deletion<A: MonotonicAlgorithm>(
 /// spuriously flag deletions once earlier updates have moved `u`'s state.
 /// The dependence test is the precise condition under which the repair
 /// actually fires: `v`'s recorded witness is `u`. The split between
-/// valuable (non-delayed) and delayed is unchanged: membership of `u` in
-/// the global key path.
+/// valuable (non-delayed) and delayed is unchanged: whether `u` lies on the
+/// global key path (`on_key_path`; for several queries sharing one
+/// source, on any of their key paths).
 ///
 /// The engines and the accelerator classify with this function; the
 /// state-based [`classify_deletion`] stays as the paper-literal variant
@@ -82,7 +83,7 @@ pub fn classify_deletion<A: MonotonicAlgorithm>(
 /// Panics if the update endpoints are outside `result`.
 pub fn classify_deletion_dependence<A: MonotonicAlgorithm>(
     result: &ConvergedResult<A>,
-    key_path: &KeyPath,
+    on_key_path: impl Fn(VertexId) -> bool,
     update: EdgeUpdate,
 ) -> Contribution {
     debug_assert_eq!(update.kind(), UpdateKind::Delete);
@@ -90,7 +91,7 @@ pub fn classify_deletion_dependence<A: MonotonicAlgorithm>(
     if v == result.source() || result.parent(v) != Some(u) {
         return Contribution::Useless;
     }
-    if key_path.contains(u) {
+    if on_key_path(u) {
         Contribution::Valuable
     } else {
         Contribution::Delayed

@@ -153,17 +153,12 @@ impl<A: MonotonicAlgorithm> ConvergedResult<A> {
 }
 
 /// Internal priority queue keyed by algorithm rank (lower rank pops first).
+#[derive(Debug, Clone, Default)]
 pub(crate) struct Frontier {
     heap: BinaryHeap<Reverse<(State, u32)>>,
 }
 
 impl Frontier {
-    pub(crate) fn new() -> Self {
-        Self {
-            heap: BinaryHeap::new(),
-        }
-    }
-
     pub(crate) fn push(&mut self, rank: State, v: VertexId) {
         self.heap.push(Reverse((rank, v.raw())));
     }
@@ -222,7 +217,7 @@ pub fn apply_additions<A: MonotonicAlgorithm, G: GraphView>(
     additions: &[EdgeUpdate],
     counters: &mut Counters,
 ) -> usize {
-    let mut frontier = Frontier::new();
+    let mut frontier = Frontier::default();
     let mut valuable = 0;
     for add in additions {
         debug_assert!(add.kind().is_insert());
@@ -251,8 +246,10 @@ pub fn apply_additions<A: MonotonicAlgorithm, G: GraphView>(
 /// tagging must treat them as children too, or stale subtrees survive
 /// resets and can even weave parent cycles.
 ///
-/// Register every deletion of the batch up front; links are checked against
-/// the live parent pointers at tagging time, so stale entries are harmless.
+/// Build it once per batch from every deletion of the batch; links are
+/// checked against the live parent pointers at tagging time, so stale
+/// entries are harmless. The links are one flat array sorted stably by
+/// source, so a vertex's children come back in batch order.
 ///
 /// # Examples
 ///
@@ -269,7 +266,11 @@ pub fn apply_additions<A: MonotonicAlgorithm, G: GraphView>(
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct PendingDeletions {
-    links: std::collections::HashMap<VertexId, Vec<VertexId>>,
+    /// Sources of the batch's deletions, ascending; equal sources keep
+    /// batch order.
+    srcs: Vec<VertexId>,
+    /// `dsts[i]` is the target of the deletion whose source is `srcs[i]`.
+    dsts: Vec<VertexId>,
 }
 
 impl PendingDeletions {
@@ -281,27 +282,124 @@ impl PendingDeletions {
     /// Registers every deletion in an update stream (insertions are
     /// ignored).
     pub fn from_batch(updates: impl IntoIterator<Item = EdgeUpdate>) -> Self {
-        let mut this = Self::default();
-        for u in updates {
-            this.register(u);
-        }
-        this
+        let mut links: Vec<(VertexId, VertexId)> = updates
+            .into_iter()
+            .filter(|u| u.kind().is_delete())
+            .map(|u| (u.src(), u.dst()))
+            .collect();
+        // Stable, so each source's children stay in batch order.
+        links.sort_by_key(|&(src, _)| src);
+        let (srcs, dsts) = links.into_iter().unzip();
+        Self { srcs, dsts }
     }
 
-    /// Registers one deletion's dependence link.
-    pub fn register(&mut self, deletion: EdgeUpdate) {
-        if deletion.kind().is_delete() {
-            self.links
-                .entry(deletion.src())
-                .or_default()
-                .push(deletion.dst());
-        }
-    }
-
-    /// Potential dependence children of `x` through deleted edges.
+    /// Potential dependence children of `x` through deleted edges, in batch
+    /// order.
     pub fn children_of(&self, x: VertexId) -> &[VertexId] {
-        self.links.get(&x).map(Vec::as_slice).unwrap_or(&[])
+        let lo = self.srcs.partition_point(|&s| s < x);
+        let len = self.srcs[lo..].iter().take_while(|&&s| s == x).count();
+        &self.dsts[lo..lo + len]
     }
+}
+
+/// Reusable working memory for deletion repair: tag marks, the tagged list,
+/// and the reseed frontier. Callers own one per worker (or engine) and
+/// reuse it across repairs and batches, so repair allocates nothing. Marks
+/// are epoch-stamped (`marks[v] == epoch` means tagged in the current
+/// repair), so starting a repair bumps the epoch instead of clearing. A
+/// reused scratch gives the same states, parents, and [`Counters`] as a
+/// fresh one (property-tested).
+///
+/// Workers keep their scratches side by side in one array and push and pop
+/// the `Vec` headers inside constantly, so each scratch gets cache lines of
+/// its own (128 bytes covers adjacent-line prefetch); without that, two
+/// workers' repairs false-share and run at one core's speed.
+#[derive(Debug, Clone, Default)]
+#[repr(align(128))]
+pub struct RepairScratch {
+    marks: Vec<u32>,
+    epoch: u32,
+    tagged: Vec<VertexId>,
+    frontier: Frontier,
+}
+
+impl RepairScratch {
+    /// An empty scratch; buffers grow on first use.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Starts a repair over `num_vertices` vertices with nothing tagged.
+    /// Fresh marks are 0, which no live epoch equals; when the epoch wraps,
+    /// old stamps could collide with new epochs, so they are cleared.
+    fn begin(&mut self, num_vertices: usize) {
+        self.marks.resize(self.marks.len().max(num_vertices), 0);
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            self.marks.fill(0);
+            self.epoch = 1;
+        }
+        self.tagged.clear();
+    }
+
+    /// Tags `v` unless it already is.
+    fn tag(&mut self, v: VertexId) {
+        if std::mem::replace(&mut self.marks[v.index()], self.epoch) != self.epoch {
+            self.tagged.push(v);
+        }
+    }
+}
+
+/// The repair core of [`apply_deletion_with`] and
+/// [`apply_deletions_batched`]: closes the roots tagged in `scratch` over
+/// the dependence forest, resets the closure, reseeds each tagged vertex
+/// from its in-neighbors, and re-converges.
+fn repair_tagged<A: MonotonicAlgorithm, G: GraphView>(
+    graph: &G,
+    result: &mut ConvergedResult<A>,
+    pending: &PendingDeletions,
+    scratch: &mut RepairScratch,
+    counters: &mut Counters,
+) {
+    // Tag every vertex whose parent chain reaches a root. Parent pointers
+    // define the tree; children are found among out-neighbors plus the
+    // pending deleted-edge links.
+    let mut cursor = 0;
+    while let Some(&x) = scratch.tagged.get(cursor) {
+        cursor += 1;
+        let out = graph.out_edges(x).iter().map(|e| e.to());
+        for y in out.chain(pending.children_of(x).iter().copied()) {
+            if result.parent(y) == Some(x) {
+                scratch.tag(y);
+            }
+        }
+    }
+
+    for &x in &scratch.tagged {
+        result.set(x, A::unreached(), None);
+    }
+    counters.resets += scratch.tagged.len() as u64;
+
+    // Re-seed each tagged vertex from its (now possibly untagged)
+    // in-neighbors and re-converge.
+    for &x in &scratch.tagged {
+        let mut best = A::unreached();
+        let mut best_parent = None;
+        for edge in graph.in_edges(x) {
+            counters.computations += 1;
+            let candidate = A::combine(result.state(edge.to()), edge.weight());
+            if A::improves(candidate, best) {
+                best = candidate;
+                best_parent = Some(edge.to());
+            }
+        }
+        if A::improves(best, result.state(x)) {
+            result.set(x, best, best_parent);
+            counters.activations += 1;
+            scratch.frontier.push(A::rank(best), x);
+        }
+    }
+    propagate(graph, result, &mut scratch.frontier, counters);
 }
 
 /// Applies one edge *deletion* incrementally, with the batch's pending
@@ -317,6 +415,9 @@ impl PendingDeletions {
 /// whose parent check can fire, because parents only ever change through
 /// edges present in the post-batch topology.
 ///
+/// `scratch` is working memory only; reuse one across calls to keep repair
+/// allocation-free.
+///
 /// Returns `true` when a repair ran. The parent test is conservative under
 /// parallel edges (the parent records a vertex, not an edge), so a repair
 /// may run and conclude with an intact witness — correct, merely extra
@@ -330,10 +431,11 @@ pub fn apply_deletion_with<A: MonotonicAlgorithm, G: GraphView>(
     result: &mut ConvergedResult<A>,
     deletion: EdgeUpdate,
     pending: &PendingDeletions,
+    scratch: &mut RepairScratch,
     counters: &mut Counters,
 ) -> bool {
     debug_assert!(deletion.kind().is_delete());
-    let (u, v, _w) = (deletion.src(), deletion.dst(), deletion.weight());
+    let (u, v) = (deletion.src(), deletion.dst());
     counters.computations += 1;
     if v == result.source() || result.parent(v) != Some(u) {
         counters.updates_dropped += 1;
@@ -348,56 +450,9 @@ pub fn apply_deletion_with<A: MonotonicAlgorithm, G: GraphView>(
         return true;
     }
 
-    // Tag the dependence subtree: v plus every vertex whose parent chain
-    // reaches v. Parent pointers define the tree; children are discovered
-    // by scanning out-edges plus the pending deleted-edge links.
-    let mut tagged = vec![v];
-    let mut tagged_mark = std::collections::HashSet::new();
-    tagged_mark.insert(v);
-    let mut cursor = 0;
-    while cursor < tagged.len() {
-        let x = tagged[cursor];
-        cursor += 1;
-        for edge in graph.out_edges(x) {
-            let y = edge.to();
-            if result.parent(y) == Some(x) && tagged_mark.insert(y) {
-                tagged.push(y);
-            }
-        }
-        for &y in pending.children_of(x) {
-            if result.parent(y) == Some(x) && tagged_mark.insert(y) {
-                tagged.push(y);
-            }
-        }
-    }
-
-    // Reset the tagged subtree.
-    for &x in &tagged {
-        result.set(x, A::unreached(), None);
-        counters.resets += 1;
-    }
-
-    // Re-seed each tagged vertex from its (now possibly untagged)
-    // in-neighbors and re-converge.
-    let mut frontier = Frontier::new();
-    for &x in &tagged {
-        let mut best = A::unreached();
-        let mut best_parent = None;
-        for edge in graph.in_edges(x) {
-            counters.computations += 1;
-            let candidate = A::combine(result.state(edge.to()), edge.weight());
-            if A::improves(candidate, best) {
-                best = candidate;
-                best_parent = Some(edge.to());
-            }
-        }
-        if A::improves(best, result.state(x)) {
-            result.set(x, best, best_parent);
-            counters.activations += 1;
-            frontier.push(A::rank(best), x);
-        }
-    }
-    propagate(graph, result, &mut frontier, counters);
+    scratch.begin(result.num_vertices());
+    scratch.tag(v);
+    repair_tagged(graph, result, pending, scratch, counters);
     true
 }
 
@@ -421,12 +476,12 @@ pub fn apply_deletions_batched<A: MonotonicAlgorithm, G: GraphView>(
     graph: &G,
     result: &mut ConvergedResult<A>,
     deletions: &[EdgeUpdate],
+    scratch: &mut RepairScratch,
     counters: &mut Counters,
 ) -> usize {
     let pending = PendingDeletions::from_batch(deletions.iter().copied());
+    scratch.begin(result.num_vertices());
     // Roots: deletions whose target currently depends on the deleted edge.
-    let mut tagged = Vec::new();
-    let mut tagged_mark = std::collections::HashSet::new();
     let mut fired = 0usize;
     for del in deletions {
         debug_assert!(del.kind().is_delete());
@@ -438,71 +493,34 @@ pub fn apply_deletions_batched<A: MonotonicAlgorithm, G: GraphView>(
         }
         counters.updates_processed += 1;
         fired += 1;
-        if tagged_mark.insert(v) {
-            tagged.push(v);
-        }
+        scratch.tag(v);
     }
-    if tagged.is_empty() {
-        return 0;
+    if fired > 0 {
+        repair_tagged(graph, result, &pending, scratch, counters);
     }
-
-    // One closure walk over the union of subtrees.
-    let mut cursor = 0;
-    while cursor < tagged.len() {
-        let x = tagged[cursor];
-        cursor += 1;
-        for edge in graph.out_edges(x) {
-            let y = edge.to();
-            if result.parent(y) == Some(x) && tagged_mark.insert(y) {
-                tagged.push(y);
-            }
-        }
-        for &y in pending.children_of(x) {
-            if result.parent(y) == Some(x) && tagged_mark.insert(y) {
-                tagged.push(y);
-            }
-        }
-    }
-
-    for &x in &tagged {
-        result.set(x, A::unreached(), None);
-        counters.resets += 1;
-    }
-
-    let mut frontier = Frontier::new();
-    for &x in &tagged {
-        let mut best = A::unreached();
-        let mut best_parent = None;
-        for edge in graph.in_edges(x) {
-            counters.computations += 1;
-            let candidate = A::combine(result.state(edge.to()), edge.weight());
-            if A::improves(candidate, best) {
-                best = candidate;
-                best_parent = Some(edge.to());
-            }
-        }
-        if A::improves(best, result.state(x)) {
-            result.set(x, best, best_parent);
-            counters.activations += 1;
-            frontier.push(A::rank(best), x);
-        }
-    }
-    propagate(graph, result, &mut frontier, counters);
     fired
 }
 
 /// Applies one edge deletion with no other deletions pending in the batch.
 ///
-/// Convenience wrapper over [`apply_deletion_with`]; see it for semantics.
-/// Only safe as-is when this is the batch's sole deletion — otherwise pass
-/// the shared [`PendingDeletions`].
+/// Convenience wrapper over [`apply_deletion_with`] with a one-off
+/// [`RepairScratch`]; see it for semantics. Only safe as-is when this is
+/// the batch's sole deletion — otherwise pass the shared
+/// [`PendingDeletions`].
 pub fn apply_deletion<A: MonotonicAlgorithm, G: GraphView>(
     graph: &G,
     result: &mut ConvergedResult<A>,
     deletion: EdgeUpdate,
     counters: &mut Counters,
 ) -> bool {
-    apply_deletion_with(graph, result, deletion, &PendingDeletions::new(), counters)
+    apply_deletion_with(
+        graph,
+        result,
+        deletion,
+        &PendingDeletions::new(),
+        &mut RepairScratch::new(),
+        counters,
+    )
 }
 
 /// Finds an in-neighbor of `v` (other than via the deleted edge, which is
@@ -554,8 +572,9 @@ pub fn apply_batch<A: MonotonicAlgorithm, G: GraphView>(
         .collect();
     apply_additions(graph, result, &additions, counters);
     let pending = PendingDeletions::from_batch(batch.iter().copied());
+    let mut scratch = RepairScratch::new();
     for update in batch.iter().filter(|u| u.kind().is_delete()) {
-        apply_deletion_with(graph, result, *update, &pending, counters);
+        apply_deletion_with(graph, result, *update, &pending, &mut scratch, counters);
     }
 }
 
@@ -611,6 +630,46 @@ mod tests {
             9.0,
             "v4 re-routes through the long path"
         );
+    }
+
+    #[test]
+    fn pending_children_come_back_in_batch_order() {
+        let d = |a, b| EdgeUpdate::delete(v(a), v(b), w(1.0));
+        let ins = EdgeUpdate::insert(v(5), v(1), w(1.0));
+        let batch = [d(5, 9), d(2, 7), ins, d(5, 3), d(2, 4), d(5, 8)];
+        let pending = PendingDeletions::from_batch(batch);
+        assert_eq!(pending.children_of(v(5)), &[v(9), v(3), v(8)]);
+        assert_eq!(pending.children_of(v(2)), &[v(7), v(4)]);
+        for x in [0, 6, 99] {
+            assert!(pending.children_of(v(x)).is_empty());
+        }
+    }
+
+    /// A wrapping epoch must clear stale stamps: these marks carry epoch 1,
+    /// the first epoch after the wrap, so without the clear every vertex
+    /// would already look tagged.
+    #[test]
+    fn repair_scratch_survives_epoch_wrap() {
+        let mut g = fig1b_graph();
+        let converged = best_first::<Ppsp, _>(&g, v(0), &mut Counters::new());
+        let del = EdgeUpdate::delete(v(0), v(3), w(2.0));
+        g.apply(del).unwrap();
+        let pending = PendingDeletions::new();
+        let run = |scratch: &mut RepairScratch| {
+            let (mut r, mut c) = (converged.clone(), Counters::new());
+            assert!(apply_deletion_with(
+                &g, &mut r, del, &pending, scratch, &mut c
+            ));
+            (r, c)
+        };
+        let expected = run(&mut RepairScratch::new());
+        let mut scratch = RepairScratch::new();
+        scratch.marks = vec![1; 6];
+        scratch.epoch = u32::MAX - 1;
+        for round in 0..4 {
+            assert_eq!(run(&mut scratch), expected, "round {round}");
+        }
+        assert_eq!(scratch.epoch, 3, "wrapped past u32::MAX to 1, then on");
     }
 
     #[test]

@@ -44,7 +44,7 @@ pub fn best_first<A: MonotonicAlgorithm, G: GraphView>(
     counters: &mut Counters,
 ) -> ConvergedResult<A> {
     let mut result = ConvergedResult::fresh(graph.num_vertices(), source);
-    let mut frontier = Frontier::new();
+    let mut frontier = Frontier::default();
     frontier.push(A::rank(result.state(source)), source);
     crate::incremental::propagate(graph, &mut result, &mut frontier, counters);
     result
@@ -72,7 +72,7 @@ pub fn best_first_to_target<A: MonotonicAlgorithm, G: GraphView>(
         "target {target} out of bounds"
     );
     let mut result = ConvergedResult::fresh(graph.num_vertices(), source);
-    let mut frontier = Frontier::new();
+    let mut frontier = Frontier::default();
     frontier.push(A::rank(result.state(source)), source);
     while let Some((rank, u)) = frontier.pop() {
         if rank != A::rank(result.state(u)) {

@@ -3,11 +3,13 @@
 //! algorithm, over random graphs and random batches.
 
 use cisgraph_algo::classify::classify_addition;
+use cisgraph_algo::incremental::{PendingDeletions, RepairScratch};
 use cisgraph_algo::{
-    incremental, solver, Counters, MonotonicAlgorithm, Ppnp, Ppsp, Ppwp, Reach, Viterbi,
+    incremental, solver, ConvergedResult, Counters, MonotonicAlgorithm, Ppnp, Ppsp, Ppwp, Reach,
+    Viterbi,
 };
 use cisgraph_graph::{DynamicGraph, GraphView};
-use cisgraph_types::{Contribution, EdgeUpdate, VertexId, Weight};
+use cisgraph_types::{Contribution, EdgeUpdate, State, VertexId, Weight};
 use proptest::prelude::*;
 
 const N: u32 = 14;
@@ -81,6 +83,86 @@ fn check_batch_convergence<A: MonotonicAlgorithm>(
     Ok(())
 }
 
+/// A result's states and parents, for exact comparison.
+fn image<A: MonotonicAlgorithm>(r: &ConvergedResult<A>) -> (Vec<State>, Vec<Option<VertexId>>) {
+    let parents = (0..r.num_vertices())
+        .map(|i| r.parent(VertexId::from_index(i)))
+        .collect();
+    (r.states().to_vec(), parents)
+}
+
+/// Each round grows a converged result to `N + extra` vertices, hangs a
+/// chain of the new vertices off `v(N-1)`, then deletes every `k`-th base
+/// edge plus the chain's first link — one by one, then as one batched
+/// repair. One scratch serves every call of every round; it must match a
+/// fresh scratch per call in results, states, parents, and counters after
+/// every call.
+fn check_scratch_reuse<A: MonotonicAlgorithm>(
+    initial: &[(u32, u32, u32)],
+    k: usize,
+    extras: &[u32],
+) -> Result<(), TestCaseError> {
+    let update = |insert: bool, (u, v, w): (u32, u32, u32)| {
+        let (u, v, w) = (
+            VertexId::new(u),
+            VertexId::new(v),
+            Weight::new(f64::from(w)),
+        );
+        if insert {
+            EdgeUpdate::insert(u, v, w.unwrap())
+        } else {
+            EdgeUpdate::delete(u, v, w.unwrap())
+        }
+    };
+    let mut shared = RepairScratch::new();
+    for &extra in extras {
+        let n = N + extra;
+        let base = graph_from(initial);
+        let mut start = solver::best_first::<A, _>(&base, VertexId::new(0), &mut Counters::new());
+        start.grow(n as usize);
+        let mut g = DynamicGraph::from_edges(n as usize, base.iter_edges());
+        let links: Vec<_> = (N - 1..n - 1).map(|x| (x, x + 1, 1 + x % 3)).collect();
+        let chain: Vec<EdgeUpdate> = links.iter().map(|&l| update(true, l)).collect();
+        g.apply_batch(&chain).unwrap();
+        incremental::apply_additions(&g, &mut start, &chain, &mut Counters::new());
+        let deletions: Vec<EdgeUpdate> = initial
+            .iter()
+            .step_by(k)
+            .chain(links.first())
+            .map(|&l| update(false, l))
+            .collect();
+        g.apply_batch(&deletions).unwrap();
+        let pending = PendingDeletions::from_batch(deletions.iter().copied());
+
+        let mut run = |reuse: bool| {
+            let (mut r, mut c) = (start.clone(), Counters::new());
+            let mut trace = Vec::new();
+            for &del in &deletions {
+                let mut fresh = RepairScratch::new();
+                let scratch = if reuse { &mut shared } else { &mut fresh };
+                let fired =
+                    incremental::apply_deletion_with(&g, &mut r, del, &pending, scratch, &mut c);
+                trace.push((fired, image(&r), c));
+            }
+            let (mut batched, mut c) = (start.clone(), Counters::new());
+            let mut fresh = RepairScratch::new();
+            let scratch = if reuse { &mut shared } else { &mut fresh };
+            let fired =
+                incremental::apply_deletions_batched(&g, &mut batched, &deletions, scratch, &mut c);
+            (trace, fired, image(&batched), c)
+        };
+        let fresh = run(false);
+        prop_assert_eq!(
+            run(true),
+            fresh,
+            "{} diverged with extra {}",
+            A::NAME,
+            extra
+        );
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -107,6 +189,19 @@ proptest! {
     #[test]
     fn reach_incremental_converges(initial in edges_strategy(), adds in edges_strategy(), k in 1usize..5) {
         check_batch_convergence::<Reach>(&initial, &adds, k)?;
+    }
+
+    /// One repair scratch reused across results of different sizes and
+    /// many deletions is indistinguishable from a fresh scratch per call.
+    #[test]
+    fn reused_repair_scratch_matches_fresh(
+        initial in edges_strategy(),
+        k in 1usize..4,
+        extras in proptest::collection::vec(0u32..12, 2..6),
+    ) {
+        check_scratch_reuse::<Ppsp>(&initial, k, &extras)?;
+        check_scratch_reuse::<Reach>(&initial, k, &extras)?;
+        check_scratch_reuse::<Viterbi>(&initial, k, &extras)?;
     }
 
     /// An addition is classified valuable iff applying it (alone) improves
@@ -183,11 +278,12 @@ proptest! {
         for &del in &deletions {
             g.apply(del).unwrap();
         }
-        let pending = incremental::PendingDeletions::from_batch(deletions.iter().copied());
+        let pending = PendingDeletions::from_batch(deletions.iter().copied());
+        let mut scratch = RepairScratch::new();
         for &del in &deletions {
-            incremental::apply_deletion_with(&g, &mut sequential, del, &pending, &mut Counters::new());
+            incremental::apply_deletion_with(&g, &mut sequential, del, &pending, &mut scratch, &mut Counters::new());
         }
-        incremental::apply_deletions_batched(&g, &mut batched, &deletions, &mut Counters::new());
+        incremental::apply_deletions_batched(&g, &mut batched, &deletions, &mut scratch, &mut Counters::new());
         for i in 0..g.num_vertices() {
             let x = VertexId::from_index(i);
             prop_assert_eq!(sequential.state(x), batched.state(x), "state of v{} differs", i);
@@ -217,12 +313,13 @@ proptest! {
                 Weight::new(f64::from(w)).unwrap(),
             ))
             .collect();
-        let pending = incremental::PendingDeletions::from_batch(deletions.iter().copied());
+        let pending = PendingDeletions::from_batch(deletions.iter().copied());
         for &del in &deletions {
             g.apply(del).unwrap();
         }
+        let mut scratch = RepairScratch::new();
         for &del in &deletions {
-            incremental::apply_deletion_with(&g, &mut result, del, &pending, &mut Counters::new());
+            incremental::apply_deletion_with(&g, &mut result, del, &pending, &mut scratch, &mut Counters::new());
         }
         for i in 0..g.num_vertices() {
             let x = VertexId::from_index(i);

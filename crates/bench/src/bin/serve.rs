@@ -3,8 +3,8 @@
 //!
 //! For every (queries × threads) cell, a [`QueryServer`] converges the
 //! query registry on the initial snapshot and then serves the streamed
-//! batches, fanning the per-batch work across source-sharded worker
-//! threads. The sweep reports per-batch wall-clock, aggregate query
+//! batches, fanning the per-batch work over worker threads that claim
+//! source groups one at a time. The sweep reports per-batch wall-clock, aggregate query
 //! throughput (queries served per second of wall-clock), the speedup over
 //! the single-thread run of the same workload, and the response-time tail
 //! across source groups — and asserts that every thread count produces
@@ -56,7 +56,7 @@ use std::time::{Duration, Instant};
 struct Cell {
     queries: usize,
     threads: usize,
-    shards: usize,
+    workers: usize,
     groups: usize,
     batches: usize,
     wall_seconds: f64,
@@ -94,7 +94,7 @@ fn serve(
         &ServeConfig::with_threads(threads),
     );
     let mut wall = Duration::ZERO;
-    let mut shards = 0;
+    let mut workers = 0;
     let mut groups = 0;
     let mut tail = Vec::new();
     for batch in &bundle.batches {
@@ -102,7 +102,7 @@ fn serve(
             .process_batch(batch)
             .expect("workload batches are consistent");
         wall += report.wall_time;
-        shards = report.shards;
+        workers = report.workers;
         groups = report.groups;
         tail = vec![
             report.response_p50,
@@ -112,7 +112,7 @@ fn serve(
         ];
     }
     let answers = serde_json::to_string(&server.answers()).expect("answers serialize");
-    (wall, shards, groups, tail, answers)
+    (wall, workers, groups, tail, answers)
 }
 
 /// Durable serving run: recover from `wal_dir`, log every batch ahead of
@@ -219,7 +219,7 @@ fn main() {
         [
             "queries",
             "threads",
-            "shards",
+            "workers",
             "wall ms",
             "queries/s",
             "speedup",
@@ -247,14 +247,14 @@ fn main() {
         let mut baseline_qps = 0.0;
         let mut baseline_answers = String::new();
         for &threads in &thread_sweep(max_threads) {
-            let (wall, shards, groups, tail, answers) = serve(&bundle, threads);
+            let (wall, workers, groups, tail, answers) = serve(&bundle, threads);
             let qps = served as f64 / wall.as_secs_f64().max(1e-12);
             if threads == 1 {
                 baseline_qps = qps;
                 baseline_answers = answers.clone();
             }
-            // The serving layer's contract: sharding must never change an
-            // answer, bit for bit.
+            // The serving layer's contract: the worker count must never
+            // change an answer, bit for bit.
             assert_eq!(
                 answers, baseline_answers,
                 "answers diverged between 1 and {threads} threads"
@@ -263,7 +263,7 @@ fn main() {
             table.row(vec![
                 num_queries.to_string(),
                 threads.to_string(),
-                shards.to_string(),
+                workers.to_string(),
                 format!("{:.2}", wall.as_secs_f64() * 1e3),
                 format!("{qps:.0}"),
                 fmt_speedup(speedup),
@@ -275,7 +275,7 @@ fn main() {
             cells.push(Cell {
                 queries: num_queries,
                 threads,
-                shards,
+                workers,
                 groups,
                 batches: bundle.batches.len(),
                 wall_seconds: wall.as_secs_f64(),

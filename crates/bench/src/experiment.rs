@@ -105,17 +105,16 @@ where
     }
     let chunk = queries.len().div_ceil(threads);
     let f = &f;
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let handles: Vec<_> = queries
             .chunks(chunk)
-            .map(|qs| scope.spawn(move |_| qs.iter().map(|&q| f(q)).collect::<Vec<R>>()))
+            .map(|qs| scope.spawn(move || qs.iter().map(|&q| f(q)).collect::<Vec<R>>()))
             .collect();
         handles
             .into_iter()
             .flat_map(|h| h.join().expect("query worker thread panicked"))
             .collect()
     })
-    .expect("crossbeam scope")
 }
 
 /// One experiment's configuration.

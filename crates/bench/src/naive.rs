@@ -168,6 +168,7 @@ impl<A: MonotonicAlgorithm> NaiveIncremental<A> {
     ) -> Vec<UpdateCost> {
         self.result.grow(graph.num_vertices());
         let pending = incremental::PendingDeletions::from_batch(batch.iter().copied());
+        let mut scratch = incremental::RepairScratch::new();
         let mut costs = Vec::with_capacity(batch.len());
         let ordered = batch
             .iter()
@@ -189,6 +190,7 @@ impl<A: MonotonicAlgorithm> NaiveIncremental<A> {
                             &mut self.result,
                             update,
                             &pending,
+                            &mut scratch,
                             &mut counters,
                         );
                     }

@@ -213,7 +213,8 @@ pub(crate) fn simulate_batch<A: MonotonicAlgorithm, G: CsrImage>(
                 non_delayed.push_back((update, t_ready));
                 continue;
             }
-            match classify_deletion_dependence(propagator.result, &key_path, update) {
+            match classify_deletion_dependence(propagator.result, |v| key_path.contains(v), update)
+            {
                 Contribution::Valuable => {
                     summary.valuable_deletions += 1;
                     non_delayed.push_front((update, t_ready));
@@ -242,7 +243,7 @@ pub(crate) fn simulate_batch<A: MonotonicAlgorithm, G: CsrImage>(
                 t_cursor += delayed.len() as Cycle;
                 let mut rest = VecDeque::with_capacity(delayed.len());
                 for (d, r) in std::mem::take(&mut delayed) {
-                    if classify_deletion_dependence(propagator.result, &key_path, d)
+                    if classify_deletion_dependence(propagator.result, |v| key_path.contains(v), d)
                         == Contribution::Valuable
                     {
                         non_delayed.push_back((d, r));

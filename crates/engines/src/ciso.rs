@@ -4,11 +4,161 @@ use crate::{BatchReport, StreamingEngine};
 use cisgraph_algo::classify::{
     classify_addition, classify_deletion_dependence, ClassificationSummary,
 };
-use cisgraph_algo::ConvergedResult;
-use cisgraph_algo::{incremental, solver, Counters, KeyPath, MonotonicAlgorithm};
+use cisgraph_algo::incremental::{self, PendingDeletions, RepairScratch};
+use cisgraph_algo::{solver, ConvergedResult, Counters, KeyPath, MonotonicAlgorithm};
 use cisgraph_graph::{DynamicGraph, GraphView};
-use cisgraph_types::{Contribution, EdgeUpdate, PairQuery, State};
-use std::time::Instant;
+use cisgraph_types::{Contribution, EdgeUpdate, PairQuery, State, VertexId};
+use std::time::{Duration, Instant};
+
+/// The union of the global key paths of queries sharing one source:
+/// vertices ascending, deduplicated.
+struct KeyPathUnion(Vec<VertexId>);
+
+impl KeyPathUnion {
+    fn extract<A: MonotonicAlgorithm>(result: &ConvergedResult<A>, queries: &[PairQuery]) -> Self {
+        let mut members = Vec::new();
+        for &q in queries {
+            members.extend_from_slice(KeyPath::extract(result, q).vertices());
+        }
+        members.sort_unstable();
+        members.dedup();
+        Self(members)
+    }
+
+    fn contains(&self, v: VertexId) -> bool {
+        self.0.binary_search(&v).is_ok()
+    }
+}
+
+/// The CISGraph-O workflow for one converged result serving `queries`, all
+/// from the result's source. Deletions split on the union of the queries'
+/// key paths: a supporting deletion is non-delayed iff its source lies on
+/// any of them, which keeps the early answer exact for every destination at
+/// once. The report's answer is the first query's.
+///
+/// Without a shared `pending`, the batch's deletion links are built inside
+/// the response window. `boundary` runs after the additions and again at
+/// the response; the time it returns (measurement bookkeeping) is left out
+/// of the reported times.
+pub(crate) fn run_workflow<A: MonotonicAlgorithm>(
+    result: &mut ConvergedResult<A>,
+    queries: &[PairQuery],
+    graph: &DynamicGraph,
+    batch: &[EdgeUpdate],
+    pending: Option<&PendingDeletions>,
+    scratch: &mut RepairScratch,
+    mut boundary: impl FnMut(&ConvergedResult<A>) -> Duration,
+) -> BatchReport {
+    let start = Instant::now();
+    let mut excluded = Duration::ZERO;
+    let mut counters = Counters::new();
+    let mut summary = ClassificationSummary::default();
+    result.grow(graph.num_vertices());
+
+    // Phase 1a: identify + propagate valuable additions (additions stream
+    // first per the §IV-A fairness rule, and their identification sees the
+    // pre-batch converged states).
+    let mut valuable_additions = Vec::new();
+    for &update in batch.iter().filter(|u| u.kind().is_insert()) {
+        counters.computations += 1;
+        if classify_addition(result, update) == Contribution::Valuable {
+            summary.valuable_additions += 1;
+            valuable_additions.push(update);
+        } else {
+            summary.useless_additions += 1;
+            counters.updates_dropped += 1;
+        }
+    }
+    incremental::apply_additions(graph, result, &valuable_additions, &mut counters);
+    excluded += boundary(result);
+
+    // Dependence links of every deletion in the batch: required by repair
+    // tagging so subtrees hanging off not-yet-processed deletions are reset
+    // too.
+    let built;
+    let pending = match pending {
+        Some(shared) => shared,
+        None => {
+            built = PendingDeletions::from_batch(batch.iter().copied());
+            &built
+        }
+    };
+
+    // Phase 1b: identify deletions against the post-addition states (the
+    // prefetchers read the live SPM image, which already holds the addition
+    // results by the time deletions stream in).
+    let mut key_paths = KeyPathUnion::extract(result, queries);
+    let mut non_delayed = Vec::new();
+    let mut delayed = Vec::new();
+    for &update in batch.iter().filter(|u| u.kind().is_delete()) {
+        counters.computations += 1;
+        match classify_deletion_dependence(result, |u| key_paths.contains(u), update) {
+            Contribution::Valuable => {
+                summary.valuable_deletions += 1;
+                non_delayed.push(update);
+            }
+            Contribution::Delayed => {
+                summary.delayed_deletions += 1;
+                delayed.push(update);
+            }
+            Contribution::Useless => {
+                summary.useless_deletions += 1;
+                counters.updates_dropped += 1;
+            }
+        }
+    }
+
+    // Phase 2: process non-delayed deletions preemptively; each repair can
+    // move a key path, so delayed updates are re-scanned and promoted when
+    // they become valuable ("when detecting a valuable update, we assign it
+    // the highest priority", §III-A). After this loop no pending deletion
+    // can touch a key path, which makes the early answer exact.
+    while !non_delayed.is_empty() {
+        for del in non_delayed.drain(..) {
+            incremental::apply_deletion_with(graph, result, del, pending, scratch, &mut counters);
+        }
+        key_paths = KeyPathUnion::extract(result, queries);
+        let (promoted, rest): (Vec<_>, Vec<_>) = delayed.into_iter().partition(|&del| {
+            classify_deletion_dependence(result, |u| key_paths.contains(u), del)
+                == Contribution::Valuable
+        });
+        non_delayed = promoted;
+        delayed = rest;
+    }
+
+    // Phase 3: respond.
+    let answer = queries
+        .first()
+        .map_or_else(A::unreached, |q| result.state(q.destination()));
+    let response_time = start.elapsed().saturating_sub(excluded);
+    excluded += boundary(result);
+
+    // Phase 4: drain delayed deletions for future correctness.
+    for del in delayed {
+        incremental::apply_deletion_with(graph, result, del, pending, scratch, &mut counters);
+    }
+
+    let mut report = BatchReport::new(answer);
+    report.response_time = response_time;
+    report.total_time = start.elapsed().saturating_sub(excluded);
+    report.counters = counters;
+    report.classification = Some(summary);
+    report
+}
+
+/// Copies `states` into `buf`, reusing its allocation; returns the time
+/// the copy took.
+fn copy_states(buf: &mut Vec<State>, states: &[State]) -> Duration {
+    let clock = Instant::now();
+    buf.clear();
+    buf.extend_from_slice(states);
+    clock.elapsed()
+}
+
+/// Vertices whose state differs between two phase boundaries.
+fn changed(before: &[State], after: &[State]) -> u64 {
+    before.iter().zip(after).filter(|(a, b)| a != b).count() as u64
+}
 
 /// The software implementation of the CISGraph workflow:
 ///
@@ -27,6 +177,11 @@ use std::time::Instant;
 pub struct CisGraphO<A: MonotonicAlgorithm> {
     query: PairQuery,
     result: ConvergedResult<A>,
+    /// Deletion-repair working memory, reused across batches.
+    scratch: RepairScratch,
+    /// States before additions, after additions, and at response: the
+    /// phase boundaries the activation counts diff.
+    phase_states: [Vec<State>; 3],
 }
 
 impl<A: MonotonicAlgorithm> CisGraphO<A> {
@@ -38,7 +193,12 @@ impl<A: MonotonicAlgorithm> CisGraphO<A> {
     pub fn new(graph: &DynamicGraph, query: PairQuery) -> Self {
         let mut counters = Counters::new();
         let result = solver::best_first::<A, _>(graph, query.source(), &mut counters);
-        Self { query, result }
+        Self {
+            query,
+            result,
+            scratch: RepairScratch::new(),
+            phase_states: Default::default(),
+        }
     }
 
     /// The standing query.
@@ -60,133 +220,31 @@ impl<A: MonotonicAlgorithm> StreamingEngine<A> for CisGraphO<A> {
 
     fn process_batch(&mut self, graph: &DynamicGraph, batch: &[EdgeUpdate]) -> BatchReport {
         let _batch_span = cisgraph_obs::span("ciso.batch");
-        let start = Instant::now();
-        let mut counters = Counters::new();
-        let mut summary = ClassificationSummary::default();
-        self.result.grow(graph.num_vertices());
-
-        let phase_additions = cisgraph_obs::span("ciso.additions");
-        // Phase 1a: identify + propagate valuable additions (additions
-        // stream first per the §IV-A fairness rule, and their
-        // identification sees the pre-batch converged states).
-        // Fig. 5(b) activation counts are *net* state changes per phase.
-        let states_before_adds: Vec<State> = self.result.states().to_vec();
-        let mut valuable_additions = Vec::new();
-        for update in batch.iter().filter(|u| u.kind().is_insert()) {
-            counters.computations += 1;
-            match classify_addition(&self.result, *update) {
-                Contribution::Valuable => {
-                    summary.valuable_additions += 1;
-                    valuable_additions.push(*update);
-                }
-                _ => {
-                    summary.useless_additions += 1;
-                    counters.updates_dropped += 1;
-                }
-            }
-        }
-        incremental::apply_additions(graph, &mut self.result, &valuable_additions, &mut counters);
-        let states_after_adds: Vec<State> = self.result.states().to_vec();
-        let addition_activations = states_before_adds
-            .iter()
-            .zip(&states_after_adds)
-            .filter(|(a, b)| a != b)
-            .count() as u64;
-        drop(phase_additions);
-
-        let phase_deletions = cisgraph_obs::span("ciso.deletions");
-        // Dependence links of every deletion in the batch: required by
-        // repair tagging so subtrees hanging off not-yet-processed
-        // deletions are reset too.
-        let pending = incremental::PendingDeletions::from_batch(batch.iter().copied());
-
-        // Phase 1b: identify deletions against the post-addition states
-        // (the prefetchers read the live SPM image, which already holds the
-        // addition results by the time deletions stream in).
-        let mut key_path = KeyPath::extract(&self.result, self.query);
-        let mut non_delayed: Vec<EdgeUpdate> = Vec::new();
-        let mut delayed: Vec<EdgeUpdate> = Vec::new();
-        for update in batch.iter().filter(|u| u.kind().is_delete()) {
-            counters.computations += 1;
-            match classify_deletion_dependence(&self.result, &key_path, *update) {
-                Contribution::Valuable => {
-                    summary.valuable_deletions += 1;
-                    non_delayed.push(*update);
-                }
-                Contribution::Delayed => {
-                    summary.delayed_deletions += 1;
-                    delayed.push(*update);
-                }
-                Contribution::Useless => {
-                    summary.useless_deletions += 1;
-                    counters.updates_dropped += 1;
-                }
-            }
-        }
-
-        // Phase 2: process non-delayed deletions preemptively; each repair
-        // can move the key path, so delayed updates are re-scanned and
-        // promoted when they become valuable ("when detecting a valuable
-        // update, we assign it the highest priority", §III-A). After this
-        // loop no pending deletion can touch the key path, which makes the
-        // early answer exact.
-        while !non_delayed.is_empty() {
-            for del in non_delayed.drain(..) {
-                incremental::apply_deletion_with(
-                    graph,
-                    &mut self.result,
-                    del,
-                    &pending,
-                    &mut counters,
-                );
-            }
-            key_path = KeyPath::extract(&self.result, self.query);
-            let mut rest = Vec::with_capacity(delayed.len());
-            for del in delayed.drain(..) {
-                if classify_deletion_dependence(&self.result, &key_path, del)
-                    == Contribution::Valuable
-                {
-                    non_delayed.push(del);
-                } else {
-                    rest.push(del);
-                }
-            }
-            delayed = rest;
-        }
-
-        drop(phase_deletions);
-
-        // Phase 3: respond.
-        let answer = self.result.state(self.query.destination());
-        let response_time = start.elapsed();
-        let states_at_response: Vec<State> = self.result.states().to_vec();
-        let deletion_activations = states_after_adds
-            .iter()
-            .zip(&states_at_response)
-            .filter(|(a, b)| a != b)
-            .count() as u64;
-
-        // Phase 4: drain delayed deletions for future correctness.
-        let phase_drain = cisgraph_obs::span("ciso.drain");
-        for del in delayed {
-            incremental::apply_deletion_with(graph, &mut self.result, del, &pending, &mut counters);
-        }
-        drop(phase_drain);
-        let drain_activations = states_at_response
-            .iter()
-            .zip(self.result.states())
-            .filter(|(a, b)| *a != *b)
-            .count() as u64;
-        let total_time = start.elapsed();
-
-        let mut report = BatchReport::new(answer);
-        report.response_time = response_time;
-        report.total_time = total_time;
-        report.counters = counters;
-        report.addition_activations = addition_activations;
-        report.deletion_activations = deletion_activations;
-        report.drain_activations = drain_activations;
-        report.classification = Some(summary);
+        let Self {
+            query,
+            result,
+            scratch,
+            phase_states,
+        } = self;
+        // Fig. 5(b) activation counts are *net* state changes per phase, so
+        // states are copied at each phase boundary. The copies are
+        // measurement bookkeeping: the first is taken before the workflow's
+        // clock starts, the others are left out of its times, and the diffs
+        // run after it stops.
+        result.grow(graph.num_vertices());
+        copy_states(&mut phase_states[0], result.states());
+        let mut phase = 0;
+        let mut span = cisgraph_obs::span("ciso.additions");
+        let mut report = run_workflow(result, &[*query], graph, batch, None, scratch, |r| {
+            phase += 1;
+            span = cisgraph_obs::span(["ciso.deletions", "ciso.drain"][phase - 1]);
+            copy_states(&mut phase_states[phase], r.states())
+        });
+        drop(span);
+        let [before_adds, after_adds, at_response] = &*phase_states;
+        report.addition_activations = changed(before_adds, after_adds);
+        report.deletion_activations = changed(after_adds, at_response);
+        report.drain_activations = changed(at_response, result.states());
         crate::engine::obs_record_batch(self.name(), &report);
         report
     }
@@ -229,6 +287,7 @@ mod tests {
         let batch = vec![EdgeUpdate::insert(v(1), v(2), w(1.0))];
         g.apply_batch(&batch).unwrap();
         let r = engine.process_batch(&g, &batch);
+        assert_eq!(activations(&r), [1, 0, 0]);
         assert_eq!(r.answer.get(), 2.0);
         let summary = r.classification.unwrap();
         assert_eq!(summary.valuable_additions, 1);
@@ -260,6 +319,7 @@ mod tests {
         let batch = vec![EdgeUpdate::delete(v(0), v(2), w(2.0))];
         g.apply_batch(&batch).unwrap();
         let r = engine.process_batch(&g, &batch);
+        assert_eq!(activations(&r), [0, 1, 0]);
         assert_eq!(r.answer.get(), 6.0, "answer re-routes through v1");
         assert_eq!(r.classification.unwrap().valuable_deletions, 1);
     }
@@ -278,6 +338,7 @@ mod tests {
         let batch = vec![EdgeUpdate::delete(v(1), v(3), w(1.0))];
         g.apply_batch(&batch).unwrap();
         let r = engine.process_batch(&g, &batch);
+        assert_eq!(activations(&r), [0, 0, 1]);
         assert_eq!(r.answer.get(), 1.0);
         assert_eq!(r.classification.unwrap().delayed_deletions, 1);
         // After the drain, v3 is unreached.
@@ -296,6 +357,7 @@ mod tests {
         let batch = vec![EdgeUpdate::delete(v(0), v(1), w(1.0))];
         g.apply_batch(&batch).unwrap();
         let r = engine.process_batch(&g, &batch);
+        assert_eq!(activations(&r), [0, 2, 0]);
         assert_eq!(r.answer.get(), 0.0, "destination no longer reachable");
     }
 
@@ -312,5 +374,52 @@ mod tests {
         let r = engine.process_batch(&g2, &batch);
         assert_eq!(r.answer.get(), 1.0);
         assert_eq!(engine.result().state(v(5)).get(), 2.0);
+    }
+
+    /// Fig. 5(b) activation counts (additions, deletions, drain); pinned
+    /// in the tests above and below. They are computed off the response
+    /// timer and must not move with it.
+    fn activations(r: &BatchReport) -> [u64; 3] {
+        [
+            r.addition_activations,
+            r.deletion_activations,
+            r.drain_activations,
+        ]
+    }
+
+    #[test]
+    fn activation_counts_are_unchanged_on_a_mixed_stream() {
+        let edges = cisgraph_datasets::erdos_renyi::generate(
+            60,
+            480,
+            cisgraph_datasets::weights::WeightDistribution::paper_default(),
+            31,
+        );
+        let mut g = DynamicGraph::from_edges(60, edges.clone());
+        let mut engine = CisGraphO::<Ppsp>::new(&g, PairQuery::new(v(0), v(41)).unwrap());
+        let mut trace = Vec::new();
+        for (i, chunk) in edges.chunks(60).enumerate().take(6) {
+            let dels = chunk.iter().step_by(2);
+            let mut batch: Vec<EdgeUpdate> = dels
+                .map(|&(a, b, wt)| EdgeUpdate::delete(a, b, wt))
+                .collect();
+            for j in 0..20u32 {
+                let (a, b) = ((j * 7 + i as u32 * 3) % 60, (j * 13 + 5) % 60);
+                if a != b {
+                    batch.push(EdgeUpdate::insert(v(a), v(b), w(f64::from(1 + j % 4))));
+                }
+            }
+            g.apply_batch(&batch).unwrap();
+            trace.push(activations(&engine.process_batch(&g, &batch)));
+        }
+        let expected = [
+            [47, 0, 1],
+            [41, 19, 0],
+            [49, 0, 2],
+            [35, 0, 0],
+            [29, 0, 3],
+            [29, 2, 2],
+        ];
+        assert_eq!(trace, expected);
     }
 }

@@ -12,7 +12,8 @@
 //! coalescing.
 
 use crate::{BatchReport, StreamingEngine};
-use cisgraph_algo::{incremental, solver, ConvergedResult, Counters, MonotonicAlgorithm};
+use cisgraph_algo::incremental::{self, RepairScratch};
+use cisgraph_algo::{solver, ConvergedResult, Counters, MonotonicAlgorithm};
 use cisgraph_graph::{DynamicGraph, GraphView};
 use cisgraph_types::{EdgeUpdate, PairQuery, State, VertexId};
 use std::collections::HashMap;
@@ -23,6 +24,7 @@ use std::time::Instant;
 pub struct Coalescing<A: MonotonicAlgorithm> {
     query: PairQuery,
     result: ConvergedResult<A>,
+    scratch: RepairScratch,
 }
 
 impl<A: MonotonicAlgorithm> Coalescing<A> {
@@ -33,7 +35,11 @@ impl<A: MonotonicAlgorithm> Coalescing<A> {
     /// Panics if a query endpoint is outside `graph`.
     pub fn new(graph: &DynamicGraph, query: PairQuery) -> Self {
         let result = solver::best_first::<A, _>(graph, query.source(), &mut Counters::new());
-        Self { query, result }
+        Self {
+            query,
+            result,
+            scratch: RepairScratch::new(),
+        }
     }
 
     /// The standing query.
@@ -87,7 +93,13 @@ impl<A: MonotonicAlgorithm> StreamingEngine<A> for Coalescing<A> {
             .copied()
             .filter(|u| u.kind().is_delete())
             .collect();
-        incremental::apply_deletions_batched(graph, &mut self.result, &deletions, &mut counters);
+        incremental::apply_deletions_batched(
+            graph,
+            &mut self.result,
+            &deletions,
+            &mut self.scratch,
+            &mut counters,
+        );
 
         let elapsed = start.elapsed();
         let mut report = BatchReport::new(self.result.state(self.query.destination()));

@@ -6,53 +6,111 @@
 //! standing pairwise queries served together.
 //!
 //! Queries are grouped by source — all queries `Q(s -> d_i)` share one
-//! converged result for `s`, so propagation work is shared. Deletion
-//! classification uses the *union* of the group's global key paths: a
-//! supporting deletion is non-delayed iff its source vertex lies on any
-//! member query's key path, which preserves the early-response exactness
-//! argument for every destination simultaneously.
+//! converged result for `s`, so propagation work is shared. Each group runs
+//! CISGraph-O's workflow, with deletion classification on the *union* of
+//! the group's global key paths: a supporting deletion is non-delayed iff
+//! its source vertex lies on any member query's key path, which preserves
+//! the early-response exactness argument for every destination
+//! simultaneously.
+//!
+//! Groups are independent, so a batch fans out over worker threads that
+//! claim groups one at a time (see [`MultiQuery::with_workers`]).
 
+use crate::ciso::run_workflow;
 use crate::BatchReport;
-use cisgraph_algo::classify::{classify_addition, ClassificationSummary};
-use cisgraph_algo::{incremental, solver, ConvergedResult, Counters, KeyPath, MonotonicAlgorithm};
-use cisgraph_graph::{DynamicGraph, GraphView};
-use cisgraph_types::{Contribution, EdgeUpdate, PairQuery, State, VertexId};
-use std::collections::{HashMap, HashSet};
-use std::time::Instant;
-
-/// The union of several key paths, used for the delayed/non-delayed split.
-#[derive(Debug, Clone, Default)]
-struct KeyPathUnion {
-    members: HashSet<VertexId>,
-}
-
-impl KeyPathUnion {
-    fn extract<A: MonotonicAlgorithm>(
-        result: &ConvergedResult<A>,
-        source: VertexId,
-        destinations: &[VertexId],
-    ) -> Self {
-        let mut members = HashSet::new();
-        for &d in destinations {
-            if let Ok(q) = PairQuery::new(source, d) {
-                let kp = KeyPath::extract(result, q);
-                members.extend(kp.vertices().iter().copied());
-            }
-        }
-        Self { members }
-    }
-
-    fn contains(&self, v: VertexId) -> bool {
-        self.members.contains(&v)
-    }
-}
+use cisgraph_algo::classify::ClassificationSummary;
+use cisgraph_algo::incremental::{PendingDeletions, RepairScratch};
+use cisgraph_algo::{solver, ConvergedResult, Counters, MonotonicAlgorithm};
+use cisgraph_graph::DynamicGraph;
+use cisgraph_types::{EdgeUpdate, PairQuery, State, VertexId};
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
+use std::time::{Duration, Instant};
 
 /// One source group: a shared converged result serving many destinations.
 #[derive(Debug, Clone)]
 struct SourceGroup<A: MonotonicAlgorithm> {
-    source: VertexId,
-    destinations: Vec<VertexId>,
+    /// The group's standing queries, by ascending destination, deduplicated.
+    queries: Vec<PairQuery>,
     result: ConvergedResult<A>,
+}
+
+/// What one worker did during a [`MultiQuery`] fan-out.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct WorkerLoad {
+    /// Source groups the worker claimed.
+    pub(crate) groups: usize,
+    /// Wall time from the worker's start until its last group finished.
+    pub(crate) busy: Duration,
+}
+
+/// Runs `work` once per item on up to `workers.len()` scoped threads that
+/// claim items one at a time through a shared atomic cursor, so a heavy
+/// item never holds a queue of light ones behind it. Worker `i` owns
+/// `workers[i]` (the calling thread is worker 0) and runs inside the span
+/// `spans[i]` when one is given. Results come back in item order, and every
+/// item is touched by exactly one worker with nothing shared between items,
+/// so the results do not depend on the worker count or on timing.
+///
+/// # Panics
+///
+/// Panics if `workers` is empty or a worker panics.
+fn claim<T: Send, W: Send, R: Send>(
+    items: &mut [T],
+    workers: &mut [W],
+    spans: &[String],
+    work: impl Fn(&mut T, &mut W) -> R + Sync,
+) -> (Vec<R>, Vec<WorkerLoad>) {
+    let n = workers.len().min(items.len()).max(1);
+    let len = items.len();
+    let next = AtomicUsize::new(0);
+    let slots: Vec<Mutex<&mut T>> = items.iter_mut().map(Mutex::new).collect();
+    let run = |worker: &mut W, span: Option<&String>| {
+        let _span = span.map(|name| cisgraph_obs::span(name));
+        let start = Instant::now();
+        let mut done = Vec::new();
+        loop {
+            // Relaxed: the cursor publishes no data; the slot's lock and
+            // the scope's join order the group's state.
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(slot) = slots.get(i) else { break };
+            // Each index is claimed once, so the lock is never contended.
+            let mut item = slot.lock().expect("group slot poisoned");
+            done.push((i, work(&mut item, worker)));
+        }
+        let load = WorkerLoad {
+            groups: done.len(),
+            busy: start.elapsed(),
+        };
+        (done, load)
+    };
+    let (first, rest) = workers[..n]
+        .split_first_mut()
+        .expect("at least one worker slot");
+    let per_worker = std::thread::scope(|s| {
+        let run = &run;
+        let handles: Vec<_> = rest
+            .iter_mut()
+            .enumerate()
+            .map(|(i, worker)| s.spawn(move || run(worker, spans.get(i + 1))))
+            .collect();
+        let mut all = vec![run(first, spans.first())];
+        all.extend(
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("group worker thread panicked")),
+        );
+        all
+    });
+    let mut results = Vec::with_capacity(len);
+    let mut loads = Vec::with_capacity(n);
+    for (done, load) in per_worker {
+        results.extend(done);
+        loads.push(load);
+    }
+    results.sort_unstable_by_key(|&(i, _)| i);
+    (results.into_iter().map(|(_, r)| r).collect(), loads)
 }
 
 /// A set of standing pairwise queries answered together over one update
@@ -86,44 +144,62 @@ struct SourceGroup<A: MonotonicAlgorithm> {
 /// ```
 #[derive(Debug, Clone)]
 pub struct MultiQuery<A: MonotonicAlgorithm> {
+    /// Source groups by ascending source.
     groups: Vec<SourceGroup<A>>,
-    index: HashMap<PairQuery, usize>,
+    /// One deletion-repair scratch per worker slot, reused across batches.
+    scratch: Vec<RepairScratch>,
 }
 
 impl<A: MonotonicAlgorithm> MultiQuery<A> {
-    /// Converges every distinct source on the initial snapshot.
+    /// Converges every distinct source on the initial snapshot, with one
+    /// worker slot (batches are served on the calling thread).
     ///
     /// # Panics
     ///
     /// Panics if any query endpoint is outside `graph`.
     pub fn new(graph: &DynamicGraph, queries: &[PairQuery]) -> Self {
-        let mut by_source: HashMap<VertexId, Vec<VertexId>> = HashMap::new();
-        for q in queries {
-            by_source
-                .entry(q.source())
-                .or_default()
-                .push(q.destination());
+        Self::with_workers(graph, queries, 1)
+    }
+
+    /// Converges every distinct source on the initial snapshot with up to
+    /// `workers` worker slots (at least one, at most one per source group).
+    /// Convergence and every later batch run on that many scoped threads,
+    /// which claim source groups one at a time; answers and work counters
+    /// are identical for any worker count.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any query endpoint is outside `graph`.
+    pub(crate) fn with_workers(
+        graph: &DynamicGraph,
+        queries: &[PairQuery],
+        workers: usize,
+    ) -> Self {
+        let mut by_source: BTreeMap<VertexId, Vec<PairQuery>> = BTreeMap::new();
+        for &q in queries {
+            by_source.entry(q.source()).or_default().push(q);
         }
-        let mut sources: Vec<_> = by_source.into_iter().collect();
-        sources.sort_by_key(|(s, _)| *s);
-        let mut groups = Vec::with_capacity(sources.len());
-        let mut index = HashMap::with_capacity(queries.len());
-        for (source, destinations) in sources {
-            let mut counters = Counters::new();
-            let result = solver::best_first::<A, _>(graph, source, &mut counters);
-            let gi = groups.len();
-            for &d in &destinations {
-                if let Ok(q) = PairQuery::new(source, d) {
-                    index.insert(q, gi);
-                }
-            }
-            groups.push(SourceGroup {
-                source,
-                destinations,
-                result,
-            });
+        let mut sources: Vec<(VertexId, Vec<PairQuery>)> = by_source.into_iter().collect();
+        let workers = workers.clamp(1, sources.len().max(1));
+        let (results, _) = claim(
+            &mut sources,
+            &mut vec![(); workers],
+            &[],
+            |(source, _), ()| solver::best_first::<A, _>(graph, *source, &mut Counters::new()),
+        );
+        let groups = sources
+            .into_iter()
+            .zip(results)
+            .map(|((_, mut queries), result)| {
+                queries.sort_by_key(|q| q.destination());
+                queries.dedup();
+                SourceGroup { queries, result }
+            })
+            .collect();
+        Self {
+            groups,
+            scratch: vec![RepairScratch::new(); workers],
         }
-        Self { groups, index }
     }
 
     /// Number of distinct source groups (shared converged results).
@@ -131,120 +207,42 @@ impl<A: MonotonicAlgorithm> MultiQuery<A> {
         self.groups.len()
     }
 
-    /// All standing queries with their current answers.
+    /// Number of worker slots a batch fans out over.
+    pub(crate) fn num_workers(&self) -> usize {
+        self.scratch.len()
+    }
+
+    /// All standing queries with their current answers, sorted by
+    /// (source, destination).
     pub fn answers(&self) -> Vec<(PairQuery, State)> {
-        let mut out: Vec<(PairQuery, State)> = self
-            .index
+        self.groups
             .iter()
-            .map(|(&q, &gi)| (q, self.groups[gi].result.state(q.destination())))
-            .collect();
-        out.sort_by_key(|(q, _)| (q.source(), q.destination()));
-        out
+            .flat_map(|g| {
+                g.queries
+                    .iter()
+                    .map(|&q| (q, g.result.state(q.destination())))
+            })
+            .collect()
     }
 
     /// The current answer for one standing query, `None` if it was never
     /// registered.
     pub fn answer(&self, query: PairQuery) -> Option<State> {
-        let gi = *self.index.get(&query)?;
-        Some(self.groups[gi].result.state(query.destination()))
+        let gi = self
+            .groups
+            .binary_search_by_key(&query.source(), |g| g.result.source())
+            .ok()?;
+        let group = &self.groups[gi];
+        group
+            .queries
+            .binary_search_by_key(&query.destination(), |q| q.destination())
+            .ok()?;
+        Some(group.result.state(query.destination()))
     }
 
     /// Number of standing queries across all groups.
     pub fn num_queries(&self) -> usize {
-        self.index.len()
-    }
-
-    /// Processes one batch for a single source group, timed in isolation:
-    /// `response_time` covers classification, valuable propagation, and the
-    /// promotion loop; `total_time` additionally covers the delayed drain.
-    fn process_group(
-        group: &mut SourceGroup<A>,
-        graph: &DynamicGraph,
-        batch: &[EdgeUpdate],
-        pending: &incremental::PendingDeletions,
-    ) -> BatchReport {
-        let start = Instant::now();
-        let mut counters = Counters::new();
-        let mut summary = ClassificationSummary::default();
-        group.result.grow(graph.num_vertices());
-
-        // Additions (shared across all destinations of the group).
-        let mut valuable = Vec::new();
-        for update in batch.iter().filter(|u| u.kind().is_insert()) {
-            counters.computations += 1;
-            match classify_addition(&group.result, *update) {
-                Contribution::Valuable => {
-                    summary.valuable_additions += 1;
-                    valuable.push(*update);
-                }
-                _ => {
-                    summary.useless_additions += 1;
-                    counters.updates_dropped += 1;
-                }
-            }
-        }
-        incremental::apply_additions(graph, &mut group.result, &valuable, &mut counters);
-
-        // Deletions with the key-path union split + promotion loop.
-        let mut union = KeyPathUnion::extract(&group.result, group.source, &group.destinations);
-        let mut non_delayed = Vec::new();
-        let mut delayed = Vec::new();
-        for update in batch.iter().filter(|u| u.kind().is_delete()) {
-            counters.computations += 1;
-            let (u, v) = (update.src(), update.dst());
-            if v == group.source || group.result.parent(v) != Some(u) {
-                summary.useless_deletions += 1;
-                counters.updates_dropped += 1;
-            } else if union.contains(u) {
-                summary.valuable_deletions += 1;
-                non_delayed.push(*update);
-            } else {
-                summary.delayed_deletions += 1;
-                delayed.push(*update);
-            }
-        }
-        while !non_delayed.is_empty() {
-            for del in non_delayed.drain(..) {
-                incremental::apply_deletion_with(
-                    graph,
-                    &mut group.result,
-                    del,
-                    pending,
-                    &mut counters,
-                );
-            }
-            union = KeyPathUnion::extract(&group.result, group.source, &group.destinations);
-            let mut rest = Vec::with_capacity(delayed.len());
-            for del in delayed.drain(..) {
-                let (u, v) = (del.src(), del.dst());
-                if group.result.parent(v) == Some(u) && union.contains(u) {
-                    non_delayed.push(del);
-                } else {
-                    rest.push(del);
-                }
-            }
-            delayed = rest;
-        }
-        let response = start.elapsed();
-
-        for del in delayed {
-            incremental::apply_deletion_with(graph, &mut group.result, del, pending, &mut counters);
-        }
-
-        // The per-group answer slot carries the smallest destination's state
-        // (deterministic); the full set is reachable through `answers()`.
-        let answer = group
-            .destinations
-            .iter()
-            .min()
-            .map(|&d| group.result.state(d))
-            .unwrap_or_else(A::unreached);
-        let mut report = BatchReport::new(answer);
-        report.response_time = response;
-        report.total_time = start.elapsed();
-        report.counters = counters;
-        report.classification = Some(summary);
-        report
+        self.groups.iter().map(|g| g.queries.len()).sum()
     }
 
     /// Processes one batch, returning one [`BatchReport`] per source group
@@ -256,16 +254,48 @@ impl<A: MonotonicAlgorithm> MultiQuery<A> {
         graph: &DynamicGraph,
         batch: &[EdgeUpdate],
     ) -> Vec<BatchReport> {
+        self.process_batch_claimed(graph, batch, &[]).0
+    }
+
+    /// [`process_batch_per_group`](MultiQuery::process_batch_per_group) that
+    /// also reports what each worker did. Up to
+    /// [`num_workers`](MultiQuery::num_workers) scoped threads claim source
+    /// groups one at a time (the calling thread is worker 0); worker `i`
+    /// runs inside the span `worker_spans[i]` when one is given. Reports
+    /// come back in source order whichever worker produced them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a worker thread panics.
+    pub(crate) fn process_batch_claimed(
+        &mut self,
+        graph: &DynamicGraph,
+        batch: &[EdgeUpdate],
+        worker_spans: &[String],
+    ) -> (Vec<BatchReport>, Vec<WorkerLoad>) {
         let _batch_span = cisgraph_obs::span("multi.batch");
-        let pending = incremental::PendingDeletions::from_batch(batch.iter().copied());
-        self.groups
-            .iter_mut()
-            .map(|group| {
-                let report = Self::process_group(group, graph, batch, &pending);
+        let pending = PendingDeletions::from_batch(batch.iter().copied());
+        claim(
+            &mut self.groups,
+            &mut self.scratch,
+            worker_spans,
+            |group, scratch| {
+                // Timed in isolation: `response_time` covers classification,
+                // valuable propagation, and the promotion loop; `total_time`
+                // adds the delayed drain.
+                let report = run_workflow(
+                    &mut group.result,
+                    &group.queries,
+                    graph,
+                    batch,
+                    Some(&pending),
+                    scratch,
+                    |_| Duration::ZERO,
+                );
                 crate::engine::obs_record_batch("MultiQuery", &report);
                 report
-            })
-            .collect()
+            },
+        )
     }
 
     /// Processes one batch for every source group; the report aggregates
@@ -275,9 +305,9 @@ impl<A: MonotonicAlgorithm> MultiQuery<A> {
     pub fn process_batch(&mut self, graph: &DynamicGraph, batch: &[EdgeUpdate]) -> BatchReport {
         let per_group = self.process_batch_per_group(graph, batch);
         let answer = self
-            .answers()
+            .groups
             .first()
-            .map(|&(_, s)| s)
+            .and_then(|g| g.queries.first().map(|q| g.result.state(q.destination())))
             .unwrap_or_else(A::unreached);
         let mut report = BatchReport::new(answer);
         let mut summary = ClassificationSummary::default();
@@ -289,35 +319,6 @@ impl<A: MonotonicAlgorithm> MultiQuery<A> {
         }
         report.classification = Some(summary);
         report
-    }
-
-    /// Splits this instance into at most `n` independent shards,
-    /// distributing source groups round-robin in ascending source order
-    /// (deterministic for a given query set). Converged per-group state
-    /// moves into the shards — nothing is recomputed — so
-    /// `shards.iter().flat_map(answers)` equals the original `answers()`
-    /// up to ordering. Returns fewer shards than requested when there are
-    /// fewer groups than `n`; at least one (possibly empty) shard is
-    /// always returned.
-    pub fn into_shards(self, n: usize) -> Vec<MultiQuery<A>> {
-        let n = n.max(1).min(self.groups.len().max(1));
-        let mut shards: Vec<MultiQuery<A>> = (0..n)
-            .map(|_| MultiQuery {
-                groups: Vec::new(),
-                index: HashMap::new(),
-            })
-            .collect();
-        for (i, group) in self.groups.into_iter().enumerate() {
-            let shard = &mut shards[i % n];
-            let gi = shard.groups.len();
-            for &d in &group.destinations {
-                if let Ok(q) = PairQuery::new(group.source, d) {
-                    shard.index.insert(q, gi);
-                }
-            }
-            shard.groups.push(group);
-        }
-        shards
     }
 }
 
@@ -346,9 +347,11 @@ mod tests {
             PairQuery::new(v(0), v(1)).unwrap(),
             PairQuery::new(v(0), v(2)).unwrap(),
             PairQuery::new(v(3), v(1)).unwrap(),
+            PairQuery::new(v(0), v(1)).unwrap(), // a duplicate counts once
         ];
         let mq = MultiQuery::<Ppsp>::new(&g, &queries);
         assert_eq!(mq.num_groups(), 2);
+        assert_eq!(mq.num_queries(), 3);
         assert_eq!(mq.answers().len(), 3);
         assert_eq!(mq.answer(queries[0]).unwrap().get(), 1.0);
         assert!(mq.answer(PairQuery::new(v(2), v(3)).unwrap()).is_none());
@@ -404,7 +407,7 @@ mod tests {
     }
 
     #[test]
-    fn shards_partition_groups_and_preserve_answers() {
+    fn claimed_workers_match_one_worker() {
         let mut g = DynamicGraph::new(8);
         for i in 0..7 {
             g.insert_edge(v(i), v(i + 1), w(1.0)).unwrap();
@@ -412,18 +415,30 @@ mod tests {
         let queries: Vec<PairQuery> = (0..7)
             .map(|i| PairQuery::new(v(i), v(7)).unwrap())
             .collect();
-        let whole = MultiQuery::<Ppsp>::new(&g, &queries);
-        let expected = whole.answers();
-        let shards = whole.clone().into_shards(3);
-        assert_eq!(shards.len(), 3);
-        assert_eq!(shards.iter().map(MultiQuery::num_groups).sum::<usize>(), 7);
-        let mut merged: Vec<_> = shards.iter().flat_map(MultiQuery::answers).collect();
-        merged.sort_by_key(|(q, _)| (q.source(), q.destination()));
-        assert_eq!(merged, expected);
+        let mut one = MultiQuery::<Ppsp>::new(&g, &queries);
+        let mut three = MultiQuery::<Ppsp>::with_workers(&g, &queries, 3);
+        assert_eq!(three.num_workers(), 3);
+        assert_eq!(three.answers(), one.answers());
 
-        // Asking for more shards than groups clamps; zero means one.
-        assert_eq!(whole.clone().into_shards(99).len(), 7);
-        assert_eq!(whole.clone().into_shards(0).len(), 1);
+        let batch = vec![EdgeUpdate::delete(v(3), v(4), w(1.0))];
+        g.apply_batch(&batch).unwrap();
+        let expected = one.process_batch_per_group(&g, &batch);
+        let spans: Vec<String> = (0..3).map(|i| format!("multi.test.worker.{i}")).collect();
+        let (reports, loads) = three.process_batch_claimed(&g, &batch, &spans);
+        assert_eq!(three.answers(), one.answers());
+        assert_eq!(reports.len(), expected.len());
+        for (a, b) in reports.iter().zip(&expected) {
+            assert_eq!(a.answer, b.answer, "reports come back in source order");
+            assert_eq!(a.counters, b.counters);
+        }
+        assert!(!loads.is_empty() && loads.len() <= 3);
+        assert_eq!(loads.iter().map(|l| l.groups).sum::<usize>(), 7);
+
+        // More workers than groups clamps; zero means one.
+        for (asked, qs, slots) in [(99, &queries[..], 7), (0, &queries[..], 1), (4, &[][..], 1)] {
+            let mq = MultiQuery::<Ppsp>::with_workers(&g, qs, asked);
+            assert_eq!(mq.num_workers(), slots);
+        }
     }
 
     #[test]

@@ -2,28 +2,28 @@
 //!
 //! The paper scopes itself to single queries; [`MultiQuery`] generalizes to
 //! a standing query *set*. This module adds the serving layer on top: a
-//! [`QueryServer`] owns the shared graph, shards the registered queries by
-//! source vertex (reusing [`MultiQuery`]'s source grouping, so same-source
+//! [`QueryServer`] owns the shared graph and one [`MultiQuery`] (same-source
 //! queries share one converged state array), and fans each update batch out
-//! across a scoped thread pool — one worker per shard, every worker reading
-//! the same immutable post-batch topology through a
-//! [`SharedGraph`] handle.
+//! over up to [`ServeConfig::threads`] scoped workers, every worker reading
+//! the same immutable post-batch topology through a [`SharedGraph`] handle.
 //!
-//! Sharding rule: distinct sources are sorted ascending and dealt
-//! round-robin across shards. The assignment depends only on the query set
-//! and the shard count, and each group's incremental state is touched by
-//! exactly one thread — so answers are bit-identical for *any* thread
-//! count, which the tests pin down.
+//! Work claiming: workers take source groups one at a time from a shared
+//! atomic cursor, so a group with a heavy repair never holds light groups
+//! behind it. Each group's incremental state is touched by exactly one
+//! worker and reports come back in source order, so answers and work
+//! counters are bit-identical for *any* thread count, which the tests pin
+//! down.
 //!
-//! Per-shard, per-group [`BatchReport`]s are merged into one
-//! [`ServeReport`]: summed ⊕/⊗ work and classification, a response-time
-//! distribution (p50 / p95 / p99 / max across source groups), the batch
-//! wall-clock, and every standing query's answer.
+//! Per-group [`BatchReport`]s are merged into one [`ServeReport`]: summed
+//! ⊕/⊗ work and classification, a response-time distribution (p50 / p95 /
+//! p99 / max across source groups), the batch wall-clock, and every
+//! standing query's answer.
 //!
 //! When [`cisgraph_obs`] instrumentation is enabled, each served batch also
-//! publishes fan-out latency, per-query response-time histograms,
-//! per-shard queue-depth gauges, and a `serve.shard.<i>` span per worker
-//! inside the fan-out (see `docs/observability.md`).
+//! publishes fan-out latency, per-group response-time histograms, per-worker
+//! claimed-group gauges and busy-time histograms, and a `serve.worker.<i>`
+//! span per worker inside the fan-out (see `docs/observability.md`). Every
+//! handle and span name is resolved when the server is built.
 //!
 //! With a [`DurableStore`] attached ([`QueryServer::attach_durability`]),
 //! every batch is applied, appended to the write-ahead log, and only then
@@ -34,14 +34,15 @@
 //! background worker), so a crashed server recovers to a consistent prefix
 //! of the acknowledged stream (see `docs/persistence.md`).
 
+use crate::multi::WorkerLoad;
 use crate::{BatchReport, MultiQuery, ReportCore};
 use cisgraph_algo::classify::ClassificationSummary;
 use cisgraph_algo::MonotonicAlgorithm;
 use cisgraph_graph::{DynamicGraph, GraphError, SharedGraph};
+use cisgraph_obs::{Counter, Gauge, Histogram};
 use cisgraph_persist::{CheckpointMode, DurableStore};
-use cisgraph_types::{EdgeUpdate, PairQuery, State, VertexId};
+use cisgraph_types::{EdgeUpdate, PairQuery, State};
 use serde::Serialize;
-use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
 /// Tuning for a [`QueryServer`].
@@ -56,9 +57,8 @@ use std::time::{Duration, Instant};
 /// ```
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Worker threads the per-batch work fans out over (also the maximum
-    /// shard count; the server never creates more shards than distinct
-    /// query sources).
+    /// Worker threads the per-batch work fans out over (the server never
+    /// runs more workers than distinct query sources).
     pub threads: usize,
 }
 
@@ -92,9 +92,9 @@ impl Default for ServeConfig {
 pub struct ServeReport {
     /// Standing queries served.
     pub queries: usize,
-    /// Shards (worker threads actually used) for this batch.
-    pub shards: usize,
-    /// Source groups across all shards.
+    /// Workers (threads, the calling one included) that served this batch.
+    pub workers: usize,
+    /// Source groups served.
     pub groups: usize,
     /// Wall-clock time of the parallel fan-out.
     pub wall_time: Duration,
@@ -151,8 +151,8 @@ impl ServeReport {
 ///
 /// The server owns the graph: [`QueryServer::process_batch`] first applies
 /// the batch to the owned [`SharedGraph`] (copy-on-write if snapshot
-/// handles are still alive), then lets every shard process the batch
-/// against the immutable post-batch view.
+/// handles are still alive), then lets the workers process every source
+/// group against the immutable post-batch view.
 ///
 /// # Examples
 ///
@@ -185,18 +185,52 @@ impl ServeReport {
 #[derive(Debug)]
 pub struct QueryServer<A: MonotonicAlgorithm> {
     graph: SharedGraph,
-    shards: Vec<MultiQuery<A>>,
-    /// Precomputed `serve.shard.<i>` span names, one per shard, so the
-    /// per-batch fan-out never formats strings on the hot path.
-    shard_span_names: Vec<String>,
+    queries: MultiQuery<A>,
+    obs: ServeObs,
     /// Write-ahead durability, when attached: every batch is logged here
-    /// before any shard serves it (see [`QueryServer::attach_durability`]).
+    /// before any worker serves it (see [`QueryServer::attach_durability`]).
     persist: Option<DurableStore>,
+}
+
+/// The server's metric handles and span names, resolved once at
+/// construction so serving a batch never formats a name or looks one up.
+#[derive(Debug)]
+struct ServeObs {
+    batches: &'static Counter,
+    queries: &'static Counter,
+    checkpoint_failures: &'static Counter,
+    fanout: &'static Histogram,
+    response: &'static Histogram,
+    /// `serve.worker.<i>`, one per worker slot.
+    worker_spans: Vec<String>,
+    /// `serve.worker.<i>.groups` and `serve.worker.<i>.busy_ns`.
+    workers: Vec<(&'static Gauge, &'static Histogram)>,
+}
+
+impl ServeObs {
+    fn new(workers: usize) -> Self {
+        Self {
+            batches: cisgraph_obs::counter("serve.batches"),
+            queries: cisgraph_obs::counter("serve.queries"),
+            checkpoint_failures: cisgraph_obs::counter("serve.checkpoint_failures"),
+            fanout: cisgraph_obs::histogram("serve.fanout_ns"),
+            response: cisgraph_obs::histogram("serve.response_ns"),
+            worker_spans: (0..workers).map(|i| format!("serve.worker.{i}")).collect(),
+            workers: (0..workers)
+                .map(|i| {
+                    (
+                        cisgraph_obs::gauge(&format!("serve.worker.{i}.groups")),
+                        cisgraph_obs::histogram(&format!("serve.worker.{i}.busy_ns")),
+                    )
+                })
+                .collect(),
+        }
+    }
 }
 
 impl<A: MonotonicAlgorithm> QueryServer<A> {
     /// Takes ownership of `graph`, registers `queries`, and converges every
-    /// distinct source — shards converge concurrently, one thread each.
+    /// distinct source, with workers claiming source groups one at a time.
     ///
     /// # Panics
     ///
@@ -204,35 +238,12 @@ impl<A: MonotonicAlgorithm> QueryServer<A> {
     /// [`MultiQuery::new`]).
     pub fn new(graph: DynamicGraph, queries: &[PairQuery], config: &ServeConfig) -> Self {
         let graph = SharedGraph::new(graph);
-        // Deterministic sharding: sort distinct sources, deal round-robin.
-        let mut by_source: BTreeMap<VertexId, Vec<PairQuery>> = BTreeMap::new();
-        for &q in queries {
-            by_source.entry(q.source()).or_default().push(q);
-        }
-        let n = config.threads.max(1).min(by_source.len().max(1));
-        let mut shard_queries: Vec<Vec<PairQuery>> = vec![Vec::new(); n];
-        for (i, (_, qs)) in by_source.into_iter().enumerate() {
-            shard_queries[i % n].extend(qs);
-        }
-        let view = graph.graph();
-        let shards = crossbeam::thread::scope(|s| {
-            let handles: Vec<_> = shard_queries
-                .iter()
-                .map(|qs| s.spawn(move |_| MultiQuery::new(view, qs)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("shard convergence thread panicked"))
-                .collect::<Vec<_>>()
-        })
-        .expect("thread scope");
-        let shard_span_names = (0..shards.len())
-            .map(|i| format!("serve.shard.{i}"))
-            .collect();
+        let queries = MultiQuery::with_workers(graph.graph(), queries, config.threads);
+        let obs = ServeObs::new(queries.num_workers());
         Self {
             graph,
-            shards,
-            shard_span_names,
+            queries,
+            obs,
             persist: None,
         }
     }
@@ -276,14 +287,14 @@ impl<A: MonotonicAlgorithm> QueryServer<A> {
         Ok(())
     }
 
-    /// Number of shards (the per-batch fan-out width).
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
+    /// Number of worker slots (the per-batch fan-out width).
+    pub fn num_workers(&self) -> usize {
+        self.queries.num_workers()
     }
 
     /// Number of standing queries.
     pub fn num_queries(&self) -> usize {
-        self.shards.iter().map(MultiQuery::num_queries).sum()
+        self.queries.num_queries()
     }
 
     /// The current (post-batch) topology.
@@ -301,21 +312,19 @@ impl<A: MonotonicAlgorithm> QueryServer<A> {
     /// All standing queries with their current answers, sorted by
     /// (source, destination).
     pub fn answers(&self) -> Vec<(PairQuery, State)> {
-        let mut out: Vec<(PairQuery, State)> =
-            self.shards.iter().flat_map(MultiQuery::answers).collect();
-        out.sort_by_key(|(q, _)| (q.source(), q.destination()));
-        out
+        self.queries.answers()
     }
 
     /// The current answer for one standing query, `None` if it was never
     /// registered.
     pub fn answer(&self, query: PairQuery) -> Option<State> {
-        self.shards.iter().find_map(|s| s.answer(query))
+        self.queries.answer(query)
     }
 
     /// Applies `batch` to the owned graph, appends it to the WAL (when
-    /// durable), then serves it to every shard concurrently and merges the
-    /// per-group reports. Finally it runs the checkpoint cadence.
+    /// durable), then serves it to every source group on the workers and
+    /// merges the per-group reports. Finally it runs the checkpoint
+    /// cadence.
     ///
     /// # Errors
     ///
@@ -325,7 +334,7 @@ impl<A: MonotonicAlgorithm> QueryServer<A> {
     /// - an invalid batch (deleting an absent edge, out-of-bounds
     ///   endpoints) is rolled back by the atomic apply before it is logged;
     /// - a batch the WAL refuses ([`GraphError::Io`]) is undone before any
-    ///   shard reads it. The WAL is then poisoned and refuses every later
+    ///   worker reads it. The WAL is then poisoned and refuses every later
     ///   batch until the store is reopened through recovery.
     ///
     /// A failed checkpoint is *not* a failed batch: the batch is already
@@ -348,38 +357,21 @@ impl<A: MonotonicAlgorithm> QueryServer<A> {
         if let Some(store) = &mut self.persist {
             let _wal = cisgraph_obs::span("serve.wal_append");
             if let Err(e) = store.log_batch(batch) {
-                // The WAL took its frame back; no shard has read the batch.
+                // The WAL took its frame back; no worker has read the batch.
                 self.graph.undo(undo);
                 return Err(GraphError::Io(e.into()));
             }
         }
-        let view = self.graph.graph();
-        let shards = &mut self.shards;
-        let span_names = &self.shard_span_names;
         let start = Instant::now();
-        let per_shard: Vec<Vec<BatchReport>> = crossbeam::thread::scope(|s| {
-            let handles: Vec<_> = shards
-                .iter_mut()
-                .zip(span_names)
-                .map(|(shard, span_name)| {
-                    s.spawn(move |_| {
-                        let _shard_span = cisgraph_obs::span(span_name);
-                        shard.process_batch_per_group(view, batch)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("shard worker thread panicked"))
-                .collect()
-        })
-        .expect("thread scope");
+        let (reports, loads) =
+            self.queries
+                .process_batch_claimed(self.graph.graph(), batch, &self.obs.worker_spans);
         let wall_time = start.elapsed();
-        let mut report = self.merge(&per_shard, wall_time);
-        self.record_obs(&per_shard, &report);
+        let mut report = self.merge(&reports, loads.len(), wall_time);
+        self.record_obs(&reports, &loads, &report);
         if let Some(store) = &mut self.persist {
             if let Err(e) = store.maybe_checkpoint(self.graph.graph_mut()) {
-                cisgraph_obs::counter("serve.checkpoint_failures").inc();
+                self.obs.checkpoint_failures.inc();
                 cisgraph_obs::log!(warn, "checkpoint failed; the batch stands: {e}");
                 report.checkpoint_error = Some(e.to_string());
             }
@@ -388,27 +380,27 @@ impl<A: MonotonicAlgorithm> QueryServer<A> {
     }
 
     /// Publishes serving metrics to the [`cisgraph_obs`] registry: the
-    /// fan-out latency and per-query response-time histograms, plus
-    /// per-shard queue depth (group count) gauges and response-time
-    /// histograms. No-op unless instrumentation is enabled.
-    fn record_obs(&self, per_shard: &[Vec<BatchReport>], report: &ServeReport) {
+    /// fan-out latency and per-group response-time histograms, plus each
+    /// worker's claimed-group gauge and busy-time histogram. No-op unless
+    /// instrumentation is enabled.
+    fn record_obs(&self, reports: &[BatchReport], loads: &[WorkerLoad], report: &ServeReport) {
         if !cisgraph_obs::enabled() {
             return;
         }
-        cisgraph_obs::counter("serve.batches").inc();
-        cisgraph_obs::counter("serve.queries").add(report.queries as u64);
-        cisgraph_obs::histogram("serve.fanout_ns").record_duration(report.wall_time);
-        for (i, shard) in per_shard.iter().enumerate() {
-            cisgraph_obs::gauge(&format!("serve.shard.{i}.groups")).set(shard.len() as u64);
-            let hist = cisgraph_obs::histogram(&format!("serve.shard.{i}.response_ns"));
-            for r in shard {
-                hist.record_duration(r.response_time);
-                cisgraph_obs::histogram("serve.response_ns").record_duration(r.response_time);
-            }
+        let obs = &self.obs;
+        obs.batches.inc();
+        obs.queries.add(report.queries as u64);
+        obs.fanout.record_duration(report.wall_time);
+        for r in reports {
+            obs.response.record_duration(r.response_time);
+        }
+        for (load, (groups, busy)) in loads.iter().zip(&obs.workers) {
+            groups.set(load.groups as u64);
+            busy.record_duration(load.busy);
         }
     }
 
-    fn merge(&self, per_shard: &[Vec<BatchReport>], wall_time: Duration) -> ServeReport {
+    fn merge(&self, reports: &[BatchReport], workers: usize, wall_time: Duration) -> ServeReport {
         let answers = self.answers();
         let first = answers
             .first()
@@ -424,7 +416,7 @@ impl<A: MonotonicAlgorithm> QueryServer<A> {
         // directly); the O(groups log groups) per-batch sort is gone.
         let mut responses = cisgraph_obs::HistogramSnapshot::default();
         let mut response_max = Duration::ZERO;
-        for report in per_shard.iter().flatten() {
+        for report in reports {
             work.accumulate(&report.core);
             if let Some(s) = report.classification {
                 classification += s;
@@ -434,7 +426,7 @@ impl<A: MonotonicAlgorithm> QueryServer<A> {
         }
         ServeReport {
             queries: answers.len(),
-            shards: per_shard.len(),
+            workers,
             groups: responses.count as usize,
             wall_time,
             response_p50: Duration::from_nanos(responses.quantile(0.50)),
@@ -454,15 +446,6 @@ fn duration_to_nanos(d: Duration) -> u64 {
     u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
 }
 
-/// Nearest-rank percentile of an ascending-sorted sample. Thin wrapper over
-/// the single shared implementation in [`cisgraph_obs::percentile`] — the
-/// *exact* path, kept (test-only now) as the reference the histogram
-/// quantiles are pinned against.
-#[cfg(test)]
-fn percentile(sorted: &[Duration], p: f64) -> Duration {
-    cisgraph_obs::percentile(sorted, p).unwrap_or(Duration::ZERO)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -471,7 +454,7 @@ mod tests {
     use cisgraph_datasets::erdos_renyi;
     use cisgraph_datasets::weights::WeightDistribution;
     use cisgraph_graph::GraphView;
-    use cisgraph_types::Weight;
+    use cisgraph_types::{VertexId, Weight};
 
     fn v(x: u32) -> VertexId {
         VertexId::new(x)
@@ -499,7 +482,61 @@ mod tests {
         (g, queries, batches)
     }
 
+    /// A heavy-tailed query set: source 0's shortest-path tree spans most
+    /// of the graph, while many light sources each reach one vertex. The
+    /// batches cut the heavy tree's spine, so one group's repairs dominate
+    /// every batch (checked in `matches_sequential_multi_query`).
+    fn skewed_scenario() -> (DynamicGraph, Vec<PairQuery>, Vec<Vec<EdgeUpdate>>) {
+        const HEAVY: u32 = 150;
+        const LIGHT: u32 = 30;
+        let mut edges =
+            erdos_renyi::generate(HEAVY as usize, 600, WeightDistribution::paper_default(), 29);
+        let random = edges.clone();
+        let spine = |i: u32| (v(i), v(i + 1), Weight::ONE);
+        let light = |k: u32| (v(HEAVY + 2 * k), v(HEAVY + 2 * k + 1), Weight::ONE);
+        edges.extend((0..HEAVY - 1).map(spine));
+        edges.extend((0..LIGHT).map(light));
+        let g = DynamicGraph::from_edges((HEAVY + 2 * LIGHT) as usize, edges);
+
+        let del = |(a, b, w): (VertexId, VertexId, Weight)| EdgeUpdate::delete(a, b, w);
+        let ins = |(a, b, w): (VertexId, VertexId, Weight)| EdgeUpdate::insert(a, b, w);
+        let mut batches = vec![Vec::new(); 3];
+        batches[0].extend((0..HEAVY - 1).step_by(10).map(|i| del(spine(i))));
+        batches[0].extend((0..LIGHT).map(|k| {
+            let (a, b, w) = light(k);
+            ins((b, a, w))
+        }));
+        batches[1].extend(random.iter().step_by(7).map(|&e| del(e)));
+        batches[1].extend((0..LIGHT).step_by(2).map(|k| del(light(k))));
+        batches[2].extend((5..HEAVY - 1).step_by(10).map(|i| del(spine(i))));
+        batches[2].extend((0..LIGHT).step_by(2).map(|k| ins(light(k))));
+        batches[2].push(ins((v(0), v(HEAVY / 2), Weight::new(3.0).unwrap())));
+
+        let mut queries = vec![
+            PairQuery::new(v(0), v(HEAVY - 1)).unwrap(),
+            PairQuery::new(v(0), v(HEAVY / 2 + 7)).unwrap(),
+        ];
+        queries.extend((0..LIGHT).map(|k| {
+            let (a, b, _) = light(k);
+            PairQuery::new(a, b).unwrap()
+        }));
+        (g, queries, batches)
+    }
+
+    type Scenario = fn() -> (DynamicGraph, Vec<PairQuery>, Vec<Vec<EdgeUpdate>>);
+
+    const SCENARIOS: [Scenario; 2] = [scenario, skewed_scenario];
+
+    const THREAD_COUNTS: [usize; 4] = [2, 3, 8, 64];
+
     fn serve_all(threads: usize) -> (Vec<(PairQuery, State)>, Vec<ServeReport>) {
+        serve_scenario(scenario, threads)
+    }
+
+    fn serve_scenario(
+        scenario: Scenario,
+        threads: usize,
+    ) -> (Vec<(PairQuery, State)>, Vec<ServeReport>) {
         let (g, queries, batches) = scenario();
         let mut server = QueryServer::<Ppsp>::new(g, &queries, &ServeConfig::with_threads(threads));
         let reports = batches
@@ -511,57 +548,74 @@ mod tests {
 
     #[test]
     fn answers_are_identical_across_thread_counts() {
-        let (baseline, _) = serve_all(1);
-        for threads in [2, 3, 8] {
-            let (answers, _) = serve_all(threads);
-            assert_eq!(answers, baseline, "threads = {threads}");
-            // Byte-identical, not merely PartialEq-equal.
-            assert_eq!(
-                serde_json::to_string(&answers).unwrap(),
-                serde_json::to_string(&baseline).unwrap(),
-                "threads = {threads}"
-            );
+        for (s, scenario) in SCENARIOS.into_iter().enumerate() {
+            let (baseline, _) = serve_scenario(scenario, 1);
+            for threads in THREAD_COUNTS {
+                let (answers, _) = serve_scenario(scenario, threads);
+                assert_eq!(answers, baseline, "scenario {s}, threads = {threads}");
+                // Byte-identical, not merely PartialEq-equal.
+                assert_eq!(
+                    serde_json::to_string(&answers).unwrap(),
+                    serde_json::to_string(&baseline).unwrap(),
+                    "scenario {s}, threads = {threads}"
+                );
+            }
         }
     }
 
     #[test]
     fn work_counters_are_identical_across_thread_counts() {
-        let (_, baseline) = serve_all(1);
-        let (_, parallel) = serve_all(8);
-        for (a, b) in baseline.iter().zip(&parallel) {
-            assert_eq!(a.work.counters, b.work.counters);
-            assert_eq!(a.classification, b.classification);
-            assert_eq!(a.groups, b.groups);
+        for (s, scenario) in SCENARIOS.into_iter().enumerate() {
+            let (_, baseline) = serve_scenario(scenario, 1);
+            for threads in THREAD_COUNTS {
+                let (_, parallel) = serve_scenario(scenario, threads);
+                assert_eq!(baseline.len(), parallel.len());
+                for (a, b) in baseline.iter().zip(&parallel) {
+                    let context = format!("scenario {s}, threads = {threads}");
+                    assert_eq!(a.work.counters, b.work.counters, "{context}");
+                    assert_eq!(a.classification, b.classification, "{context}");
+                    assert_eq!(a.groups, b.groups, "{context}");
+                }
+            }
         }
     }
 
     #[test]
     fn matches_sequential_multi_query() {
-        let (g, queries, batches) = scenario();
-        let mut reference_graph = g.clone();
-        let mut reference = MultiQuery::<Ppsp>::new(&reference_graph, &queries);
-        let mut server = QueryServer::<Ppsp>::new(g, &queries, &ServeConfig::with_threads(4));
-        for batch in &batches {
-            reference_graph.apply_batch(batch).unwrap();
-            reference.process_batch(&reference_graph, batch);
-            server.process_batch(batch).unwrap();
+        for (s, scenario) in SCENARIOS.into_iter().enumerate() {
+            let (g, queries, batches) = scenario();
+            let mut reference_graph = g.clone();
+            let mut reference = MultiQuery::<Ppsp>::new(&reference_graph, &queries);
+            let mut server = QueryServer::<Ppsp>::new(g, &queries, &ServeConfig::with_threads(4));
+            for batch in &batches {
+                reference_graph.apply_batch(batch).unwrap();
+                let per_group = reference.process_batch_per_group(&reference_graph, batch);
+                server.process_batch(batch).unwrap();
+                let work: Vec<u64> = per_group.iter().map(|r| r.counters.computations).collect();
+                if s == 1 {
+                    // The skewed scenario: group 0's repairs dominate.
+                    assert!(work[0] > 5 * work[1..].iter().max().unwrap(), "{work:?}");
+                }
+            }
+            assert_eq!(server.answers(), reference.answers(), "scenario {s}");
         }
-        assert_eq!(server.answers(), reference.answers());
     }
 
     #[test]
     fn matches_cold_start_per_query() {
-        let (g, queries, batches) = scenario();
-        let mut check_graph = g.clone();
-        let mut server = QueryServer::<Ppsp>::new(g, &queries, &ServeConfig::default());
-        for batch in &batches {
-            check_graph.apply_batch(batch).unwrap();
-            server.process_batch(batch).unwrap();
-        }
-        for &q in &queries {
-            let mut cs = ColdStart::<Ppsp>::new(q);
-            let expected = cs.process_batch(&check_graph, &[]).answer;
-            assert_eq!(server.answer(q).unwrap(), expected, "query {q}");
+        for scenario in SCENARIOS {
+            let (g, queries, batches) = scenario();
+            let mut check_graph = g.clone();
+            let mut server = QueryServer::<Ppsp>::new(g, &queries, &ServeConfig::default());
+            for batch in &batches {
+                check_graph.apply_batch(batch).unwrap();
+                server.process_batch(batch).unwrap();
+            }
+            for &q in &queries {
+                let mut cs = ColdStart::<Ppsp>::new(q);
+                let expected = cs.process_batch(&check_graph, &[]).answer;
+                assert_eq!(server.answer(q).unwrap(), expected, "query {q}");
+            }
         }
     }
 
@@ -570,8 +624,8 @@ mod tests {
         let (_, reports) = serve_all(4);
         for r in &reports {
             assert_eq!(r.queries, 16);
-            assert!(r.shards <= 4);
-            assert!(r.groups >= r.shards);
+            assert!(r.workers >= 1 && r.workers <= 4);
+            assert!(r.groups >= r.workers);
             assert!(r.response_p50 <= r.response_p95);
             assert!(r.response_p95 <= r.response_p99);
             assert!(r.response_p99 <= r.response_max);
@@ -608,19 +662,6 @@ mod tests {
         assert_eq!(server.answer(queries[0]).unwrap().get(), 1.0);
     }
 
-    #[test]
-    fn percentile_is_nearest_rank() {
-        let ms: Vec<Duration> = (1..=100).map(Duration::from_millis).collect();
-        assert_eq!(percentile(&ms, 0.50), Duration::from_millis(50));
-        assert_eq!(percentile(&ms, 0.95), Duration::from_millis(95));
-        assert_eq!(percentile(&ms, 1.0), Duration::from_millis(100));
-        assert_eq!(percentile(&[], 0.5), Duration::ZERO);
-        assert_eq!(
-            percentile(&[Duration::from_millis(7)], 0.5),
-            Duration::from_millis(7)
-        );
-    }
-
     /// Pins the histogram-quantile approximation error to one log2 bucket:
     /// the reported value is never below the exact-sort percentile and
     /// never above the inclusive upper bound of the exact value's
@@ -637,7 +678,7 @@ mod tests {
         durations.sort_unstable();
         let max = duration_to_nanos(*durations.last().unwrap());
         for p in [0.50, 0.95, 0.99] {
-            let exact = duration_to_nanos(percentile(&durations, p));
+            let exact = duration_to_nanos(cisgraph_obs::percentile(&durations, p).unwrap());
             let approx = hist.quantile(p);
             assert!(approx >= exact, "p{p}: {approx} below exact {exact}");
             let bucket_upper = match 64 - exact.leading_zeros() {
@@ -654,20 +695,22 @@ mod tests {
     }
 
     #[test]
-    fn shard_spans_record_per_shard_histograms() {
+    fn worker_spans_and_metrics_are_recorded() {
         cisgraph_obs::enable();
         let (_, _) = serve_all(3);
         let snap = cisgraph_obs::snapshot();
-        let shard_spans = snap
-            .histograms
-            .keys()
-            .filter(|k| k.starts_with("span.serve.shard."))
-            .count();
-        assert!(
-            shard_spans >= 2,
-            "expected per-shard spans, saw {:?}",
-            snap.histograms.keys().collect::<Vec<_>>()
-        );
+        for i in 0..3 {
+            assert!(
+                snap.histograms
+                    .contains_key(&format!("span.serve.worker.{i}")),
+                "no span for worker {i}, saw {:?}",
+                snap.histograms.keys().collect::<Vec<_>>()
+            );
+            assert!(snap.histograms[&format!("serve.worker.{i}.busy_ns")].count >= 1);
+            assert!(snap
+                .gauges
+                .contains_key(&format!("serve.worker.{i}.groups")));
+        }
         assert!(snap.histograms.contains_key("span.serve.batch"));
     }
 

@@ -68,6 +68,8 @@ pub struct SGraph<A: MonotonicAlgorithm> {
     from: Vec<ConvergedResult<A>>,
     /// `to[i].state(v)` = best measure of `v -> hubs[i]` (solved reversed).
     to: Vec<ConvergedResult<A>>,
+    /// Deletion-repair working memory, reused across hubs and batches.
+    scratch: incremental::RepairScratch,
     last_answer: State,
 }
 
@@ -103,6 +105,7 @@ impl<A: MonotonicAlgorithm> SGraph<A> {
             hubs,
             from,
             to,
+            scratch: incremental::RepairScratch::new(),
             last_answer: A::unreached(),
         }
     }
@@ -142,11 +145,12 @@ impl<A: MonotonicAlgorithm> SGraph<A> {
         let pending = incremental::PendingDeletions::from_batch(deletions.iter().copied());
         let reversed_pending =
             incremental::PendingDeletions::from_batch(reversed_deletions.iter().copied());
+        let scratch = &mut self.scratch;
         for result in &mut self.from {
             result.grow(graph.num_vertices());
             incremental::apply_additions(graph, result, &additions, counters);
             for &del in &deletions {
-                incremental::apply_deletion_with(graph, result, del, &pending, counters);
+                incremental::apply_deletion_with(graph, result, del, &pending, scratch, counters);
             }
         }
         for result in &mut self.to {
@@ -158,6 +162,7 @@ impl<A: MonotonicAlgorithm> SGraph<A> {
                     result,
                     del,
                     &reversed_pending,
+                    scratch,
                     counters,
                 );
             }

@@ -1,5 +1,5 @@
 //! Property tests for the serving layer: for random graphs, random query
-//! registries, and random deletion splits, the source-sharded
+//! registries, and random deletion splits, the work-claiming
 //! [`QueryServer`] must answer exactly like sequential per-query engines —
 //! at every thread count.
 
@@ -57,7 +57,7 @@ fn serve(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Sharded parallel serving equals sequential per-query Cold-Start
+    /// Parallel serving equals sequential per-query Cold-Start
     /// recomputation — the strongest oracle: a from-scratch engine that
     /// shares no incremental machinery with the serving layer.
     #[test]
@@ -91,7 +91,7 @@ proptest! {
     }
 
     /// Every thread count yields byte-identical answers and identical
-    /// functional work to the unsharded sequential [`MultiQuery`].
+    /// functional work to the sequential single-worker [`MultiQuery`].
     #[test]
     fn thread_count_never_changes_answers_or_work(
         seed in 0..1_000u64,

@@ -64,10 +64,10 @@
 //!
 //! # Serving many standing queries
 //!
-//! A [`QueryServer`](engines::QueryServer) owns the graph, shards a
+//! A [`QueryServer`](engines::QueryServer) owns the graph, groups a
 //! registry of standing queries by source vertex, and fans each batch
-//! across worker threads — with bit-identical answers at every thread
-//! count:
+//! over worker threads that claim source groups one at a time — with
+//! bit-identical answers at every thread count:
 //!
 //! ```
 //! use cisgraph::prelude::*;
