@@ -1,6 +1,6 @@
 //! Immutable Compressed Sparse Row storage.
 
-use crate::{Edge, GraphError, GraphView};
+use crate::{Edge, GraphView};
 use cisgraph_types::{VertexId, Weight};
 use serde::{Deserialize, Serialize};
 
@@ -118,40 +118,6 @@ impl Csr {
         self.edges.len()
     }
 
-    /// Reassembles a CSR from raw buffers previously obtained via
-    /// [`Csr::offsets`] / [`Csr::edges`] (the checkpoint deserialization
-    /// path), validating the structural invariants.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GraphError::Parse`] if `offsets` is empty or
-    /// non-monotonic, its final entry disagrees with `edges.len()`, or an
-    /// edge targets a vertex outside `0..offsets.len() - 1`.
-    pub fn from_raw_parts(offsets: Vec<u64>, edges: Vec<Edge>) -> Result<Self, GraphError> {
-        let parse = |message: String| GraphError::Parse { line: 0, message };
-        if offsets.is_empty() {
-            return Err(parse("csr offsets array is empty".into()));
-        }
-        let n = offsets.len() - 1;
-        if offsets[0] != 0 {
-            return Err(parse(format!("csr offsets start at {}, not 0", offsets[0])));
-        }
-        if let Some(v) = (0..n).find(|&v| offsets[v] > offsets[v + 1]) {
-            return Err(parse(format!("csr offsets decrease at vertex {v}")));
-        }
-        if offsets[n] != edges.len() as u64 {
-            return Err(parse(format!(
-                "csr offsets end at {} but {} edges were supplied",
-                offsets[n],
-                edges.len()
-            )));
-        }
-        if let Some(e) = edges.iter().find(|e| e.to().index() >= n) {
-            return Err(parse(format!("csr edge targets vertex {} of {n}", e.to())));
-        }
-        Ok(Self { offsets, edges })
-    }
-
     /// Builds the transpose CSR (in-edges become out-edges): count
     /// in-degrees, prefix-sum, then scatter every edge in encounter order,
     /// so each transpose row lists sources ascending and parallel edges in
@@ -211,11 +177,6 @@ impl Snapshot {
     pub fn from_forward(forward: Csr) -> Self {
         let reverse = forward.transpose();
         Self { forward, reverse }
-    }
-
-    /// Consumes the snapshot, handing back `(forward, reverse)` CSRs.
-    pub fn into_parts(self) -> (Csr, Csr) {
-        (self.forward, self.reverse)
     }
 
     /// The forward (out-edge) CSR.

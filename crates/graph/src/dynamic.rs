@@ -149,7 +149,7 @@ impl DynamicGraph {
 
     /// Starts tracking which rows' out-adjacency changes. Idempotent: a
     /// repeated call never clears rows already recorded. Only **source**
-    /// vertices are tracked — checkpoints serialize the forward CSR only,
+    /// vertices are tracked — checkpoints store out-adjacency rows only,
     /// so the reverse side is derived state.
     ///
     /// Rows are marked as updates apply, so a batch that
@@ -495,7 +495,7 @@ impl DynamicGraph {
     /// `graph.snapshot_build_ns` histogram.
     pub fn snapshot(&self) -> Snapshot {
         let start = cisgraph_obs::enabled().then(Instant::now);
-        let snap = Snapshot::from_forward(self.forward_csr());
+        let snap = Snapshot::from_forward(Csr::from_adjacency(&self.out));
         if let Some(start) = start {
             cisgraph_obs::histogram("graph.snapshot_build_ns")
                 .record(start.elapsed().as_nanos() as u64);
@@ -503,25 +503,26 @@ impl DynamicGraph {
         snap
     }
 
-    /// The forward CSR alone (the rows [`DynamicGraph::snapshot`] starts
-    /// from, without the transpose), which is all a checkpoint stores.
-    pub fn forward_csr(&self) -> Csr {
-        Csr::from_adjacency(&self.out)
-    }
-
-    /// Rebuilds a dynamic graph from a forward CSR (the checkpoint
-    /// recovery path): rows are inserted in ascending vertex order, so
-    /// every **out**-adjacency list reproduces the snapshotted order
-    /// exactly — which is all replay determinism needs, because deletion
-    /// resolution ([`DynamicGraph::remove_edge`]) picks its victim from the
-    /// out-list and future snapshots derive the reverse CSR from the
-    /// forward one. In-lists are multiset-equal but normalized to
+    /// Rebuilds a dynamic graph from its out-adjacency rows, one per vertex
+    /// (the checkpoint recovery path): rows are inserted in ascending
+    /// vertex order, so every **out**-adjacency list reproduces the
+    /// checkpointed order exactly — which is all replay determinism needs,
+    /// because deletion resolution ([`DynamicGraph::remove_edge`]) picks its
+    /// victim from the out-list and future snapshots derive the reverse CSR
+    /// from the forward one. In-lists are multiset-equal but normalized to
     /// ascending-source order.
-    pub fn from_forward_csr(forward: &Csr, threshold: usize) -> Self {
-        let mut g = Self::with_promotion_threshold(forward.num_vertices(), threshold);
-        for u in 0..forward.num_vertices() {
+    ///
+    /// # Panics
+    ///
+    /// Panics if an edge targets a vertex outside `0..rows.len()`.
+    pub fn from_rows<'a>(
+        rows: impl ExactSizeIterator<Item = &'a [Edge]>,
+        threshold: usize,
+    ) -> Self {
+        let mut g = Self::with_promotion_threshold(rows.len(), threshold);
+        for (u, row) in rows.enumerate() {
             let src = VertexId::from_index(u);
-            for e in forward.neighbors(src) {
+            for e in row {
                 g.insert_edge_unchecked(src, e.to(), e.weight());
             }
         }

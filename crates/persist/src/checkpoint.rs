@@ -1,37 +1,45 @@
-//! CSR checkpoints: the "load this, then replay the WAL tail" half of
+//! Row-set checkpoints: the "load this, then replay the WAL tail" half of
 //! recovery.
 //!
-//! A checkpoint file (`ckpt-{next_seq:016x}.ckpt`) stores the **forward
-//! CSR** of a materialized snapshot plus the WAL position it covers:
+//! A checkpoint file stores the out-adjacency of a set of rows plus the
+//! WAL position it covers. A **base** (`ckpt-{next_seq:016x}.ckpt`) has no
+//! parent and lists every non-empty row; a **delta**
+//! (`ckpt-{next_seq:016x}.dckpt`) names the checkpoint it extends and lists
+//! only the rows that changed since. In both, a row the file does not list
+//! is inherited from the parent, or empty when there is none — so a base
+//! is just the delta of every row from an empty graph, and one codec reads
+//! both:
 //!
 //! ```text
-//! +--------+---------+----------+-----------+-------+-------+
-//! | magic  | version | next_seq | threshold | n     | m     |
-//! | "CCKP" | u32 LE  | u64 LE   | u64 LE    | u64   | u64   |
-//! +--------+---------+----------+-----------+-------+-------+
-//! | offsets: (n+1) x u64 LE                                 |
-//! | edges:   m x (dst u32 LE , weight f64 LE)               |
-//! +---------------------------------------------------------+
-//! | crc: u32 LE over every byte above                       |
-//! +---------------------------------------------------------+
+//! +--------+---------+----------+------------+--------+-----------+----------+-----------+
+//! | magic  | version | next_seq | has_parent | parent | threshold | num_rows | row_count |
+//! | "CCKP" | u32 = 2 | u64      | u32 (0|1)  | u64    | u64       | u64      | u64       |
+//! +--------+---------+----------+------------+--------+-----------+----------+-----------+
+//! | row_count x (row u32 | len u32 | len x (dst u32 , weight f64)), rows ascending      |
+//! +--------------------------------------------------------------------------------------+
+//! | crc: u32 LE over every byte above                                                    |
+//! +--------------------------------------------------------------------------------------+
 //! ```
 //!
-//! Only the forward CSR is stored: the reverse CSR is a pure function of
-//! it ([`Snapshot::from_forward`](cisgraph_graph::Snapshot::from_forward)),
-//! and rebuilding the dynamic graph row-by-row in ascending vertex order
-//! ([`DynamicGraph::from_forward_csr`]) reproduces every out-adjacency
-//! list — which is all replay determinism requires.
+//! Every integer is little-endian. `num_rows` is the vertex count at
+//! capture time: vertex growth alone (new isolated rows) changes no row,
+//! yet the recovered graph must have the grown vertex set. Only the forward
+//! adjacency is stored: rebuilding the dynamic graph row by row in
+//! ascending vertex order ([`DynamicGraph::from_rows`]) reproduces every
+//! out-adjacency list, which is all replay determinism requires.
 //!
-//! Writes are atomic: the bytes go to a `.tmp` sibling, are fsynced, and
-//! only then renamed into place, so a crash mid-checkpoint leaves at worst
-//! a stale temp file that recovery ignores.
+//! Writes are atomic (temp file, fsync, rename), so a crash mid-checkpoint
+//! leaves at worst a stale temp file that listing ignores.
 
-use std::fs;
+use std::fs::{self, File};
+use std::io::Read;
 use std::path::{Path, PathBuf};
+use std::sync::OnceLock;
 use std::time::Instant;
 
 use bytes::{Buf, BufMut, BytesMut};
-use cisgraph_graph::{Csr, DynamicGraph, Edge};
+use cisgraph_graph::{DynamicGraph, Edge, GraphView};
+use cisgraph_obs::{Counter, Histogram};
 use cisgraph_types::{VertexId, Weight};
 
 use crate::crc::crc32;
@@ -41,166 +49,359 @@ use crate::Result;
 /// Checkpoint magic: the bytes `CCKP` read as a little-endian `u32`.
 pub const CHECKPOINT_MAGIC: u32 = u32::from_le_bytes(*b"CCKP");
 
-/// Current checkpoint format version.
-pub const CHECKPOINT_VERSION: u32 = 1;
+/// Current checkpoint format version. Version 1 kept separate full-CSR and
+/// changed-row formats; those files read as corrupt now.
+pub const CHECKPOINT_VERSION: u32 = 2;
 
-const FIXED_HEADER_BYTES: usize = 4 + 4 + 8 + 8 + 8 + 8;
+const HEADER_BYTES: usize = 4 + 4 + 8 + 4 + 8 + 8 + 8 + 8;
 
-pub(crate) fn file_name(next_seq: u64) -> String {
-    format!("ckpt-{next_seq:016x}.ckpt")
+/// Row ids are `u32`, so no graph has more rows than this.
+const MAX_ROWS: u64 = 1 << 32;
+
+/// Encoded size of `rows` rows holding `edges` edges in all: a row costs
+/// its id and length, an edge its destination and weight.
+pub(crate) fn row_bytes(rows: usize, edges: usize) -> usize {
+    8 * rows + 12 * edges
 }
 
-pub(crate) fn parse_file_name(name: &str) -> Option<u64> {
-    let hex = name.strip_prefix("ckpt-")?.strip_suffix(".ckpt")?;
+/// [`row_bytes`] of a base capture of `graph`: every non-empty row.
+pub(crate) fn base_row_bytes(graph: &DynamicGraph) -> usize {
+    let rows = (0..graph.num_vertices())
+        .filter(|&v| !graph.out_edges(VertexId::from_index(v)).is_empty())
+        .count();
+    row_bytes(rows, graph.num_edges())
+}
+
+/// Checkpoint metric handles, resolved on first use.
+pub(crate) struct CkptObs {
+    full_count: &'static Counter,
+    full_bytes: &'static Counter,
+    delta_count: &'static Counter,
+    delta_bytes: &'static Counter,
+    delta_rows: &'static Counter,
+    write_ns: &'static Histogram,
+    pub(crate) capture_ns: &'static Histogram,
+}
+
+pub(crate) fn obs() -> &'static CkptObs {
+    static OBS: OnceLock<CkptObs> = OnceLock::new();
+    OBS.get_or_init(|| CkptObs {
+        full_count: cisgraph_obs::counter("persist.ckpt.full.count"),
+        full_bytes: cisgraph_obs::counter("persist.ckpt.full.bytes"),
+        delta_count: cisgraph_obs::counter("persist.ckpt.delta.count"),
+        delta_bytes: cisgraph_obs::counter("persist.ckpt.delta.bytes"),
+        delta_rows: cisgraph_obs::counter("persist.ckpt.delta.rows"),
+        write_ns: cisgraph_obs::histogram("persist.ckpt.write_ns"),
+        capture_ns: cisgraph_obs::histogram("persist.ckpt.capture_ns"),
+    })
+}
+
+fn file_name(next_seq: u64, has_parent: bool) -> String {
+    let suffix = if has_parent { "dckpt" } else { "ckpt" };
+    format!("ckpt-{next_seq:016x}.{suffix}")
+}
+
+/// `(next_seq, has_parent)` encoded in a checkpoint file name.
+fn parse_file_name(name: &str) -> Option<(u64, bool)> {
+    let rest = name.strip_prefix("ckpt-")?;
+    let (hex, has_parent) = match rest.strip_suffix(".dckpt") {
+        Some(hex) => (hex, true),
+        None => (rest.strip_suffix(".ckpt")?, false),
+    };
     if hex.len() != 16 {
         return None;
     }
-    u64::from_str_radix(hex, 16).ok()
+    Some((u64::from_str_radix(hex, 16).ok()?, has_parent))
 }
 
-/// All **full** checkpoints in `dir` as `(next_seq, path)`, ascending by
-/// the WAL position they cover. Delta checkpoints (see [`crate::delta`])
-/// live in `.dckpt` siblings and are listed by [`list_all`].
-pub fn list(dir: &Path) -> Result<Vec<(u64, PathBuf)>> {
-    let mut checkpoints = Vec::new();
-    for entry in fs::read_dir(dir)? {
-        let entry = entry?;
-        if let Some(next_seq) = entry.file_name().to_str().and_then(parse_file_name) {
-            checkpoints.push((next_seq, entry.path()));
+/// Rows of a forward adjacency in one flat copy: `rows` holds each row's
+/// id and length, ascending by id; `edges` holds the rows' edges back to
+/// back in the same order.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct RowSet {
+    rows: Vec<(u32, u32)>,
+    edges: Vec<Edge>,
+}
+
+impl RowSet {
+    fn push(&mut self, row: u32, edges: &[Edge]) {
+        let len = u32::try_from(edges.len()).expect("adjacency positions are u32");
+        self.rows.push((row, len));
+        self.edges.extend_from_slice(edges);
+    }
+
+    /// How many rows the set lists.
+    pub(crate) fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// `(row, out-adjacency)` pairs, ascending by row.
+    pub fn iter(&self) -> impl Iterator<Item = (u32, &[Edge])> + '_ {
+        let mut rest = &self.edges[..];
+        self.rows.iter().map(move |&(row, len)| {
+            let (edges, tail) = rest.split_at(len as usize);
+            rest = tail;
+            (row, edges)
+        })
+    }
+
+    /// Bytes the rows take in a checkpoint file.
+    pub(crate) fn encoded_len(&self) -> usize {
+        row_bytes(self.rows.len(), self.edges.len())
+    }
+}
+
+/// The header fields of a checkpoint, as [`read_header`] returns them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Header {
+    /// The WAL position the checkpoint covers.
+    pub next_seq: u64,
+    /// The `next_seq` of the checkpoint this one extends; `None` for a base.
+    pub parent: Option<u64>,
+    /// Promotion threshold of the graph at capture time.
+    pub threshold: u64,
+    /// Vertex count at capture time.
+    pub num_rows: u64,
+}
+
+/// One checkpoint: its header and the rows it lists.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Checkpoint {
+    /// Position, parent and graph shape.
+    pub header: Header,
+    /// The listed rows, ascending.
+    pub rows: RowSet,
+}
+
+impl Checkpoint {
+    /// Copies rows out of the live adjacency. With no parent this is a base
+    /// holding every non-empty row; with `Some((parent_seq, dirty))` it is a
+    /// delta holding the rows in `dirty`, which must be sorted ascending
+    /// (the contract of [`DynamicGraph::take_dirty_rows`]).
+    pub fn capture(graph: &DynamicGraph, next_seq: u64, parent: Option<(u64, &[u32])>) -> Self {
+        let n = graph.num_vertices();
+        let mut rows = RowSet::default();
+        match parent {
+            None => {
+                rows.edges.reserve(graph.num_edges());
+                for v in 0..n {
+                    let edges = graph.out_edges(VertexId::from_index(v));
+                    if !edges.is_empty() {
+                        rows.push(v as u32, edges);
+                    }
+                }
+            }
+            Some((_, dirty)) => {
+                for &row in dirty.iter().filter(|&&row| (row as usize) < n) {
+                    rows.push(row, graph.out_edges(VertexId::new(row)));
+                }
+            }
+        }
+        Self {
+            header: Header {
+                next_seq,
+                parent: parent.map(|(seq, _)| seq),
+                threshold: graph.promotion_threshold() as u64,
+                num_rows: n as u64,
+            },
+            rows,
         }
     }
-    checkpoints.sort_unstable_by_key(|(seq, _)| *seq);
-    Ok(checkpoints)
 }
 
-/// The kind of a checkpoint file on disk.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CkptKind {
-    /// A full forward-CSR serialization (`.ckpt`).
-    Full,
-    /// Changed rows relative to a parent checkpoint (`.dckpt`).
-    Delta,
-}
-
-/// One checkpoint file (full or delta) found on disk.
+/// One checkpoint file found on disk.
 #[derive(Debug, Clone)]
 pub struct CheckpointEntry {
     /// The WAL position the checkpoint covers.
     pub next_seq: u64,
-    /// Full or delta.
-    pub kind: CkptKind,
+    /// Whether the file is a delta (`.dckpt`), which names a parent.
+    pub has_parent: bool,
     /// The file's path.
     pub path: PathBuf,
 }
 
-/// Every checkpoint in `dir` — full and delta — ascending by covered WAL
-/// position. At equal `next_seq` the full checkpoint sorts **after** the
-/// delta, so a newest-first scan prefers the self-contained file.
+/// Every checkpoint in `dir`, ascending by covered WAL position. At equal
+/// `next_seq` the base sorts **after** the delta, so a newest-first scan
+/// prefers the self-contained file.
 pub fn list_all(dir: &Path) -> Result<Vec<CheckpointEntry>> {
     let mut entries = Vec::new();
     for entry in fs::read_dir(dir)? {
         let entry = entry?;
         let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        if let Some(next_seq) = parse_file_name(name) {
+        if let Some((next_seq, has_parent)) = name.to_str().and_then(parse_file_name) {
             entries.push(CheckpointEntry {
                 next_seq,
-                kind: CkptKind::Full,
-                path: entry.path(),
-            });
-        } else if let Some(next_seq) = crate::delta::parse_file_name(name) {
-            entries.push(CheckpointEntry {
-                next_seq,
-                kind: CkptKind::Delta,
+                has_parent,
                 path: entry.path(),
             });
         }
     }
-    entries.sort_by_key(|e| (e.next_seq, e.kind == CkptKind::Full));
+    entries.sort_by_key(|e| (e.next_seq, !e.has_parent));
     Ok(entries)
 }
 
-/// Serializes `graph`'s current topology as the checkpoint covering every
-/// update with sequence number below `next_seq`, atomically (temp file +
-/// rename). Returns the checkpoint's final path.
-pub fn write(dir: &Path, next_seq: u64, graph: &DynamicGraph) -> Result<PathBuf> {
-    write_snapshot(
-        dir,
-        next_seq,
-        graph.promotion_threshold() as u64,
-        &graph.forward_csr(),
-    )
+/// The entry `entry`'s header names as its parent, preferring a base when
+/// a base and a delta cover the same position; `None` for a base. Reads
+/// only the header.
+///
+/// # Errors
+///
+/// [`PersistError::Corrupt`] if the header is unreadable or the parent is
+/// missing. The walk always ends: a parent never covers a later position
+/// than its child, and at equal positions only a delta can name a base.
+pub fn parent_of<'a>(
+    entries: &'a [CheckpointEntry],
+    entry: &CheckpointEntry,
+) -> Result<Option<&'a CheckpointEntry>> {
+    let Some(parent_seq) = read_header(&entry.path)?.parent else {
+        return Ok(None);
+    };
+    entries
+        .iter()
+        .rev()
+        .find(|e| e.next_seq == parent_seq && e.path != entry.path)
+        .map(Some)
+        .ok_or_else(|| {
+            PersistError::corrupt(
+                &entry.path,
+                0,
+                format!("parent checkpoint covering seq {parent_seq} is missing"),
+            )
+        })
 }
 
-/// Like [`write()`], but from an already-materialized forward CSR — the form
-/// the background checkpointer uses after the ingest thread has built it.
-pub fn write_snapshot(dir: &Path, next_seq: u64, threshold: u64, forward: &Csr) -> Result<PathBuf> {
+/// Serializes `ckpt` into `dir` atomically (temp file + rename), as a base
+/// or a delta by whether it has a parent. Returns the final path.
+///
+/// An empty delta is valid and still worth writing: it advances the
+/// chain's covered WAL position, letting covered segments be pruned.
+pub fn write(dir: &Path, ckpt: &Checkpoint) -> Result<PathBuf> {
     let obs_on = cisgraph_obs::enabled();
     let start = obs_on.then(Instant::now);
     fs::create_dir_all(dir)?;
 
-    let n = forward.num_vertices();
-    let m = forward.num_edges();
-    let mut buf = BytesMut::with_capacity(FIXED_HEADER_BYTES + (n + 1) * 8 + m * 12 + 4);
+    let h = &ckpt.header;
+    let mut buf = BytesMut::with_capacity(HEADER_BYTES + ckpt.rows.encoded_len() + 4);
     buf.put_u32_le(CHECKPOINT_MAGIC);
     buf.put_u32_le(CHECKPOINT_VERSION);
-    buf.put_u64_le(next_seq);
-    buf.put_u64_le(threshold);
-    buf.put_u64_le(n as u64);
-    buf.put_u64_le(m as u64);
-    for &offset in forward.offsets() {
-        buf.put_u64_le(offset);
-    }
-    for e in forward.edges() {
-        buf.put_u32_le(e.to().raw());
-        buf.put_f64_le(e.weight().get());
+    buf.put_u64_le(h.next_seq);
+    buf.put_u32_le(u32::from(h.parent.is_some()));
+    buf.put_u64_le(h.parent.unwrap_or(0));
+    buf.put_u64_le(h.threshold);
+    buf.put_u64_le(h.num_rows);
+    buf.put_u64_le(ckpt.rows.len() as u64);
+    for (row, edges) in ckpt.rows.iter() {
+        buf.put_u32_le(row);
+        buf.put_u32_le(edges.len() as u32);
+        for e in edges {
+            buf.put_u32_le(e.to().raw());
+            buf.put_f64_le(e.weight().get());
+        }
     }
     buf.put_u32_le(crc32(&buf));
 
-    let path = dir.join(file_name(next_seq));
+    let path = dir.join(file_name(h.next_seq, h.parent.is_some()));
     crate::atomic_write(dir, &path, &buf)?;
 
-    if obs_on {
-        cisgraph_obs::counter("persist.ckpt.full.count").inc();
-        cisgraph_obs::counter("persist.ckpt.full.bytes").add(buf.len() as u64);
-        if let Some(start) = start {
-            cisgraph_obs::histogram("persist.ckpt.write_ns")
-                .record(start.elapsed().as_nanos() as u64);
+    if let Some(start) = start {
+        let obs = obs();
+        if h.parent.is_some() {
+            obs.delta_count.inc();
+            obs.delta_bytes.add(buf.len() as u64);
+            obs.delta_rows.add(ckpt.rows.len() as u64);
+        } else {
+            obs.full_count.inc();
+            obs.full_bytes.add(buf.len() as u64);
         }
+        obs.write_ns.record(start.elapsed().as_nanos() as u64);
     }
     Ok(path)
 }
 
-/// Loads and validates one checkpoint file, returning the WAL position it
-/// covers and the rebuilt graph.
+/// Parses and checks a header (`head` holds at least [`HEADER_BYTES`]),
+/// returning it with the row count it announces. The file name must agree
+/// with the header on position and kind.
+fn parse_header(path: &Path, mut head: &[u8]) -> Result<(Header, u64)> {
+    let corrupt = |offset: u64, reason: String| PersistError::corrupt(path, offset, reason);
+    let magic = head.get_u32_le();
+    if magic != CHECKPOINT_MAGIC {
+        return Err(corrupt(0, format!("bad checkpoint magic {magic:#010x}")));
+    }
+    let version = head.get_u32_le();
+    if version != CHECKPOINT_VERSION {
+        return Err(corrupt(
+            4,
+            format!("unsupported checkpoint version {version}"),
+        ));
+    }
+    let next_seq = head.get_u64_le();
+    let parent = match (head.get_u32_le(), head.get_u64_le()) {
+        (0, 0) => None,
+        (1, seq) if seq <= next_seq => Some(seq),
+        (tag, seq) => {
+            return Err(corrupt(
+                16,
+                format!("bad parent (tag {tag}, seq {seq}) for position {next_seq}"),
+            ))
+        }
+    };
+    let named = path
+        .file_name()
+        .and_then(|n| n.to_str())
+        .and_then(parse_file_name);
+    if named != Some((next_seq, parent.is_some())) {
+        return Err(corrupt(
+            8,
+            format!("header (seq {next_seq}, parent {parent:?}) disagrees with the file name"),
+        ));
+    }
+    let threshold = head.get_u64_le();
+    let num_rows = head.get_u64_le();
+    let row_count = head.get_u64_le();
+    if num_rows > MAX_ROWS || row_count > num_rows {
+        return Err(corrupt(
+            36,
+            format!("{row_count} rows of {num_rows} exceed the u32 row space"),
+        ));
+    }
+    let header = Header {
+        next_seq,
+        parent,
+        threshold,
+        num_rows,
+    };
+    Ok((header, row_count))
+}
+
+/// Reads and checks only a checkpoint's header. The ancestry walk uses
+/// this to follow parent links without reading row payloads; the CRC is
+/// not checked, so [`read`] still validates every file a chain loads.
+pub fn read_header(path: &Path) -> Result<Header> {
+    let mut head = [0u8; HEADER_BYTES];
+    File::open(path)?
+        .read_exact(&mut head)
+        .map_err(|_| PersistError::corrupt(path, 0, "checkpoint header truncated"))?;
+    Ok(parse_header(path, &head)?.0)
+}
+
+/// Loads and validates one checkpoint file.
+///
+/// Every size field is checked against the bytes that remain before it
+/// bounds an allocation or a loop, so a CRC-valid file with absurd sizes
+/// is rejected, not trusted.
 ///
 /// # Errors
 ///
 /// Returns [`PersistError::Corrupt`] if the file fails any structural or
-/// CRC validation. Recovery treats that as "fall back to the previous
-/// checkpoint", not as fatal.
-pub fn load(path: &Path) -> Result<(u64, DynamicGraph)> {
-    let (next_seq, threshold, forward) = load_forward(path)?;
-    let threshold = usize::try_from(threshold).unwrap_or(usize::MAX);
-    Ok((
-        next_seq,
-        DynamicGraph::from_forward_csr(&forward, threshold),
-    ))
-}
-
-/// Loads and validates one checkpoint file without rebuilding adjacency:
-/// returns `(next_seq, threshold, forward CSR)`. Chain recovery uses this
-/// form so delta rows can be overlaid before the one final rebuild.
-///
-/// # Errors
-///
-/// Same as [`load`].
-pub fn load_forward(path: &Path) -> Result<(u64, u64, Csr)> {
+/// CRC validation. Recovery treats that as "fall back to an older chain",
+/// not as fatal.
+pub fn read(path: &Path) -> Result<Checkpoint> {
     let bytes = fs::read(path)?;
-    let corrupt = |offset: u64, reason: String| PersistError::corrupt(path, offset, reason);
-    if bytes.len() < FIXED_HEADER_BYTES + 8 + 4 {
+    let corrupt =
+        |offset: usize, reason: String| PersistError::corrupt(path, offset as u64, reason);
+    if bytes.len() < HEADER_BYTES + 4 {
         return Err(corrupt(
-            bytes.len() as u64,
+            bytes.len(),
             format!("checkpoint truncated at {} bytes", bytes.len()),
         ));
     }
@@ -209,56 +410,76 @@ pub fn load_forward(path: &Path) -> Result<(u64, u64, Csr)> {
     let actual_crc = crc32(&bytes[..body_len]);
     if actual_crc != expect_crc {
         return Err(corrupt(
-            body_len as u64,
+            body_len,
             format!("checkpoint crc {actual_crc:#010x} != recorded {expect_crc:#010x}"),
         ));
     }
+    let (header, row_count) = parse_header(path, &bytes)?;
 
-    let mut cursor = &bytes[..body_len];
-    let magic = cursor.get_u32_le();
-    if magic != CHECKPOINT_MAGIC {
-        return Err(corrupt(0, format!("bad checkpoint magic {magic:#010x}")));
-    }
-    let version = cursor.get_u32_le();
-    if version != CHECKPOINT_VERSION {
+    let mut cursor = &bytes[HEADER_BYTES..body_len];
+    // Each row takes at least 8 bytes, each edge exactly 12: both bounds
+    // come from the file's length, not from its claims.
+    let max_rows = cursor.len() / 8;
+    if row_count > max_rows as u64 {
         return Err(corrupt(
-            4,
-            format!("unsupported checkpoint version {version}"),
+            HEADER_BYTES,
+            format!("{row_count} rows cannot fit in {} bytes", cursor.len()),
         ));
     }
-    let next_seq = cursor.get_u64_le();
-    let threshold = cursor.get_u64_le();
-    let n = cursor.get_u64_le() as usize;
-    let m = cursor.get_u64_le() as usize;
-    let body_need = (n + 1) * 8 + m * 12;
-    if cursor.len() != body_need {
+    let row_count = row_count as usize;
+    let mut rows = RowSet {
+        rows: Vec::with_capacity(row_count),
+        edges: Vec::with_capacity((cursor.len() - 8 * row_count) / 12),
+    };
+    for _ in 0..row_count {
+        let at = body_len - cursor.len();
+        if cursor.len() < 8 {
+            return Err(corrupt(at, "row header truncated".to_string()));
+        }
+        let row = cursor.get_u32_le();
+        let len = cursor.get_u32_le() as usize;
+        let ascending = rows.rows.last().is_none_or(|&(prev, _)| prev < row);
+        if !ascending || u64::from(row) >= header.num_rows {
+            return Err(corrupt(
+                at,
+                format!("row {row} out of order or outside {} rows", header.num_rows),
+            ));
+        }
+        if len.checked_mul(12).is_none_or(|need| need > cursor.len()) {
+            return Err(corrupt(
+                at,
+                format!("row {row} claims {len} edges but the body ends first"),
+            ));
+        }
+        for j in 0..len {
+            let dst = cursor.get_u32_le();
+            match Weight::new(cursor.get_f64_le()) {
+                Ok(w) if u64::from(dst) < header.num_rows => {
+                    rows.edges.push(Edge::new(VertexId::new(dst), w));
+                }
+                weight => {
+                    return Err(corrupt(
+                        at,
+                        format!("row {row} edge {j}: {dst}, {weight:?}"),
+                    ))
+                }
+            }
+        }
+        rows.rows.push((row, len as u32));
+    }
+    if !cursor.is_empty() {
         return Err(corrupt(
-            FIXED_HEADER_BYTES as u64,
-            format!(
-                "checkpoint body is {} bytes, expected {body_need} for n={n} m={m}",
-                cursor.len()
-            ),
+            body_len - cursor.len(),
+            format!("{} trailing bytes after the last row", cursor.len()),
         ));
     }
-    let mut offsets = Vec::with_capacity(n + 1);
-    for _ in 0..=n {
-        offsets.push(cursor.get_u64_le());
-    }
-    let mut edges = Vec::with_capacity(m);
-    for i in 0..m {
-        let dst = VertexId::new(cursor.get_u32_le());
-        let weight = Weight::new(cursor.get_f64_le())
-            .map_err(|e| corrupt(FIXED_HEADER_BYTES as u64, format!("edge {i}: {e}")))?;
-        edges.push(Edge::new(dst, weight));
-    }
-    let forward = Csr::from_raw_parts(offsets, edges)
-        .map_err(|e| corrupt(FIXED_HEADER_BYTES as u64, e.to_string()))?;
-    Ok((next_seq, threshold, forward))
+    Ok(Checkpoint { header, rows })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{recover, snapshot_digest};
     use cisgraph_types::EdgeUpdate;
 
     fn tmpdir(tag: &str) -> PathBuf {
@@ -268,12 +489,16 @@ mod tests {
         dir
     }
 
+    /// Twelve vertices with edges among the first eight only, so the top
+    /// four are isolated and only `num_rows` records them. Rows 0..5 hold
+    /// promoted lists (threshold 3) and are marked dirty.
     fn sample_graph() -> DynamicGraph {
-        let mut g = DynamicGraph::with_promotion_threshold(8, 3);
+        let mut g = DynamicGraph::with_promotion_threshold(12, 3);
+        g.enable_dirty_rows();
         let batch: Vec<EdgeUpdate> = (0..20u32)
             .map(|i| {
                 EdgeUpdate::insert(
-                    VertexId::new(i % 8),
+                    VertexId::new(i % 5),
                     VertexId::new((i * 3 + 1) % 8),
                     Weight::new(f64::from(i + 1)).unwrap(),
                 )
@@ -285,70 +510,174 @@ mod tests {
         g
     }
 
-    #[test]
-    fn write_then_load_round_trips_the_snapshot() {
-        let dir = tmpdir("roundtrip");
-        let g = sample_graph();
-        let path = write(&dir, 42, &g).unwrap();
-        assert_eq!(
-            path.file_name().unwrap().to_str(),
-            Some("ckpt-000000000000002a.ckpt")
-        );
-        let (next_seq, loaded) = load(&path).unwrap();
-        assert_eq!(next_seq, 42);
-        assert_eq!(loaded.snapshot(), g.snapshot());
-        assert_eq!(loaded.promotion_threshold(), g.promotion_threshold());
-        fs::remove_dir_all(&dir).unwrap();
+    /// The table every codec test runs over: a base, a delta, and an empty
+    /// delta of the sample graph, each written to `dir`.
+    fn fixtures(dir: &Path) -> Vec<(Checkpoint, PathBuf)> {
+        let mut g = sample_graph();
+        let dirty = g.take_dirty_rows().unwrap();
+        assert_eq!(dirty, vec![0, 1, 2, 3, 4]);
+        [
+            Checkpoint::capture(&g, 42, None),
+            Checkpoint::capture(&g, 9, Some((4, &dirty))),
+            Checkpoint::capture(&g, 5, Some((3, &[]))),
+        ]
+        .into_iter()
+        .map(|ckpt| {
+            let path = write(dir, &ckpt).unwrap();
+            (ckpt, path)
+        })
+        .collect()
+    }
+
+    /// Overwrites `bytes` at `offset` and re-seals the CRC, so only the
+    /// structural checks can catch the change.
+    fn patch(path: &Path, offset: usize, bytes: &[u8]) {
+        let mut file = fs::read(path).unwrap();
+        file[offset..offset + bytes.len()].copy_from_slice(bytes);
+        let body = file.len() - 4;
+        let crc = crc32(&file[..body]);
+        file[body..].copy_from_slice(&crc.to_le_bytes());
+        fs::write(path, file).unwrap();
+    }
+
+    fn is_corrupt<T: std::fmt::Debug>(result: Result<T>) -> bool {
+        matches!(result, Err(PersistError::Corrupt { .. }))
     }
 
     #[test]
-    fn list_sorts_by_covered_position() {
-        let dir = tmpdir("list");
-        let g = DynamicGraph::new(2);
-        write(&dir, 30, &g).unwrap();
-        write(&dir, 7, &g).unwrap();
-        // A stray temp file and a WAL segment must both be ignored.
-        fs::write(dir.join("ckpt-0000000000000063.ckpt.tmp"), b"junk").unwrap();
-        fs::write(dir.join("wal-0000000000000000.seg"), b"junk").unwrap();
-        let seqs: Vec<u64> = list(&dir).unwrap().into_iter().map(|(s, _)| s).collect();
-        assert_eq!(seqs, vec![7, 30]);
+    fn write_then_read_round_trips() {
+        let dir = tmpdir("roundtrip");
+        let names = [
+            "ckpt-000000000000002a.ckpt",
+            "ckpt-0000000000000009.dckpt",
+            "ckpt-0000000000000005.dckpt",
+        ];
+        let fx = fixtures(&dir);
+        for ((ckpt, path), name) in fx.iter().zip(names) {
+            assert_eq!(path.file_name().unwrap().to_str(), Some(name));
+            assert_eq!(read(path).unwrap(), *ckpt, "{name}");
+            assert_eq!(read_header(path).unwrap(), ckpt.header, "{name}");
+            assert_eq!(ckpt.header.num_rows, 12);
+            assert_eq!(ckpt.header.threshold, 3);
+        }
+        // The base lists the five non-empty rows; the delta the five dirty
+        // ones; the empty delta nothing.
+        let listed: Vec<usize> = fx.iter().map(|(c, _)| c.rows.len()).collect();
+        assert_eq!(listed, [5, 5, 0]);
+        // The base is the newest checkpoint, and alone rebuilds the graph,
+        // isolated top vertices included.
+        let r = recover(&dir, DynamicGraph::default).unwrap();
+        assert_eq!(r.next_seq, 42);
+        assert_eq!(r.graph.num_vertices(), 12);
+        assert_eq!(r.graph.promotion_threshold(), 3);
+        assert_eq!(
+            snapshot_digest(&r.graph.snapshot()),
+            snapshot_digest(&sample_graph().snapshot())
+        );
         fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn every_single_byte_flip_is_detected() {
         let dir = tmpdir("bitflip");
-        let path = write(&dir, 3, &sample_graph()).unwrap();
-        let clean = fs::read(&path).unwrap();
-        let mut bytes = clean.clone();
-        // Flipping any byte must fail validation (CRC or structure) — never
-        // silently load a different graph.
-        for pos in 0..bytes.len() {
-            bytes[pos] ^= 0x10;
-            fs::write(&path, &bytes).unwrap();
-            match load(&path) {
-                Err(PersistError::Corrupt { .. }) => {}
-                other => panic!("flip at byte {pos} not caught: {other:?}"),
+        // Flipping any byte must fail validation (CRC or structure) —
+        // never silently load different rows.
+        for (ckpt, path) in fixtures(&dir) {
+            let clean = fs::read(&path).unwrap();
+            let mut bytes = clean.clone();
+            for pos in 0..bytes.len() {
+                bytes[pos] ^= 0x10;
+                fs::write(&path, &bytes).unwrap();
+                assert!(is_corrupt(read(&path)), "flip at byte {pos} of {path:?}");
+                bytes[pos] ^= 0x10;
             }
-            bytes[pos] ^= 0x10;
+            fs::write(&path, &clean).unwrap();
+            assert_eq!(read(&path).unwrap(), ckpt);
         }
-        fs::write(&path, &clean).unwrap();
-        assert!(load(&path).is_ok());
         fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
-    fn truncated_checkpoint_is_corrupt() {
+    fn truncation_is_detected() {
         let dir = tmpdir("trunc");
-        let path = write(&dir, 3, &sample_graph()).unwrap();
-        let bytes = fs::read(&path).unwrap();
-        for cut in [0, 10, bytes.len() / 2, bytes.len() - 1] {
-            fs::write(&path, &bytes[..cut]).unwrap();
-            assert!(
-                matches!(load(&path), Err(PersistError::Corrupt { .. })),
-                "truncation to {cut} bytes not caught"
-            );
+        for (_, path) in fixtures(&dir) {
+            let bytes = fs::read(&path).unwrap();
+            for cut in [0, 8, HEADER_BYTES, bytes.len() / 2, bytes.len() - 1] {
+                fs::write(&path, &bytes[..cut]).unwrap();
+                assert!(is_corrupt(read(&path)), "cut to {cut} bytes of {path:?}");
+            }
         }
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn header_disagreeing_with_file_name_is_corrupt() {
+        let dir = tmpdir("misnamed");
+        let fx = fixtures(&dir);
+        let (base, delta) = (&fx[0].1, &fx[1].1);
+        // Each copy keeps a valid CRC; only the name disagrees: a base
+        // named as a delta, a delta named as a base, another position.
+        for (from, to) in [
+            (base, "ckpt-000000000000002a.dckpt"),
+            (delta, "ckpt-0000000000000009.ckpt"),
+            (base, "ckpt-000000000000002b.ckpt"),
+        ] {
+            let path = dir.join(to);
+            fs::copy(from, &path).unwrap();
+            assert!(is_corrupt(read(&path)), "{to}");
+            assert!(is_corrupt(read_header(&path)), "{to}");
+            fs::remove_file(&path).unwrap();
+        }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn list_all_orders_by_position_and_parent_of_prefers_the_base() {
+        let dir = tmpdir("list");
+        let g = DynamicGraph::new(2);
+        for (seq, parent) in [(30, None), (7, None), (7, Some((7, &[][..])))] {
+            write(&dir, &Checkpoint::capture(&g, seq, parent)).unwrap();
+        }
+        // A stray temp file and a WAL segment must both be ignored.
+        fs::write(dir.join("ckpt-0000000000000063.ckpt.tmp"), b"junk").unwrap();
+        fs::write(dir.join("wal-0000000000000000.seg"), b"junk").unwrap();
+        let entries = list_all(&dir).unwrap();
+        let listed: Vec<_> = entries.iter().map(|e| (e.next_seq, e.has_parent)).collect();
+        assert_eq!(listed, [(7, true), (7, false), (30, false)]);
+        // The idle delta at 7 extends the base at 7, never itself.
+        let parent = parent_of(&entries, &entries[0]).unwrap().unwrap();
+        assert_eq!(parent.path, entries[1].path);
+        assert!(parent_of(&entries, &entries[1]).unwrap().is_none());
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn crafted_size_fields_fall_back_to_the_older_checkpoint() {
+        // CRC-valid files whose size fields lie: each must read as corrupt,
+        // so recovery falls back to the good base beside it.
+        let g = sample_graph();
+        let none: Option<(u64, &[u32])> = None;
+        let cases: [(_, usize, &[u8]); 5] = [
+            // num_rows past the u32 row space, on a base and an empty delta.
+            (none, 36, &(1u64 << 61).to_le_bytes()),
+            (Some((1, &[][..])), 36, &(1u64 << 62).to_le_bytes()),
+            // A delta with fewer rows than its parent.
+            (Some((1, &[][..])), 36, &4u64.to_le_bytes()),
+            // row_count no body can hold.
+            (none, 44, &u64::MAX.to_le_bytes()),
+            // The first row's len runs past the body.
+            (none, HEADER_BYTES + 4, &u32::MAX.to_le_bytes()),
+        ];
+        for (i, (parent, offset, bytes)) in cases.into_iter().enumerate() {
+            let dir = tmpdir(&format!("crafted{i}"));
+            write(&dir, &Checkpoint::capture(&g, 1, None)).unwrap();
+            let path = write(&dir, &Checkpoint::capture(&g, 2, parent)).unwrap();
+            patch(&path, offset, bytes);
+            let r = recover(&dir, DynamicGraph::default).unwrap();
+            assert_eq!(r.stats.corrupt_checkpoints, 1, "case {i}");
+            assert_eq!(r.stats.checkpoint_seq, 1, "case {i}");
+            assert_eq!(r.graph.snapshot(), g.snapshot(), "case {i}");
+            fs::remove_dir_all(&dir).unwrap();
+        }
     }
 }

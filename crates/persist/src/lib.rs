@@ -1,7 +1,7 @@
 //! Durability for the CISGraph streaming-graph engines: a write-ahead log
-//! of update batches plus CSR checkpoints, so a crashed or restarted server
-//! resumes from `latest checkpoint + WAL tail` instead of replaying the
-//! whole stream from the initial load.
+//! of update batches plus row-set checkpoints, so a crashed or restarted
+//! server resumes from `latest checkpoint + WAL tail` instead of replaying
+//! the whole stream from the initial load.
 //!
 //! Three layers cooperate (see `docs/persistence.md` for the format
 //! diagrams and the fsync-policy tradeoffs):
@@ -12,13 +12,15 @@
 //!   frame carrying a monotonically increasing sequence number; a
 //!   group-commit buffer plus a configurable [`FsyncPolicy`] trade
 //!   durability for append throughput.
-//! * [`checkpoint`] — serializes the forward CSR of a
-//!   [`DynamicGraph`](cisgraph_graph::DynamicGraph) snapshot together with
-//!   the WAL replay position, so recovery only replays the frames logged
-//!   *after* the checkpoint.
-//! * [`recover`](recover()) — scans checkpoints and segments, **tolerates and
-//!   truncates** a torn or bit-flipped tail (detected by the per-frame
-//!   CRC), replays the surviving frames, and hands back a graph whose
+//! * [`checkpoint`] — row-set checkpoints: a base lists every non-empty
+//!   out-adjacency row of a [`DynamicGraph`](cisgraph_graph::DynamicGraph),
+//!   a delta only the rows changed since its parent, each with the WAL
+//!   replay position, so recovery only replays the frames logged *after*
+//!   the checkpoint chain.
+//! * [`recover`](recover()) — loads the newest intact checkpoint chain,
+//!   scans segments, **tolerates and truncates** a torn or bit-flipped
+//!   tail (detected by the per-frame CRC), replays the surviving frames,
+//!   and hands back a graph whose
 //!   materialized [`Snapshot`](cisgraph_graph::Snapshot) is byte-identical
 //!   to an uninterrupted run — the crash-recovery property the
 //!   fault-injection tests and `tests/proptest_recovery.rs` pin down.
@@ -71,7 +73,6 @@
 
 pub mod checkpoint;
 mod crc;
-pub mod delta;
 mod error;
 mod frame;
 pub mod recover;

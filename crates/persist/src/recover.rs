@@ -5,11 +5,11 @@
 //! acknowledged batch stream — exactly the prefix that reached stable
 //! storage. Concretely:
 //!
-//! 1. checkpoint **chains** are tried newest-first: a full checkpoint is a
-//!    chain of length one, a delta checkpoint heads the chain `full base ->
-//!    ... -> this delta` (each delta recording only the CSR rows that
-//!    changed, see [`crate::delta`]); a head whose chain has any corrupt or
-//!    missing link is skipped entirely (falling back to an older head),
+//! 1. checkpoint **chains** are tried newest-first: a base checkpoint is a
+//!    chain of length one, a delta heads the chain `base -> ... -> this
+//!    delta` (each delta listing only the rows that changed, see
+//!    [`crate::checkpoint`]); a head whose chain has any corrupt or missing
+//!    link is skipped entirely (falling back to an older head),
 //! 2. segments are scanned in sequence order; frames already covered by
 //!    the chosen chain are skipped,
 //! 3. the first torn or corrupt frame ends the log: the damaged segment is
@@ -22,17 +22,17 @@
 //!    deterministic.
 
 use std::fs::{self, OpenOptions};
+use std::ops::Range;
 use std::path::Path;
 use std::time::Instant;
 
-use cisgraph_graph::{Csr, DynamicGraph, Edge};
-use cisgraph_types::VertexId;
+use cisgraph_graph::{DynamicGraph, Edge};
 
-use crate::checkpoint::{CheckpointEntry, CkptKind};
+use crate::checkpoint::{self, CheckpointEntry};
 use crate::error::PersistError;
 use crate::frame::{FrameDecode, WalFrame};
 use crate::wal::list_segments;
-use crate::{checkpoint, delta, Result};
+use crate::Result;
 
 /// What recovery did, for logs, tests, and the `persist.recover.*` metrics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -44,8 +44,8 @@ pub struct RecoveryStats {
     /// Chain heads that failed validation — a corrupt file or a chain with
     /// a missing/corrupt link — and were skipped.
     pub corrupt_checkpoints: u64,
-    /// Delta checkpoints overlaid onto the full base (0 when recovery
-    /// started from a full checkpoint or the bootstrap graph).
+    /// Delta checkpoints overlaid onto the base (0 when recovery started
+    /// from a base checkpoint or the bootstrap graph).
     pub delta_checkpoints: u64,
     /// Frames already covered by the checkpoint and therefore skipped.
     pub skipped_frames: u64,
@@ -215,85 +215,53 @@ pub fn recover_with(
     })
 }
 
-/// Loads the checkpoint chain headed by `head`: follows delta parent links
-/// (preferring a full checkpoint when one shares the parent's position)
-/// down to a full base, overlays delta rows oldest-first so the newest
-/// write wins per row, and rebuilds the dynamic graph once at the end.
-/// Returns the graph and how many deltas were applied.
+/// Loads the checkpoint chain headed by `head`: follows parent links down
+/// to a base, overlays the files' rows into one per-row table (the newest
+/// file listing a row wins; a row no file lists stays empty), and builds
+/// the graph once. A base alone is a chain of length one. Returns the
+/// graph and how many deltas were overlaid.
 ///
 /// Any corrupt or missing link makes the whole chain unusable — the error
 /// propagates and the caller falls back to an older head.
 fn load_chain(entries: &[CheckpointEntry], head: &CheckpointEntry) -> Result<(DynamicGraph, u64)> {
-    // Walk parent links, accumulating deltas newest-first.
-    let mut deltas = Vec::new();
-    let mut cur = head.clone();
-    let (threshold, base) = loop {
-        match cur.kind {
-            CkptKind::Full => {
-                let (seq, threshold, forward) = checkpoint::load_forward(&cur.path)?;
-                debug_assert_eq!(seq, cur.next_seq);
-                break (threshold, forward);
-            }
-            CkptKind::Delta => {
-                let d = delta::load(&cur.path)?;
-                let parent_seq = d.parent_seq;
-                let self_path = cur.path;
-                deltas.push(d);
-                // `entries` is ascending with fulls after deltas at equal
-                // seq, so a reverse scan prefers the full parent. A delta
-                // must never resolve its own file as its parent
-                // (parent_seq == next_seq after an idle checkpoint).
-                let parent = entries
-                    .iter()
-                    .rev()
-                    .find(|e| e.next_seq == parent_seq && e.path != self_path)
-                    .ok_or_else(|| {
-                        PersistError::corrupt(
-                            &self_path,
-                            0,
-                            format!("delta parent covering seq {parent_seq} is missing"),
-                        )
-                    })?;
-                cur = parent.clone();
+    let mut links = vec![head];
+    while let Some(parent) = checkpoint::parent_of(entries, links[links.len() - 1])? {
+        links.push(parent);
+    }
+    // Newest first: each row is copied once, from the newest file that
+    // lists it, and each file is dropped before the next one is read, so
+    // recovery never holds the whole chain in memory.
+    let mut files = links.iter().map(|entry| checkpoint::read(&entry.path));
+    let newest = files.next().expect("a chain has a head")?;
+    let (num_rows, threshold) = (newest.header.num_rows, newest.header.threshold);
+    let mut table: Vec<Option<Range<usize>>> = vec![None; num_rows as usize];
+    let mut edges: Vec<Edge> = Vec::new();
+    for file in std::iter::once(Ok(newest)).chain(files) {
+        let file = file?;
+        // A graph never loses vertices, so no link can be wider than the head.
+        if file.header.num_rows > num_rows {
+            return Err(PersistError::corrupt(
+                &head.path,
+                0,
+                format!(
+                    "a link lists {} rows, more than the head's {num_rows}",
+                    file.header.num_rows
+                ),
+            ));
+        }
+        for (row, row_edges) in file.rows.iter() {
+            let slot = &mut table[row as usize];
+            if slot.is_none() {
+                *slot = Some(edges.len()..edges.len() + row_edges.len());
+                edges.extend_from_slice(row_edges);
             }
         }
-    };
-
-    if deltas.is_empty() {
-        let threshold = usize::try_from(threshold).unwrap_or(usize::MAX);
-        return Ok((DynamicGraph::from_forward_csr(&base, threshold), 0));
     }
-
-    // The newest delta speaks for the final shape of the graph.
-    let newest = &deltas[0];
-    let num_rows = usize::try_from(newest.num_rows).unwrap_or(usize::MAX);
-    let final_threshold = usize::try_from(newest.threshold).unwrap_or(usize::MAX);
-    let applied = deltas.len() as u64;
-
-    let mut overrides: std::collections::HashMap<u32, Vec<Edge>> = std::collections::HashMap::new();
-    for d in deltas.into_iter().rev() {
-        for r in d.rows {
-            overrides.insert(r.row, r.edges);
-        }
-    }
-
-    let mut offsets = Vec::with_capacity(num_rows + 1);
-    let mut edges: Vec<Edge> = Vec::with_capacity(base.num_edges());
-    offsets.push(0u64);
-    for row in 0..num_rows {
-        let row_edges: &[Edge] = match overrides.get(&(row as u32)) {
-            Some(e) => e,
-            None if row < base.num_vertices() => base.neighbors(VertexId::from_index(row)),
-            None => &[],
-        };
-        edges.extend_from_slice(row_edges);
-        offsets.push(edges.len() as u64);
-    }
-    let forward = Csr::from_raw_parts(offsets, edges)
-        .map_err(|e| PersistError::corrupt(&head.path, 0, e.to_string()))?;
+    let rows = table.into_iter().map(|r| r.map_or(&[][..], |r| &edges[r]));
+    let threshold = usize::try_from(threshold).unwrap_or(usize::MAX);
     Ok((
-        DynamicGraph::from_forward_csr(&forward, final_threshold),
-        applied,
+        DynamicGraph::from_rows(rows, threshold),
+        links.len() as u64 - 1,
     ))
 }
 
@@ -322,6 +290,11 @@ mod tests {
 
     fn bootstrap() -> DynamicGraph {
         DynamicGraph::with_promotion_threshold(8, 4)
+    }
+
+    fn write_base(dir: &Path, next_seq: u64, graph: &DynamicGraph) -> PathBuf {
+        let base = checkpoint::Checkpoint::capture(graph, next_seq, None);
+        checkpoint::write(dir, &base).unwrap()
     }
 
     #[test]
@@ -365,7 +338,7 @@ mod tests {
             expected.apply_batch(&batch).unwrap();
         }
         // Checkpoint covering the first 4 batches, then 2 more batches.
-        checkpoint::write(&dir, 4, &expected).unwrap();
+        write_base(&dir, 4, &expected);
         for b in 4..6u32 {
             let batch: Vec<_> = (0..3).map(|i| upd(b * 3 + i)).collect();
             wal.append(&batch).unwrap();
@@ -470,10 +443,10 @@ mod tests {
         let dir = tmpdir("ckpt_fallback");
         let mut g = bootstrap();
         g.apply_batch(&[upd(1)]).unwrap();
-        checkpoint::write(&dir, 1, &g).unwrap();
+        write_base(&dir, 1, &g);
         let older = g.snapshot();
         g.apply_batch(&[upd(2)]).unwrap();
-        let newest = checkpoint::write(&dir, 2, &g).unwrap();
+        let newest = write_base(&dir, 2, &g);
         // Corrupt the newest checkpoint.
         let mut bytes = fs::read(&newest).unwrap();
         let mid = bytes.len() / 2;
@@ -490,7 +463,7 @@ mod tests {
     #[test]
     fn all_checkpoints_corrupt_is_a_hard_error() {
         let dir = tmpdir("ckpt_dead");
-        let path = checkpoint::write(&dir, 1, &bootstrap()).unwrap();
+        let path = write_base(&dir, 1, &bootstrap());
         fs::write(&path, b"not a checkpoint").unwrap();
         match recover(&dir, bootstrap) {
             Err(PersistError::Corrupt { reason, .. }) => {

@@ -9,22 +9,23 @@ use std::path::{Path, PathBuf};
 use std::str::FromStr;
 use std::sync::mpsc;
 use std::thread;
+use std::time::Instant;
 
 use bytes::BufMut;
-use cisgraph_graph::{Csr, DynamicGraph, Snapshot};
+use cisgraph_graph::{DynamicGraph, Snapshot};
 use cisgraph_types::EdgeUpdate;
 
-use crate::checkpoint::CkptKind;
+use crate::checkpoint::{self, Checkpoint};
 use crate::crc::crc32;
 use crate::error::PersistError;
 use crate::recover::{recover_with, Recovered};
 use crate::wal::{FsyncPolicy, Wal, WalConfig, DEFAULT_SEGMENT_BYTES};
-use crate::{checkpoint, delta, Result};
+use crate::Result;
 
 /// What kind of checkpoints the automatic cadence writes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CheckpointMode {
-    /// Every checkpoint serializes the whole forward CSR.
+    /// Every checkpoint is a base listing every non-empty row.
     #[default]
     Full,
     /// Checkpoints record only rows changed since the parent (with a full
@@ -68,8 +69,8 @@ pub struct PersistConfig {
     /// every checkpoint is full; values are clamped to at least 1.
     pub full_every: u64,
     /// Serialize + fsync + rename on a background worker thread instead of
-    /// the ingest thread. The ingest thread syncs the WAL and captures the
-    /// payload before handing off — the forward CSR for a full checkpoint,
+    /// the ingest thread. The ingest thread syncs the WAL and copies the
+    /// rows before handing off — every non-empty row for a full checkpoint,
     /// just the changed rows for a delta — and completions are drained by
     /// the next [`DurableStore::maybe_checkpoint`] call. At most one checkpoint is
     /// in flight — while one is, the cadence simply re-fires on a later
@@ -95,27 +96,6 @@ impl PersistConfig {
     }
 }
 
-/// What gets written: decided (and fully materialized) on the ingest
-/// thread, executed wherever. A full checkpoint carries the forward CSR;
-/// a delta carries only the changed rows — so delta submissions never pay
-/// the CSR materialization at all.
-enum WritePayload {
-    Full(Csr),
-    Delta {
-        parent_seq: u64,
-        num_rows: u64,
-        rows: Vec<delta::DeltaRow>,
-    },
-}
-
-/// One checkpoint's worth of work, self-contained so it can cross the
-/// channel to the worker.
-struct WriteJob {
-    next_seq: u64,
-    threshold: u64,
-    payload: WritePayload,
-}
-
 /// The worker's answer.
 struct WriteDone {
     next_seq: u64,
@@ -123,36 +103,16 @@ struct WriteDone {
     result: Result<()>,
 }
 
-/// Executes one job: write the file, then prune best-effort. Never fails
+/// Writes one captured checkpoint, then prunes best-effort. Never fails
 /// after the checkpoint itself is durable.
-fn run_write_job(dir: &Path, keep: usize, job: WriteJob) -> WriteDone {
-    let (wrote_full, result) = match job.payload {
-        WritePayload::Full(forward) => {
-            let result = checkpoint::write_snapshot(dir, job.next_seq, job.threshold, &forward);
-            (true, result.map(|_| ()))
-        }
-        WritePayload::Delta {
-            parent_seq,
-            num_rows,
-            rows,
-        } => {
-            let result = delta::write(
-                dir,
-                job.next_seq,
-                parent_seq,
-                job.threshold,
-                num_rows,
-                &rows,
-            );
-            (false, result.map(|_| ()))
-        }
-    };
+fn run_write_job(dir: &Path, keep: usize, ckpt: Checkpoint) -> WriteDone {
+    let result = checkpoint::write(dir, &ckpt).map(|_| ());
     if result.is_ok() {
         prune_best_effort(dir, keep);
     }
     WriteDone {
-        next_seq: job.next_seq,
-        wrote_full,
+        next_seq: ckpt.header.next_seq,
+        wrote_full: ckpt.header.parent.is_none(),
         result,
     }
 }
@@ -160,7 +120,7 @@ fn run_write_job(dir: &Path, keep: usize, job: WriteJob) -> WriteDone {
 /// The background checkpointer: a long-lived thread plus both channel
 /// endpoints the ingest side holds.
 struct CheckpointWorker {
-    jobs: mpsc::Sender<WriteJob>,
+    jobs: mpsc::Sender<Checkpoint>,
     done: mpsc::Receiver<WriteDone>,
     handle: thread::JoinHandle<()>,
     in_flight: bool,
@@ -168,7 +128,7 @@ struct CheckpointWorker {
 
 impl CheckpointWorker {
     fn spawn(dir: PathBuf, keep: usize) -> Self {
-        let (jobs, job_rx) = mpsc::channel::<WriteJob>();
+        let (jobs, job_rx) = mpsc::channel::<Checkpoint>();
         let (done_tx, done) = mpsc::channel::<WriteDone>();
         let handle = thread::Builder::new()
             .name("cisgraph-ckpt".to_string())
@@ -257,13 +217,13 @@ impl DurableStore {
                 recovered.stats.replayed_batches,
             )
         } else {
-            checkpoint::write(&config.dir, recovered.next_seq, &recovered.graph)?;
+            let base = Checkpoint::capture(&recovered.graph, recovered.next_seq, None);
+            checkpoint::write(&config.dir, &base)?;
             // The bootstrap checkpoint covers everything the WAL held, so
             // rows dirtied by replay are already durable.
             let _ = recovered.graph.take_dirty_rows();
             (recovered.next_seq, 0)
         };
-        let deltas_since_full = chain_depth(&config.dir, last_ckpt_seq);
         let wal = Wal::open(
             WalConfig {
                 dir: config.dir.clone(),
@@ -282,7 +242,9 @@ impl DurableStore {
                 wal,
                 batches_since_checkpoint,
                 last_ckpt_seq,
-                deltas_since_full,
+                // The chain recovery loaded is the one the next delta
+                // extends (a fresh bootstrap base has no deltas).
+                deltas_since_full: recovered.stats.delta_checkpoints,
                 worker: None,
                 pending_error: None,
             },
@@ -350,17 +312,8 @@ impl DurableStore {
     /// flight. `graph` must have every logged batch applied.
     pub fn checkpoint(&mut self, graph: &mut DynamicGraph) -> Result<()> {
         self.drain_completions(true)?;
-        if self.wal.next_seq() == self.last_ckpt_seq {
-            // Nothing new to cover (and a delta would name itself as its
-            // own parent).
-            self.batches_since_checkpoint = 0;
-            return Ok(());
-        }
-        let was_background = self.config.background;
-        self.config.background = false;
-        let result = self.start_checkpoint(graph);
-        self.config.background = was_background;
-        result
+        self.start_checkpoint(graph)?;
+        self.drain_completions(true)
     }
 
     /// Blocks until no background checkpoint is in flight, surfacing any
@@ -369,24 +322,30 @@ impl DurableStore {
         self.drain_completions(true)
     }
 
-    /// Starts one checkpoint covering `wal.next_seq()`. The payload
-    /// capture and the WAL sync happen on the calling (ingest) thread —
-    /// the sync *before* submission, so the WAL provably contains every
-    /// frame the checkpoint claims to cover before the checkpoint can
-    /// become visible. Serialization, file fsync, rename, and pruning run
-    /// inline or on the worker depending on `config.background`.
+    /// Starts one checkpoint covering `wal.next_seq()` (nothing when that
+    /// is already covered: a delta would name itself as its own parent).
+    /// The WAL sync and the row capture happen on the calling (ingest)
+    /// thread — the sync *before* submission, so the WAL provably contains
+    /// every frame the checkpoint claims to cover before the checkpoint
+    /// can become visible. Serialization, file fsync, rename, and pruning
+    /// run inline or on the worker depending on `config.background`.
     fn start_checkpoint(&mut self, graph: &mut DynamicGraph) -> Result<()> {
         let next_seq = self.wal.next_seq();
         if next_seq == self.last_ckpt_seq {
             self.batches_since_checkpoint = 0;
             return Ok(());
         }
-        self.wal.sync()?;
-        let payload = self.build_payload(graph);
-        let job = WriteJob {
-            next_seq,
-            threshold: graph.promotion_threshold() as u64,
-            payload,
+        let job = {
+            let _span = cisgraph_obs::span("persist.ckpt.capture");
+            let start = cisgraph_obs::enabled().then(Instant::now);
+            self.wal.sync()?;
+            let job = self.capture(graph, next_seq);
+            if let Some(start) = start {
+                checkpoint::obs()
+                    .capture_ns
+                    .record_duration(start.elapsed());
+            }
+            job
         };
         self.batches_since_checkpoint = 0;
         if self.config.background {
@@ -407,19 +366,16 @@ impl DurableStore {
         }
     }
 
-    /// Picks full vs. delta and captures the payload, all against the
-    /// *live* graph — a delta submission copies only the changed rows and
-    /// never materializes a CSR (that cost is what background checkpointing
-    /// exists to keep off the ingest path). Full whenever
+    /// Picks base vs. delta and copies the rows out of the *live* graph —
+    /// no CSR is ever materialized (that cost is what background
+    /// checkpointing exists to keep off the ingest path). A base whenever
     /// the mode says so, the chain must be re-anchored (`force_full`,
-    /// missing tracking, `full_every`), or the delta would not actually be
-    /// smaller than the full serialization.
-    fn build_payload(&mut self, graph: &mut DynamicGraph) -> WritePayload {
-        use cisgraph_graph::GraphView;
-
-        let full = |graph: &DynamicGraph| WritePayload::Full(graph.forward_csr());
+    /// missing tracking, `full_every`), or the delta's rows would not be
+    /// smaller than a base's.
+    fn capture(&mut self, graph: &mut DynamicGraph, next_seq: u64) -> Checkpoint {
+        let base = |graph: &DynamicGraph| Checkpoint::capture(graph, next_seq, None);
         if self.config.mode == CheckpointMode::Full {
-            return full(graph);
+            return base(graph);
         }
         let must_full =
             self.force_full || self.deltas_since_full + 1 >= self.config.full_every.max(1);
@@ -427,29 +383,18 @@ impl DurableStore {
             None => {
                 // Tracking was never on (a graph the caller built
                 // without `open`): enable it so the *next* cadence can go
-                // incremental, and anchor with a full now.
+                // incremental, and anchor with a base now.
                 graph.enable_dirty_rows();
-                full(graph)
+                base(graph)
             }
-            Some(_) if must_full => full(graph),
-            Some(rows) => {
-                // Bytes-written comparison: per changed row 12 bytes of
-                // framing plus 12 per edge, vs. the full file's offset
-                // array plus every edge.
-                let delta_payload: usize = rows
-                    .iter()
-                    .filter(|&&r| (r as usize) < graph.num_vertices())
-                    .map(|&r| 12 + 12 * graph.out_edges(cisgraph_types::VertexId::new(r)).len())
-                    .sum();
-                let full_payload = 8 * (graph.num_vertices() + 1) + 12 * graph.num_edges();
-                if delta_payload >= full_payload {
-                    full(graph)
+            Some(_) if must_full => base(graph),
+            Some(dirty) => {
+                let delta =
+                    Checkpoint::capture(graph, next_seq, Some((self.last_ckpt_seq, &dirty)));
+                if delta.rows.encoded_len() < checkpoint::base_row_bytes(graph) {
+                    delta
                 } else {
-                    WritePayload::Delta {
-                        parent_seq: self.last_ckpt_seq,
-                        num_rows: graph.num_vertices() as u64,
-                        rows: delta::rows_from_graph(graph, &rows),
-                    }
+                    base(graph)
                 }
             }
         }
@@ -546,39 +491,6 @@ impl Drop for DurableStore {
     }
 }
 
-/// How many deltas head the chain at `head_seq` (0 when the head is full
-/// or anything in the walk is unreadable — the store then re-anchors with
-/// a full at the first opportunity via `full_every` accounting).
-fn chain_depth(dir: &Path, head_seq: u64) -> u64 {
-    let Ok(entries) = checkpoint::list_all(dir) else {
-        return 0;
-    };
-    let mut depth = 0u64;
-    let mut cur = entries
-        .iter()
-        .rev()
-        .find(|e| e.next_seq == head_seq)
-        .cloned();
-    // Bounded by the entry count: headers are unvalidated here, so a
-    // crafted parent cycle must not hang the walk.
-    for _ in 0..entries.len() {
-        let Some(entry) = cur else { break };
-        if entry.kind == CkptKind::Full {
-            break;
-        }
-        let Ok((_, parent_seq)) = delta::read_header(&entry.path) else {
-            break;
-        };
-        depth += 1;
-        cur = entries
-            .iter()
-            .rev()
-            .find(|e| e.next_seq == parent_seq && e.path != entry.path)
-            .cloned();
-    }
-    depth
-}
-
 /// Deletes checkpoints outside the newest `keep` chains and WAL segments
 /// below every retained chain's replay window. **Best-effort by design**:
 /// the checkpoint that triggered the prune is already durable, so a prune
@@ -605,22 +517,12 @@ fn prune_best_effort(dir: &Path, keep: usize) {
     let mut needed: HashSet<PathBuf> = HashSet::new();
     let heads = entries.len().saturating_sub(keep);
     for head in &entries[heads..] {
-        let mut cur = Some(head.clone());
+        let mut cur = Some(head);
         while let Some(entry) = cur {
             if !needed.insert(entry.path.clone()) {
                 break; // ancestry shared with an already-walked head
             }
-            if entry.kind == CkptKind::Full {
-                break;
-            }
-            let Ok((_, parent_seq)) = delta::read_header(&entry.path) else {
-                break;
-            };
-            cur = entries
-                .iter()
-                .rev()
-                .find(|e| e.next_seq == parent_seq && e.path != entry.path)
-                .cloned();
+            cur = checkpoint::parent_of(&entries, entry).ok().flatten();
         }
     }
     for entry in &entries {
