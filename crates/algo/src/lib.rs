@@ -45,7 +45,6 @@ mod algorithm;
 mod algorithms;
 pub mod classify;
 mod counters;
-mod delta_stepping;
 pub mod incremental;
 pub mod keypath;
 pub mod solver;
@@ -53,6 +52,5 @@ pub mod solver;
 pub use algorithm::{AlgorithmKind, MonotonicAlgorithm};
 pub use algorithms::{Ppnp, Ppsp, Ppwp, Reach, Viterbi};
 pub use counters::Counters;
-pub use delta_stepping::delta_stepping;
 pub use incremental::ConvergedResult;
 pub use keypath::KeyPath;

@@ -1,10 +1,10 @@
 //! Serving-layer benchmark — aggregate multi-query throughput as the
-//! standing-query count and the worker-thread count scale.
+//! worker-thread count scales.
 //!
-//! For every (queries × threads) cell, a [`QueryServer`] converges the
-//! query registry on the initial snapshot and then serves the streamed
-//! batches, fanning the per-batch work over worker threads that claim
-//! source groups one at a time. The sweep reports per-batch wall-clock, aggregate query
+//! For every thread count, a [`QueryServer`] converges the query registry
+//! on the initial snapshot and then serves the streamed batches, fanning
+//! the per-batch work over worker threads that claim source groups one at
+//! a time. The sweep reports per-batch wall-clock, aggregate query
 //! throughput (queries served per second of wall-clock), the speedup over
 //! the single-thread run of the same workload, and the response-time tail
 //! across source groups — and asserts that every thread count produces
@@ -12,21 +12,21 @@
 //!
 //! ```text
 //! cargo run --release -p cisgraph-bench --bin serve -- --queries 64 --threads 8
-//! cargo run --release -p cisgraph-bench --bin serve -- --sweep-queries 16,64,256
 //! ```
 //!
 //! `--threads N` sets the largest thread count of the sweep (1, 2, 4, …
-//! up to N); `--queries` / `--sweep-queries` set the standing-query
-//! registry sizes. The usual workload knobs (`--scale`, `--adds`,
-//! `--dels`, `--batches`, `--seed`) apply.
+//! up to N); `--queries` sets the standing-query registry size (default
+//! 64). The usual workload knobs (`--scale`, `--adds`, `--dels`,
+//! `--batches`, `--seed`) apply.
 //!
 //! # Durable serving
 //!
 //! `--wal-dir <dir>` switches the binary into a durable serving run: the
 //! server recovers from whatever checkpoint + WAL tail the directory
-//! holds, logs every batch to the WAL *before* applying it, and
-//! checkpoints on exit. `--fsync batch|<n>|off` picks the group-commit
-//! policy (default `batch`), `--checkpoint-every <n>` checkpoints every
+//! holds, applies every batch and then logs it to the WAL (undoing the
+//! batch if the append fails), and checkpoints on exit.
+//! `--fsync batch|<n>|off` picks the group-commit policy (default
+//! `batch`), `--checkpoint-every <n>` checkpoints every
 //! `n` batches mid-run, `--checkpoint-mode full|delta` picks full or
 //! incremental checkpoints (default `full`; `--full-every <n>` bounds a
 //! delta chain), and checkpoints are written on a background worker
@@ -115,10 +115,11 @@ fn serve(
     (wall, workers, groups, tail, answers)
 }
 
-/// Durable serving run: recover from `wal_dir`, log every batch ahead of
-/// application, checkpoint on exit. Re-running against the same directory
-/// resumes where the previous run stopped (already-logged batches are
-/// skipped), so a kill at any point loses at most the unsynced tail.
+/// Durable serving run: recover from `wal_dir`, apply then log every batch
+/// (a failed append undoes it), checkpoint on exit. Re-running against the
+/// same directory resumes where the previous run stopped (already-logged
+/// batches are skipped), so a kill at any point loses at most the unsynced
+/// tail.
 fn serve_durable(args: &Args, wal_dir: &str, threads: usize) {
     let fsync: FsyncPolicy = args
         .get_str("fsync")
@@ -199,22 +200,20 @@ fn main() {
         obs_session.finish();
         return;
     }
-    let query_counts: Vec<usize> = match args.get_str("sweep-queries") {
-        Some(list) => list
-            .split(',')
-            .filter_map(|x| x.trim().parse().ok())
-            .collect(),
-        None => vec![args.get_usize("queries").unwrap_or(64)],
-    };
-
+    let num_queries = args.get_usize("queries").unwrap_or(64);
     obs::log!(
         info,
-        "serve sweep: queries {query_counts:?} x threads {:?} (host parallelism {})",
+        "serve sweep: {num_queries} queries x threads {:?} (host parallelism {})",
         thread_sweep(max_threads),
         std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
     );
 
-    let mut last_bundle: Option<cisgraph_bench::WorkloadBundle> = None;
+    let cfg = RunConfig::builder(registry::orkut_like())
+        .queries(num_queries)
+        .build()
+        .with_args(&args);
+    let bundle = build_workload(&cfg);
+    let served = num_queries * bundle.batches.len();
     let mut table = Table::new(
         [
             "queries",
@@ -232,74 +231,56 @@ fn main() {
         .to_vec(),
     );
     let mut cells: Vec<Cell> = Vec::new();
-
-    for &num_queries in &query_counts {
-        let cfg = RunConfig::builder(registry::orkut_like())
-            .queries(num_queries)
-            .build()
-            .with_args(&args);
-        let bundle = build_workload(&cfg);
-        let served = num_queries * bundle.batches.len();
-        if obs_session.active() {
-            last_bundle = Some(bundle.clone());
+    let mut baseline_qps = 0.0;
+    let mut baseline_answers = String::new();
+    for &threads in &thread_sweep(max_threads) {
+        let (wall, workers, groups, tail, answers) = serve(&bundle, threads);
+        let qps = served as f64 / wall.as_secs_f64().max(1e-12);
+        if threads == 1 {
+            baseline_qps = qps;
+            baseline_answers = answers.clone();
         }
-
-        let mut baseline_qps = 0.0;
-        let mut baseline_answers = String::new();
-        for &threads in &thread_sweep(max_threads) {
-            let (wall, workers, groups, tail, answers) = serve(&bundle, threads);
-            let qps = served as f64 / wall.as_secs_f64().max(1e-12);
-            if threads == 1 {
-                baseline_qps = qps;
-                baseline_answers = answers.clone();
-            }
-            // The serving layer's contract: the worker count must never
-            // change an answer, bit for bit.
-            assert_eq!(
-                answers, baseline_answers,
-                "answers diverged between 1 and {threads} threads"
-            );
-            let speedup = qps / baseline_qps.max(1e-12);
-            table.row(vec![
-                num_queries.to_string(),
-                threads.to_string(),
-                workers.to_string(),
-                format!("{:.2}", wall.as_secs_f64() * 1e3),
-                format!("{qps:.0}"),
-                fmt_speedup(speedup),
-                format!("{:.1}", tail[0].as_secs_f64() * 1e6),
-                format!("{:.1}", tail[1].as_secs_f64() * 1e6),
-                format!("{:.1}", tail[2].as_secs_f64() * 1e6),
-                format!("{:.1}", tail[3].as_secs_f64() * 1e6),
-            ]);
-            cells.push(Cell {
-                queries: num_queries,
-                threads,
-                workers,
-                groups,
-                batches: bundle.batches.len(),
-                wall_seconds: wall.as_secs_f64(),
-                throughput_qps: qps,
-                speedup_vs_one_thread: speedup,
-                response_p50_us: tail[0].as_secs_f64() * 1e6,
-                response_p95_us: tail[1].as_secs_f64() * 1e6,
-                response_p99_us: tail[2].as_secs_f64() * 1e6,
-                response_max_us: tail[3].as_secs_f64() * 1e6,
-            });
-        }
+        // The serving layer's contract: the worker count must never
+        // change an answer, bit for bit.
+        assert_eq!(
+            answers, baseline_answers,
+            "answers diverged between 1 and {threads} threads"
+        );
+        let speedup = qps / baseline_qps.max(1e-12);
+        table.row(vec![
+            num_queries.to_string(),
+            threads.to_string(),
+            workers.to_string(),
+            format!("{:.2}", wall.as_secs_f64() * 1e3),
+            format!("{qps:.0}"),
+            fmt_speedup(speedup),
+            format!("{:.1}", tail[0].as_secs_f64() * 1e6),
+            format!("{:.1}", tail[1].as_secs_f64() * 1e6),
+            format!("{:.1}", tail[2].as_secs_f64() * 1e6),
+            format!("{:.1}", tail[3].as_secs_f64() * 1e6),
+        ]);
+        cells.push(Cell {
+            queries: num_queries,
+            threads,
+            workers,
+            groups,
+            batches: bundle.batches.len(),
+            wall_seconds: wall.as_secs_f64(),
+            throughput_qps: qps,
+            speedup_vs_one_thread: speedup,
+            response_p50_us: tail[0].as_secs_f64() * 1e6,
+            response_p95_us: tail[1].as_secs_f64() * 1e6,
+            response_p99_us: tail[2].as_secs_f64() * 1e6,
+            response_max_us: tail[3].as_secs_f64() * 1e6,
+        });
     }
 
     println!("{}", table.render());
-    if let Some(best) = cells
-        .iter()
-        .filter(|c| c.threads == max_threads)
-        .map(|c| c.speedup_vs_one_thread)
-        .reduce(f64::max)
-    {
+    if let Some(top) = cells.iter().find(|c| c.threads == max_threads) {
         println!(
             "aggregate throughput at {max_threads} threads: {} vs 1 thread \
              (answers byte-identical across all thread counts)",
-            fmt_speedup(best)
+            fmt_speedup(top.speedup_vs_one_thread)
         );
     }
     artifacts::write_json("serve", &cells);
@@ -307,7 +288,7 @@ fn main() {
     // replays the stream through the cycle-level model for one standing
     // query, so the metrics snapshot also carries the simulator's DRAM and
     // scratchpad gauges alongside the serving-layer metrics.
-    if let Some(bundle) = &last_bundle {
+    if obs_session.active() {
         obs::log!(info, "shadow accelerator pass for simulator gauges");
         let mut graph = bundle.initial.clone();
         let mut accel = cisgraph_core::CisGraphAccel::<Ppsp>::new(

@@ -202,21 +202,13 @@ fn checkpoint_sizes(dir: &Path) -> Vec<(bool, u64)> {
         .collect()
 }
 
-/// Nearest-rank percentile over nanosecond samples, in microseconds.
-fn percentile_us(sorted_ns: &[u64], p: f64) -> f64 {
-    if sorted_ns.is_empty() {
-        return 0.0;
-    }
-    let rank = ((p * sorted_ns.len() as f64).ceil() as usize).clamp(1, sorted_ns.len());
-    sorted_ns[rank - 1] as f64 / 1e3
-}
-
 fn stall_row(mut samples_ns: Vec<u64>) -> StallRow {
     samples_ns.sort_unstable();
+    let us = |p| obs::percentile(&samples_ns, p).map_or(0.0, |ns| ns as f64 / 1e3);
     StallRow {
-        p50_us: percentile_us(&samples_ns, 0.50),
-        p99_us: percentile_us(&samples_ns, 0.99),
-        max_us: percentile_us(&samples_ns, 1.0),
+        p50_us: us(0.50),
+        p99_us: us(0.99),
+        max_us: us(1.0),
     }
 }
 
@@ -351,7 +343,7 @@ fn bench(args: &Args, bundle: &WorkloadBundle) {
     assert_eq!(snapshot_digest(&r2.graph.snapshot()), last_digest);
     let _ = std::fs::remove_dir_all(&dir);
     ratios.sort_by(f64::total_cmp);
-    let overhead = ratios[ratios.len() / 2];
+    let overhead = obs::percentile_f64(&ratios, 0.5).expect("at least one durable repeat");
     let recover_ups = updates as f64 / (recover_ns as f64 / 1e9).max(1e-12);
     println!(
         "ingest: plain {:.3} ms, durable(off) {:.3} ms ({overhead:.3}x paired overhead)",

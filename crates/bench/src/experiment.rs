@@ -4,12 +4,14 @@
 use crate::args::Args;
 use cisgraph_algo::classify::ClassificationSummary;
 use cisgraph_algo::{Counters, MonotonicAlgorithm};
-use cisgraph_core::{AcceleratorConfig, CisGraphAccel};
+use cisgraph_core::{AccelReport, AcceleratorConfig, CisGraphAccel};
 use cisgraph_datasets::{queries, Dataset, StreamConfig};
-use cisgraph_engines::{CisGraphO, ColdStart, Pnp, SGraph, SGraphConfig, StreamingEngine};
+use cisgraph_engines::{
+    BatchReport, CisGraphO, ColdStart, Pnp, SGraph, SGraphConfig, StreamingEngine,
+};
 use cisgraph_graph::DynamicGraph;
 use cisgraph_sim::MemStats;
-use cisgraph_types::{EdgeUpdate, PairQuery};
+use cisgraph_types::{EdgeUpdate, PairQuery, State};
 use serde::Serialize;
 
 /// Which engine to run.
@@ -142,14 +144,9 @@ pub struct RunConfig {
     /// instead of synthesizing the stand-in. For users who have the real
     /// Orkut/LiveJournal/UK-2002 datasets.
     pub edges_file: Option<std::path::PathBuf>,
-    /// Stream the per-query runs of the software engines on parallel
-    /// worker threads (`--parallel`). Off by default: parallel wall-clock
-    /// timings are noisier on an oversubscribed host, and the sequential
-    /// path is the paper-faithful one.
-    pub parallel: bool,
-    /// Worker threads for the parallel paths — the `--parallel` query
-    /// fan-out and the always-parallel accelerator simulation
-    /// (`--threads`; defaults to the available hardware parallelism).
+    /// Worker threads for the accelerator's per-query simulation
+    /// (`--threads`; defaults to the available hardware parallelism). The
+    /// wall-clock timed software engines always run sequentially.
     pub threads: usize,
 }
 
@@ -168,7 +165,6 @@ impl RunConfig {
             hubs: 16,
             accel: AcceleratorConfig::date2025(),
             edges_file: None,
-            parallel: false,
             threads: default_threads(),
         }
     }
@@ -186,7 +182,6 @@ impl RunConfig {
             hubs: 8,
             accel: AcceleratorConfig::date2025(),
             edges_file: None,
-            parallel: false,
             threads: default_threads(),
         }
     }
@@ -215,8 +210,7 @@ impl RunConfig {
     }
 
     /// Applies the shared CLI overrides (`--scale`, `--adds`, `--dels`,
-    /// `--batches`, `--queries`, `--seed`, `--threads`, `--parallel`,
-    /// `--full`).
+    /// `--batches`, `--queries`, `--seed`, `--threads`, `--full`).
     #[must_use]
     pub fn with_args(mut self, args: &Args) -> Self {
         if args.flag("full") {
@@ -248,9 +242,6 @@ impl RunConfig {
         }
         if let Some(x) = args.get_usize("threads") {
             self.threads = x.max(1);
-        }
-        if args.flag("parallel") {
-            self.parallel = true;
         }
         self
     }
@@ -313,14 +304,7 @@ impl RunConfigBuilder {
         self
     }
 
-    /// Run software engines' per-query loops on parallel workers.
-    #[must_use]
-    pub fn parallel(mut self, parallel: bool) -> Self {
-        self.cfg.parallel = parallel;
-        self
-    }
-
-    /// Worker threads for the parallel paths.
+    /// Worker threads for the accelerator's per-query simulation.
     #[must_use]
     pub fn threads(mut self, threads: usize) -> Self {
         self.cfg.threads = threads.max(1);
@@ -391,7 +375,7 @@ pub fn build_workload(cfg: &RunConfig) -> WorkloadBundle {
 }
 
 /// Aggregated result of one engine over all queries and batches.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct EngineResult {
     /// Engine display name.
     pub engine: String,
@@ -416,16 +400,75 @@ pub struct EngineResult {
     pub samples: usize,
 }
 
-fn sum_classification(a: &mut ClassificationSummary, b: &ClassificationSummary) {
-    a.valuable_additions += b.valuable_additions;
-    a.useless_additions += b.useless_additions;
-    a.valuable_deletions += b.valuable_deletions;
-    a.delayed_deletions += b.delayed_deletions;
-    a.useless_deletions += b.useless_deletions;
+/// One query's outcome for one batch, in the units [`EngineResult`] sums.
+struct Sample {
+    answer: State,
+    response_seconds: f64,
+    total_seconds: f64,
+    counters: Counters,
+    addition_activations: u64,
+    deletion_activations: u64,
+    drain_activations: u64,
+    classification: Option<ClassificationSummary>,
+    mem: Option<MemStats>,
 }
 
-fn sum_mem(a: &mut MemStats, b: &MemStats) {
-    *a += *b;
+impl Sample {
+    /// A software engine's report; times are wall-clock.
+    fn software(rep: BatchReport) -> Self {
+        Self {
+            answer: rep.answer,
+            response_seconds: rep.response_time.as_secs_f64(),
+            total_seconds: rep.total_time.as_secs_f64(),
+            counters: rep.counters,
+            addition_activations: rep.addition_activations,
+            deletion_activations: rep.deletion_activations,
+            drain_activations: rep.drain_activations,
+            classification: rep.classification,
+            mem: None,
+        }
+    }
+
+    /// The accelerator's report; times are simulated cycles at the
+    /// configured clock.
+    fn accel(rep: &AccelReport, accel: &AcceleratorConfig) -> Self {
+        Self {
+            answer: rep.answer,
+            response_seconds: rep.response_seconds(accel.clock_ghz),
+            total_seconds: accel.cycles_to_seconds(rep.total_cycles),
+            counters: rep.counters,
+            addition_activations: rep.addition_activations,
+            deletion_activations: rep.deletion_activations,
+            drain_activations: rep.drain_activations,
+            classification: Some(rep.classification),
+            mem: Some(rep.mem),
+        }
+    }
+}
+
+/// Streams every batch of `bundle` through one fresh engine per query on
+/// up to `threads` workers; returns each query's per-batch `step` results,
+/// in query order.
+fn stream_queries<E, R: Send>(
+    bundle: &WorkloadBundle,
+    threads: usize,
+    new_engine: impl Fn(&DynamicGraph, PairQuery) -> E + Sync,
+    step: impl Fn(&mut E, &DynamicGraph, &[EdgeUpdate]) -> R + Sync,
+) -> Vec<Vec<R>> {
+    map_queries(&bundle.queries, threads, |query| {
+        let mut graph = bundle.initial.clone();
+        let mut engine = new_engine(&graph, query);
+        bundle
+            .batches
+            .iter()
+            .map(|batch| {
+                graph
+                    .apply_batch(batch)
+                    .expect("workload batches are consistent");
+                step(&mut engine, &graph, batch)
+            })
+            .collect()
+    })
 }
 
 /// Runs one engine over the whole workload for one algorithm; answers are
@@ -438,168 +481,77 @@ pub fn run_engine<A: MonotonicAlgorithm>(
     cfg: &RunConfig,
     bundle: &WorkloadBundle,
     sel: EngineSel,
-    check: Option<&[Vec<cisgraph_types::State>]>,
+    check: Option<&[Vec<State>]>,
 ) -> EngineResult {
     let _span = cisgraph_obs::span(&format!("bench.engine.{}", sel.name()));
-    let mut response = 0.0f64;
-    let mut total = 0.0f64;
-    let mut counters = Counters::new();
-    let mut add_acts = 0u64;
-    let mut del_acts = 0u64;
-    let mut drain_acts = 0u64;
-    let mut classification: Option<ClassificationSummary> = None;
-    let mut mem: Option<MemStats> = None;
-    let mut samples = 0usize;
-
-    // The accelerator reports *simulated* time, which parallel execution
-    // cannot distort, so its queries always run on worker threads. The
-    // software engines are wall-clock timed and stay sequential unless
-    // `cfg.parallel` opts in; their per-query streaming runs are
-    // independent either way, so the aggregates are identical.
-    if sel == EngineSel::Accel {
-        let per_query = |query: PairQuery| {
-            let mut graph = bundle.initial.clone();
-            let mut accel = CisGraphAccel::<A>::new(&graph, query, cfg.accel);
-            bundle
-                .batches
-                .iter()
-                .map(|batch| {
-                    graph
-                        .apply_batch(batch)
-                        .expect("workload batches are consistent");
-                    accel.process_batch(&graph, batch)
-                })
-                .collect::<Vec<_>>()
-        };
-        let reports: Vec<Vec<cisgraph_core::AccelReport>> =
-            map_queries(&bundle.queries, cfg.threads, per_query);
-        for (qi, per_query_reports) in reports.iter().enumerate() {
-            for (bi, rep) in per_query_reports.iter().enumerate() {
-                if let Some(expected) = check {
-                    assert_eq!(
-                        rep.answer,
-                        expected[qi][bi],
-                        "{} diverged on query {qi} batch {bi}",
-                        sel.name()
-                    );
-                }
-                counters += rep.counters;
-                add_acts += rep.addition_activations;
-                del_acts += rep.deletion_activations;
-                drain_acts += rep.drain_activations;
-                sum_classification(classification.get_or_insert_default(), &rep.classification);
-                sum_mem(mem.get_or_insert_default(), &rep.mem);
-                response += rep.response_seconds(cfg.accel.clock_ghz);
-                total += cfg.accel.cycles_to_seconds(rep.total_cycles);
-                samples += 1;
-            }
-        }
-        return EngineResult {
-            engine: sel.name().to_string(),
-            response_seconds: if samples > 0 {
-                response / samples as f64
-            } else {
-                0.0
-            },
-            total_seconds: if samples > 0 {
-                total / samples as f64
-            } else {
-                0.0
-            },
-            counters,
-            addition_activations: add_acts,
-            deletion_activations: del_acts,
-            drain_activations: drain_acts,
-            classification,
-            mem,
-            samples,
-        };
-    }
-
-    let per_query = |query: PairQuery| {
-        let mut graph = bundle.initial.clone();
-        let mut engine = sel.build::<A>(&graph, query, cfg);
-        bundle
-            .batches
-            .iter()
-            .map(|batch| {
-                graph
-                    .apply_batch(batch)
-                    .expect("workload batches are consistent");
-                engine.process_batch(&graph, batch)
-            })
-            .collect::<Vec<_>>()
+    // The accelerator runs directly, because its memory statistics and
+    // cycle counts are not part of the engine trait's report. Its time is
+    // simulated, which parallel execution cannot distort, so its queries
+    // run on `cfg.threads` workers; the wall-clock timed software engines
+    // stream their queries sequentially.
+    let per_query: Vec<Vec<Sample>> = if sel == EngineSel::Accel {
+        stream_queries(
+            bundle,
+            cfg.threads,
+            |graph, query| CisGraphAccel::<A>::new(graph, query, cfg.accel),
+            |accel, graph, batch| Sample::accel(&accel.process_batch(graph, batch), &cfg.accel),
+        )
+    } else {
+        stream_queries(
+            bundle,
+            1,
+            |graph, query| sel.build::<A>(graph, query, cfg),
+            |engine, graph, batch| Sample::software(engine.process_batch(graph, batch)),
+        )
     };
-    let threads = if cfg.parallel { cfg.threads } else { 1 };
-    let reports: Vec<Vec<cisgraph_engines::BatchReport>> =
-        map_queries(&bundle.queries, threads, per_query);
-    for (qi, per_query_reports) in reports.iter().enumerate() {
-        for (bi, rep) in per_query_reports.iter().enumerate() {
+
+    let mut result = EngineResult {
+        engine: sel.name().to_string(),
+        ..EngineResult::default()
+    };
+    for (qi, samples) in per_query.iter().enumerate() {
+        for (bi, sample) in samples.iter().enumerate() {
             if let Some(expected) = check {
                 assert_eq!(
-                    rep.answer,
+                    sample.answer,
                     expected[qi][bi],
                     "{} diverged on query {qi} batch {bi}",
                     sel.name()
                 );
             }
-            counters += rep.counters;
-            add_acts += rep.addition_activations;
-            del_acts += rep.deletion_activations;
-            drain_acts += rep.drain_activations;
-            if let Some(c) = &rep.classification {
-                sum_classification(classification.get_or_insert_default(), c);
+            result.response_seconds += sample.response_seconds;
+            result.total_seconds += sample.total_seconds;
+            result.counters += sample.counters;
+            result.addition_activations += sample.addition_activations;
+            result.deletion_activations += sample.deletion_activations;
+            result.drain_activations += sample.drain_activations;
+            if let Some(c) = sample.classification {
+                *result.classification.get_or_insert_default() += c;
             }
-            response += rep.response_time.as_secs_f64();
-            total += rep.total_time.as_secs_f64();
-            samples += 1;
+            if let Some(m) = sample.mem {
+                *result.mem.get_or_insert_default() += m;
+            }
+            result.samples += 1;
         }
     }
-
-    EngineResult {
-        engine: sel.name().to_string(),
-        response_seconds: if samples > 0 {
-            response / samples as f64
-        } else {
-            0.0
-        },
-        total_seconds: if samples > 0 {
-            total / samples as f64
-        } else {
-            0.0
-        },
-        counters,
-        addition_activations: add_acts,
-        deletion_activations: del_acts,
-        drain_activations: drain_acts,
-        classification,
-        mem,
-        samples,
+    if result.samples > 0 {
+        result.response_seconds /= result.samples as f64;
+        result.total_seconds /= result.samples as f64;
     }
+    result
 }
 
 /// Reference answers per query per batch, computed by Cold-Start. Queries
 /// are evaluated on parallel threads (pure answers, no timing is taken, so
 /// parallelism cannot distort any measurement).
-pub fn reference_answers<A: MonotonicAlgorithm>(
-    bundle: &WorkloadBundle,
-) -> Vec<Vec<cisgraph_types::State>> {
+pub fn reference_answers<A: MonotonicAlgorithm>(bundle: &WorkloadBundle) -> Vec<Vec<State>> {
     let _span = cisgraph_obs::span("bench.reference_answers");
-    let per_query = |query: PairQuery| {
-        let mut graph = bundle.initial.clone();
-        let mut cs = ColdStart::<A>::new(query);
-        bundle
-            .batches
-            .iter()
-            .map(|batch| {
-                graph
-                    .apply_batch(batch)
-                    .expect("workload batches are consistent");
-                cs.process_batch(&graph, batch).answer
-            })
-            .collect::<Vec<_>>()
-    };
-    map_queries(&bundle.queries, default_threads(), per_query)
+    stream_queries(
+        bundle,
+        default_threads(),
+        |_, query| ColdStart::<A>::new(query),
+        |cs, graph, batch| cs.process_batch(graph, batch).answer,
+    )
 }
 
 /// Results of all requested engines for one algorithm.
@@ -735,18 +687,12 @@ mod tests {
         assert_eq!(cfg.scale, 0.3);
         assert_eq!(cfg.additions, 7);
         assert_eq!(cfg.queries, 3);
-        assert!(!cfg.parallel);
     }
 
     #[test]
-    fn with_args_parallel_knobs() {
-        let args = crate::args::Args::parse_from(
-            ["--parallel", "--threads", "3"]
-                .iter()
-                .map(|s| s.to_string()),
-        );
+    fn with_args_threads() {
+        let args = crate::args::Args::parse_from(["--threads", "3"].iter().map(|s| s.to_string()));
         let cfg = RunConfig::quick(registry::orkut_like()).with_args(&args);
-        assert!(cfg.parallel);
         assert_eq!(cfg.threads, 3);
     }
 
@@ -768,24 +714,23 @@ mod tests {
         }
     }
 
+    /// `map_queries` keeps query order (every answer is checked against
+    /// its query's reference) and its result does not depend on the thread
+    /// count.
     #[test]
     fn parallel_run_matches_sequential() {
-        let cfg = tiny();
-        let bundle = build_workload(&cfg);
-        let sequential = run_engine::<Ppsp>(&cfg, &bundle, EngineSel::Ciso, None);
-        let parallel_cfg = RunConfig {
-            parallel: true,
-            threads: 4,
-            ..cfg
+        let bundle = build_workload(&tiny());
+        let reference = reference_answers::<Ppsp>(&bundle);
+        let run = |threads| {
+            let cfg = RunConfig { threads, ..tiny() };
+            run_engine::<Ppsp>(&cfg, &bundle, EngineSel::Accel, Some(&reference))
         };
-        let parallel = run_engine::<Ppsp>(&parallel_cfg, &bundle, EngineSel::Ciso, None);
+        let (sequential, parallel) = (run(1), run(4));
+        assert_eq!(sequential.response_seconds, parallel.response_seconds);
         assert_eq!(sequential.counters, parallel.counters);
         assert_eq!(sequential.classification, parallel.classification);
+        assert_eq!(sequential.mem, parallel.mem);
         assert_eq!(sequential.samples, parallel.samples);
-        assert_eq!(
-            sequential.addition_activations,
-            parallel.addition_activations
-        );
     }
 
     #[test]
@@ -797,7 +742,6 @@ mod tests {
             .queries(7)
             .seed(99)
             .hubs(5)
-            .parallel(true)
             .threads(2)
             .build();
         assert_eq!(cfg.scale, 0.5);
@@ -806,7 +750,6 @@ mod tests {
         assert_eq!(cfg.queries, 7);
         assert_eq!(cfg.seed, 99);
         assert_eq!(cfg.hubs, 5);
-        assert!(cfg.parallel);
         assert_eq!(cfg.threads, 2);
     }
 }

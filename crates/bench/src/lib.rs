@@ -1,11 +1,14 @@
 //! Benchmark harness for the CISGraph reproduction.
 //!
-//! One library drives both the table/figure binaries (`table1` … `fig5b`,
-//! `sweep`) and the Criterion benches: it generates the paper's workloads
-//! (stand-in dataset + streaming batches + 10 random queries), runs every
-//! engine — Cold-Start, SGraph, PnP, CISGraph-O in wall-clock time and the
-//! CISGraph accelerator in simulated cycles — and aggregates the metrics
-//! each experiment reports.
+//! One library drives the table/figure binaries (`table1` … `fig5b`), the
+//! `variance`, `phases` and `sweep` studies, and the Criterion benches: it
+//! generates the paper's workloads (stand-in dataset + streaming batches +
+//! random queries), runs every engine — Cold-Start, SGraph, PnP,
+//! CISGraph-O in wall-clock time and the CISGraph accelerator in simulated
+//! cycles — through one aggregation path, and reports the metrics each
+//! experiment needs. Two more binaries drive the serving stack: `serve`
+//! (the multi-query server's thread sweep and durable runs) and
+//! `walbench` (WAL overhead, checkpoint stall and crash recovery).
 //!
 //! See `DESIGN.md` §3 for the experiment ↔ module index and
 //! `EXPERIMENTS.md` for recorded paper-vs-measured results.
@@ -16,7 +19,6 @@
 pub mod args;
 pub mod artifacts;
 pub mod experiment;
-pub mod metricsdiff;
 pub mod naive;
 pub mod obsout;
 pub mod table;

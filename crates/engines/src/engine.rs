@@ -5,7 +5,6 @@ use cisgraph_algo::{Counters, MonotonicAlgorithm};
 use cisgraph_graph::DynamicGraph;
 use cisgraph_types::{EdgeUpdate, State};
 use serde::{Deserialize, Serialize};
-use std::marker::PhantomData;
 use std::ops::{Deref, DerefMut};
 use std::time::Duration;
 
@@ -198,95 +197,12 @@ impl<A: MonotonicAlgorithm, E: StreamingEngine<A> + ?Sized> StreamingEngine<A> f
     }
 }
 
-/// An algorithm-erased streaming engine.
-///
-/// [`StreamingEngine`] is object-safe *per algorithm* — a
-/// `Vec<Box<dyn StreamingEngine<Ppsp>>>` works — but engines over different
-/// algorithms cannot share a collection because the algorithm is a type
-/// parameter of the trait itself. `DynEngine` erases it: harnesses that only
-/// feed batches and read answers (the serving layer, the experiment runner)
-/// can hold `Vec<Box<dyn DynEngine>>` mixing any engine over any algorithm.
-///
-/// Obtain one with [`into_dyn`]; the bound is `Send` so boxed engines can
-/// move to worker threads.
-///
-/// # Examples
-///
-/// ```
-/// use cisgraph_engines::{into_dyn, ColdStart, DynEngine, Pnp};
-/// use cisgraph_algo::{Ppsp, Reach};
-/// use cisgraph_types::{PairQuery, VertexId};
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let q = PairQuery::new(VertexId::new(0), VertexId::new(1))?;
-/// let engines: Vec<Box<dyn DynEngine>> = vec![
-///     into_dyn(ColdStart::<Ppsp>::new(q)),
-///     into_dyn(ColdStart::<Reach>::new(q)),
-///     into_dyn(Pnp::<Ppsp>::new(q)),
-/// ];
-/// assert_eq!(engines.len(), 3);
-/// assert_eq!(engines[0].name(), "CS");
-/// # Ok(())
-/// # }
-/// ```
-pub trait DynEngine: Send {
-    /// Engine name as it appears in the paper's tables.
-    fn name(&self) -> &'static str;
-
-    /// Processes one batch against the already-updated `graph` (same
-    /// contract as [`StreamingEngine::process_batch`]).
-    fn process_batch(&mut self, graph: &DynamicGraph, batch: &[EdgeUpdate]) -> BatchReport;
-
-    /// The engine's current answer for its standing query.
-    fn answer(&self) -> State;
-}
-
-/// The erasure shim: remembers the algorithm in a [`PhantomData`] so one
-/// wrapper type serves every `(algorithm, engine)` pair. A blanket
-/// `impl<E: StreamingEngine<A>> DynEngine for E` is impossible (`A` would
-/// be unconstrained), hence the wrapper.
-struct Erased<A, E> {
-    engine: E,
-    _algorithm: PhantomData<A>,
-}
-
-impl<A, E> DynEngine for Erased<A, E>
-where
-    A: MonotonicAlgorithm,
-    E: StreamingEngine<A> + Send,
-{
-    fn name(&self) -> &'static str {
-        self.engine.name()
-    }
-
-    fn process_batch(&mut self, graph: &DynamicGraph, batch: &[EdgeUpdate]) -> BatchReport {
-        self.engine.process_batch(graph, batch)
-    }
-
-    fn answer(&self) -> State {
-        self.engine.answer()
-    }
-}
-
-/// Boxes a concrete engine behind the algorithm-erased [`DynEngine`]
-/// interface.
-pub fn into_dyn<A, E>(engine: E) -> Box<dyn DynEngine>
-where
-    A: MonotonicAlgorithm,
-    E: StreamingEngine<A> + Send + 'static,
-{
-    Box::new(Erased {
-        engine,
-        _algorithm: PhantomData::<A>,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ColdStart;
-    use cisgraph_algo::{Ppsp, Reach};
-    use cisgraph_types::{PairQuery, VertexId, Weight};
+    use cisgraph_algo::Ppsp;
+    use cisgraph_types::{PairQuery, VertexId};
 
     #[test]
     fn report_new_is_zeroed() {
@@ -316,28 +232,6 @@ mod tests {
         assert_eq!(total.addition_activations, 4);
         assert_eq!(total.response_time, Duration::from_millis(10));
         assert_eq!(total.answer, State::ZERO);
-    }
-
-    #[test]
-    fn dyn_engines_mix_algorithms() {
-        let mut g = DynamicGraph::new(3);
-        g.insert_edge(
-            VertexId::new(0),
-            VertexId::new(1),
-            Weight::new(2.0).unwrap(),
-        )
-        .unwrap();
-        let q = PairQuery::new(VertexId::new(0), VertexId::new(1)).unwrap();
-        let mut engines: Vec<Box<dyn DynEngine>> = vec![
-            into_dyn(ColdStart::<Ppsp>::new(q)),
-            into_dyn(ColdStart::<Reach>::new(q)),
-        ];
-        let reports: Vec<BatchReport> = engines
-            .iter_mut()
-            .map(|e| e.process_batch(&g, &[]))
-            .collect();
-        assert_eq!(reports[0].answer.get(), 2.0);
-        assert_eq!(reports[1].answer, State::ONE);
     }
 
     #[test]

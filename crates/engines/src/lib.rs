@@ -56,7 +56,7 @@ mod sgraph;
 pub use ciso::CisGraphO;
 pub use coalescing::Coalescing;
 pub use cold_start::ColdStart;
-pub use engine::{into_dyn, BatchReport, DynEngine, ReportCore, StreamingEngine};
+pub use engine::{BatchReport, ReportCore, StreamingEngine};
 pub use multi::MultiQuery;
 pub use pnp::Pnp;
 pub use serve::{QueryServer, ServeConfig, ServeReport};

@@ -13,8 +13,7 @@
 //! * [`datasets`] — R-MAT stand-in datasets and the §IV-A batch protocol,
 //! * [`algo`] — the five monotonic algorithms, solvers, incremental
 //!   computation, and Algorithm 1 classification,
-//! * [`engines`] — Cold-Start, SGraph, PnP, CISGraph-O, the object-safe
-//!   [`DynEngine`](engines::DynEngine) wrapper, and the parallel
+//! * [`engines`] — Cold-Start, SGraph, PnP, CISGraph-O, and the parallel
 //!   [`QueryServer`](engines::QueryServer) serving layer,
 //! * [`sim`] — the DDR4 + scratchpad timing substrate,
 //! * [`core`] — the CISGraph accelerator model,
@@ -125,8 +124,8 @@ pub mod prelude {
     };
     pub use cisgraph_datasets::{registry, Dataset, StreamConfig, StreamingWorkload};
     pub use cisgraph_engines::{
-        into_dyn, BatchReport, CisGraphO, ColdStart, DynEngine, MultiQuery, Pnp, QueryServer,
-        ReportCore, SGraph, SGraphConfig, ServeConfig, ServeReport, StreamingEngine,
+        BatchReport, CisGraphO, ColdStart, MultiQuery, Pnp, QueryServer, ReportCore, SGraph,
+        SGraphConfig, ServeConfig, ServeReport, StreamingEngine,
     };
     pub use cisgraph_graph::{
         Csr, DynamicGraph, Edge, GraphView, ReversedView, SharedGraph, Snapshot,
