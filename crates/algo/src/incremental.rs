@@ -11,7 +11,7 @@
 
 use crate::{Counters, MonotonicAlgorithm};
 use cisgraph_graph::GraphView;
-use cisgraph_types::{EdgeUpdate, State, VertexId, Weight};
+use cisgraph_types::{EdgeUpdate, State, VertexId};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::marker::PhantomData;
@@ -578,18 +578,13 @@ pub fn apply_batch<A: MonotonicAlgorithm, G: GraphView>(
     }
 }
 
-/// Re-derives the candidate a deleted edge offered, used by classification.
-#[inline]
-pub fn deletion_candidate<A: MonotonicAlgorithm>(u_state: State, w: Weight) -> State {
-    A::combine(u_state, w)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::solver::best_first;
     use crate::{Ppsp, Reach};
     use cisgraph_graph::DynamicGraph;
+    use cisgraph_types::Weight;
 
     fn w(x: f64) -> Weight {
         Weight::new(x).unwrap()

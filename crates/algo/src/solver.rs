@@ -3,8 +3,6 @@
 //! * [`best_first`] — generalized Dijkstra over the algorithm's rank order.
 //!   Valid for every [`MonotonicAlgorithm`] whose ⊕ never improves on its
 //!   input state (property-tested in `algorithms.rs`).
-//! * [`best_first_to_target`] — the pairwise variant that stops as soon as
-//!   the destination's state is settled.
 //! * [`worklist`] — Bellman-Ford-style fixpoint, slower but assumption-free;
 //!   used to cross-validate the best-first solver.
 
@@ -47,52 +45,6 @@ pub fn best_first<A: MonotonicAlgorithm, G: GraphView>(
     let mut frontier = Frontier::default();
     frontier.push(A::rank(result.state(source)), source);
     crate::incremental::propagate(graph, &mut result, &mut frontier, counters);
-    result
-}
-
-/// Converges best-first but stops once `target` is settled (popped from the
-/// frontier), leaving other vertices possibly unconverged.
-///
-/// Settled means no remaining frontier entry can improve it, so the returned
-/// `state(target)` equals the full convergence value — the standard
-/// early-termination argument for Dijkstra, which carries over to any
-/// algorithm satisfying the monotonicity properties.
-///
-/// # Panics
-///
-/// Panics if `source` or `target` is out of bounds.
-pub fn best_first_to_target<A: MonotonicAlgorithm, G: GraphView>(
-    graph: &G,
-    source: VertexId,
-    target: VertexId,
-    counters: &mut Counters,
-) -> ConvergedResult<A> {
-    assert!(
-        target.index() < graph.num_vertices(),
-        "target {target} out of bounds"
-    );
-    let mut result = ConvergedResult::fresh(graph.num_vertices(), source);
-    let mut frontier = Frontier::default();
-    frontier.push(A::rank(result.state(source)), source);
-    while let Some((rank, u)) = frontier.pop() {
-        if rank != A::rank(result.state(u)) {
-            continue;
-        }
-        if u == target {
-            break;
-        }
-        let u_state = result.state(u);
-        for edge in graph.out_edges(u) {
-            counters.computations += 1;
-            let candidate = A::combine(u_state, edge.weight());
-            let v = edge.to();
-            if A::improves(candidate, result.state(v)) {
-                result.set(v, candidate, Some(u));
-                counters.activations += 1;
-                frontier.push(A::rank(candidate), v);
-            }
-        }
-    }
     result
 }
 
@@ -209,33 +161,6 @@ mod tests {
         let r = best_first::<Ppsp, _>(&g, v(0), &mut Counters::new());
         assert_eq!(r.state(v(2)), State::POS_INF);
         assert_eq!(r.parent(v(2)), None);
-    }
-
-    #[test]
-    fn target_variant_settles_target() {
-        let g = diamond();
-        let r = best_first_to_target::<Ppsp, _>(&g, v(0), v(3), &mut Counters::new());
-        assert_eq!(r.state(v(3)).get(), 5.0);
-    }
-
-    #[test]
-    fn target_variant_may_skip_rest() {
-        let mut g = DynamicGraph::new(4);
-        g.insert_edge(v(0), v(1), w(1.0)).unwrap();
-        g.insert_edge(v(1), v(2), w(1.0)).unwrap();
-        g.insert_edge(v(2), v(3), w(1.0)).unwrap();
-        let mut full = Counters::new();
-        let mut early = Counters::new();
-        best_first::<Ppsp, _>(&g, v(0), &mut full);
-        best_first_to_target::<Ppsp, _>(&g, v(0), v(1), &mut early);
-        assert!(early.computations < full.computations);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of bounds")]
-    fn target_oob_panics() {
-        let g = diamond();
-        let _ = best_first_to_target::<Ppsp, _>(&g, v(0), v(9), &mut Counters::new());
     }
 
     /// Cross-validation: best-first and worklist agree on random graphs for

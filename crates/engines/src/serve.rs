@@ -715,221 +715,6 @@ mod tests {
     }
 
     #[test]
-    fn durable_server_recovers_to_identical_answers() {
-        use cisgraph_persist::{DurableStore, PersistConfig};
-
-        let dir =
-            std::env::temp_dir().join(format!("cisgraph_serve_durable_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let (g, queries, batches) = scenario();
-        let bootstrap = move || g.clone();
-
-        // Durable run: every batch logged before application.
-        let mut cfg = PersistConfig::new(&dir);
-        cfg.checkpoint_every = Some(2);
-        let (store, recovered) = DurableStore::open(cfg.clone(), bootstrap.clone()).unwrap();
-        let mut server =
-            QueryServer::<Ppsp>::new(recovered.graph, &queries, &ServeConfig::with_threads(2));
-        server.attach_durability(store);
-        assert!(server.is_durable());
-        for batch in &batches {
-            server.process_batch(batch).unwrap();
-        }
-        let expected_answers = server.answers();
-        let expected_snapshot = server.graph().snapshot();
-        drop(server); // "crash" after the last batch
-
-        // Restart: recovery + re-registration must reproduce both the
-        // graph (byte-identically) and every standing answer.
-        let (_store, recovered) = DurableStore::open(cfg, bootstrap).unwrap();
-        assert_eq!(recovered.graph.snapshot(), expected_snapshot);
-        let server2 =
-            QueryServer::<Ppsp>::new(recovered.graph, &queries, &ServeConfig::with_threads(3));
-        assert_eq!(server2.answers(), expected_answers);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    /// Regression: a batch the graph rejects must never reach the WAL, or
-    /// every later recovery would replay the bad frame. The atomic apply
-    /// runs before the append, so the rejected batch is never logged.
-    #[test]
-    fn rejected_batch_never_reaches_the_wal() {
-        use cisgraph_persist::{DurableStore, PersistConfig};
-
-        let dir =
-            std::env::temp_dir().join(format!("cisgraph_serve_wal_poison_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let mut g = DynamicGraph::new(3);
-        g.insert_edge(v(0), v(1), Weight::ONE).unwrap();
-        let bootstrap = move || g.clone();
-
-        let cfg = PersistConfig::new(&dir);
-        let (store, recovered) = DurableStore::open(cfg.clone(), bootstrap.clone()).unwrap();
-        let queries = vec![PairQuery::new(v(0), v(1)).unwrap()];
-        let mut server =
-            QueryServer::<Ppsp>::new(recovered.graph, &queries, &ServeConfig::with_threads(1));
-        server.attach_durability(store);
-
-        let good = [EdgeUpdate::insert(v(1), v(2), Weight::ONE)];
-        server.process_batch(&good).unwrap();
-        let expected_snapshot = server.graph().snapshot();
-        let expected_answers = server.answers();
-
-        // Deleting an edge that was never inserted is rejected up front.
-        let bad = [EdgeUpdate::delete(v(2), v(0), Weight::ONE)];
-        assert!(server.process_batch(&bad).is_err());
-        assert_eq!(server.graph().snapshot(), expected_snapshot);
-        assert_eq!(server.answers(), expected_answers);
-        drop(server); // "crash" after the rejected batch
-
-        // Restart: only the good batch was logged, so recovery replays a
-        // clean WAL and lands on the pre-rejection state.
-        let (_store, recovered) = DurableStore::open(cfg, bootstrap).unwrap();
-        assert_eq!(recovered.stats.replayed_batches, 1);
-        assert_eq!(recovered.graph.snapshot(), expected_snapshot);
-        let server2 =
-            QueryServer::<Ppsp>::new(recovered.graph, &queries, &ServeConfig::with_threads(1));
-        assert_eq!(server2.answers(), expected_answers);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    /// Regression: a batch the WAL refuses must leave no trace. Before
-    /// apply → log, the frame the failed rotation had already written
-    /// stayed in the segment and recovery replayed a batch the server had
-    /// reported as failed.
-    #[test]
-    fn failed_wal_append_undoes_the_batch() {
-        use cisgraph_persist::{snapshot_digest, DurableStore, PersistConfig};
-
-        let dir = std::env::temp_dir().join(format!(
-            "cisgraph_serve_wal_append_fail_{}",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        let (g, queries, batches) = scenario();
-        let bootstrap = move || g.clone();
-        let mut cfg = PersistConfig::new(&dir);
-        cfg.segment_bytes = 1; // every append rotates to a new segment
-        let (store, recovered) = DurableStore::open(cfg.clone(), bootstrap.clone()).unwrap();
-        let mut server =
-            QueryServer::<Ppsp>::new(recovered.graph, &queries, &ServeConfig::with_threads(2));
-        server.attach_durability(store);
-        server.process_batch(&batches[0]).unwrap();
-        let digest = snapshot_digest(&server.graph().snapshot());
-        let answers = server.answers();
-
-        // Batch 1 gets seq 1; the rotation after it opens segment 2, which
-        // a directory now squats on, so the append fails after its frame
-        // was written and synced.
-        let squat = dir.join(format!("wal-{:016x}.seg", 2));
-        std::fs::create_dir(&squat).unwrap();
-        let err = server.process_batch(&batches[1]).unwrap_err();
-        assert!(matches!(err, GraphError::Io(_)), "{err:?}");
-        assert_eq!(snapshot_digest(&server.graph().snapshot()), digest);
-        assert_eq!(server.answers(), answers);
-        // The WAL is poisoned until the store is reopened.
-        assert!(server.process_batch(&batches[2]).is_err());
-        assert_eq!(snapshot_digest(&server.graph().snapshot()), digest);
-        drop(server);
-
-        std::fs::remove_dir(&squat).unwrap();
-        let (_store, recovered) = DurableStore::open(cfg, bootstrap).unwrap();
-        assert_eq!(
-            recovered.stats.replayed_batches, 1,
-            "only batch 0 was logged"
-        );
-        assert_eq!(snapshot_digest(&recovered.graph.snapshot()), digest);
-        let server2 =
-            QueryServer::<Ppsp>::new(recovered.graph, &queries, &ServeConfig::with_threads(1));
-        assert_eq!(server2.answers(), answers);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    /// Regression: a checkpoint failure used to turn an applied, logged,
-    /// and served batch into an `Err`, inviting a retry that would apply
-    /// it twice.
-    #[test]
-    fn failed_checkpoint_does_not_fail_the_batch() {
-        use cisgraph_persist::{DurableStore, PersistConfig};
-
-        let dir =
-            std::env::temp_dir().join(format!("cisgraph_serve_ckpt_fail_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let (g, queries, batches) = scenario();
-        let mut reference = g.clone();
-        let bootstrap = move || g.clone();
-        let mut cfg = PersistConfig::new(&dir);
-        cfg.checkpoint_every = Some(1);
-        let (store, recovered) = DurableStore::open(cfg.clone(), bootstrap.clone()).unwrap();
-        // The checkpoint after batch `i` covers seq `i + 1`; a directory
-        // on its temp-file path makes the write fail even as root.
-        for seq in 1..=batches.len() {
-            std::fs::create_dir(dir.join(format!("ckpt-{seq:016x}.ckpt.tmp"))).unwrap();
-        }
-        let mut server =
-            QueryServer::<Ppsp>::new(recovered.graph, &queries, &ServeConfig::with_threads(2));
-        server.attach_durability(store);
-        cisgraph_obs::enable();
-        for batch in &batches {
-            let before = server.answers();
-            let report = server.process_batch(batch).expect("the batch stands");
-            assert!(report.checkpoint_error.is_some());
-            assert_eq!(report.answers, server.answers());
-            reference.apply_batch(batch).unwrap();
-            assert_ne!(report.answers, before, "answers moved with the batch");
-        }
-        assert!(
-            cisgraph_obs::snapshot().counters["serve.checkpoint_failures"] >= batches.len() as u64
-        );
-        let expected = server.graph().snapshot();
-        assert_eq!(expected, reference.snapshot());
-        drop(server);
-
-        let (_store, recovered) = DurableStore::open(cfg, bootstrap).unwrap();
-        assert_eq!(recovered.stats.replayed_batches, batches.len() as u64);
-        assert_eq!(recovered.graph.snapshot(), expected);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    /// End-to-end serve with delta checkpoints on the background worker:
-    /// restart must land on the same graph bytes and standing answers as
-    /// the uninterrupted run.
-    #[test]
-    fn durable_server_with_background_delta_checkpoints_recovers() {
-        use cisgraph_persist::{DurableStore, PersistConfig};
-
-        let dir =
-            std::env::temp_dir().join(format!("cisgraph_serve_delta_bg_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let (g, queries, batches) = scenario();
-        let bootstrap = move || g.clone();
-
-        let mut cfg = PersistConfig::new(&dir);
-        cfg.checkpoint_every = Some(1);
-        cfg.mode = CheckpointMode::Delta;
-        cfg.full_every = 3;
-        cfg.background = true;
-        let (store, recovered) = DurableStore::open(cfg.clone(), bootstrap.clone()).unwrap();
-        let mut server =
-            QueryServer::<Ppsp>::new(recovered.graph, &queries, &ServeConfig::with_threads(2));
-        server.attach_durability(store);
-        for batch in &batches {
-            server.process_batch(batch).unwrap();
-        }
-        server.checkpoint_now().unwrap();
-        let expected_answers = server.answers();
-        let expected_snapshot = server.graph().snapshot();
-        drop(server);
-
-        let (_store, recovered) = DurableStore::open(cfg, bootstrap).unwrap();
-        assert_eq!(recovered.graph.snapshot(), expected_snapshot);
-        let server2 =
-            QueryServer::<Ppsp>::new(recovered.graph, &queries, &ServeConfig::with_threads(3));
-        assert_eq!(server2.answers(), expected_answers);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn serde_report_round_trip() {
         let (_, reports) = serve_all(2);
         let json = serde_json::to_string(&reports[0]).unwrap();

@@ -1,13 +1,7 @@
-//! Edge-list IO: whitespace text and a compact binary format.
-//!
-//! The text format is the SNAP-style `src dst [weight]` line format (lines
+//! Edge-list IO in the SNAP-style `src dst [weight]` text format (lines
 //! starting with `#` or `%` are comments; a missing weight defaults to 1).
-//! The binary format is a little-endian `[u64 count] ([u32 src][u32 dst]
-//! [f64 weight])*` stream built with [`bytes`], roughly 4× smaller and 10×
-//! faster to parse than text for the multi-million-edge stand-in datasets.
 
 use crate::GraphError;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use cisgraph_types::{EdgeUpdate, UpdateKind, VertexId, Weight};
 use std::io::{BufRead, BufReader, Read, Write};
 
@@ -90,74 +84,6 @@ pub fn write_edge_list<W: Write>(
         writeln!(writer, "{} {} {}", u.raw(), v.raw(), w.get())?;
     }
     Ok(())
-}
-
-/// Serializes an edge list to the compact binary format.
-///
-/// # Examples
-///
-/// ```
-/// use cisgraph_graph::{read_edge_list_binary, write_edge_list_binary};
-/// use cisgraph_types::{EdgeUpdate, UpdateKind, VertexId, Weight};
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let edges = vec![(VertexId::new(0), VertexId::new(1), Weight::new(2.0)?)];
-/// let bytes = write_edge_list_binary(&edges);
-/// assert_eq!(read_edge_list_binary(bytes)?, edges);
-/// # Ok(())
-/// # }
-/// ```
-pub fn write_edge_list_binary(edges: &[(VertexId, VertexId, Weight)]) -> Bytes {
-    let mut buf = BytesMut::with_capacity(8 + edges.len() * 16);
-    buf.put_u64_le(edges.len() as u64);
-    for &(u, v, w) in edges {
-        buf.put_u32_le(u.raw());
-        buf.put_u32_le(v.raw());
-        buf.put_f64_le(w.get());
-    }
-    buf.freeze()
-}
-
-/// Deserializes an edge list from the compact binary format.
-///
-/// # Errors
-///
-/// Returns [`GraphError::Parse`] if the buffer is truncated or contains an
-/// invalid weight.
-pub fn read_edge_list_binary(
-    mut bytes: Bytes,
-) -> Result<Vec<(VertexId, VertexId, Weight)>, GraphError> {
-    if bytes.remaining() < 8 {
-        return Err(GraphError::Parse {
-            line: 0,
-            message: "missing edge count header".into(),
-        });
-    }
-    let count = bytes.get_u64_le() as usize;
-    let need = count.checked_mul(16).ok_or_else(|| GraphError::Parse {
-        line: 0,
-        message: "edge count overflows".into(),
-    })?;
-    if bytes.remaining() < need {
-        return Err(GraphError::Parse {
-            line: 0,
-            message: format!(
-                "truncated: need {need} bytes for {count} edges, have {}",
-                bytes.remaining()
-            ),
-        });
-    }
-    let mut edges = Vec::with_capacity(count);
-    for i in 0..count {
-        let u = VertexId::new(bytes.get_u32_le());
-        let v = VertexId::new(bytes.get_u32_le());
-        let w = Weight::new(bytes.get_f64_le()).map_err(|e| GraphError::Parse {
-            line: i,
-            message: e.to_string(),
-        })?;
-        edges.push((u, v, w));
-    }
-    Ok(edges)
 }
 
 /// Parses a text update stream: one update per line, `+ src dst weight`
@@ -355,37 +281,5 @@ mod tests {
     fn update_list_rejects_missing_fields() {
         assert!(read_update_list("+ 1\n".as_bytes()).is_err());
         assert!(read_update_list("+\n".as_bytes()).is_err());
-    }
-
-    #[test]
-    fn binary_roundtrip() {
-        let edges = vec![(v(0), v(1), w(1.5)), (v(7), v(3), w(0.25))];
-        let bytes = write_edge_list_binary(&edges);
-        assert_eq!(read_edge_list_binary(bytes).unwrap(), edges);
-    }
-
-    #[test]
-    fn binary_empty() {
-        let bytes = write_edge_list_binary(&[]);
-        assert!(read_edge_list_binary(bytes).unwrap().is_empty());
-    }
-
-    #[test]
-    fn binary_truncated_errors() {
-        let edges = vec![(v(0), v(1), w(1.0))];
-        let bytes = write_edge_list_binary(&edges);
-        let truncated = bytes.slice(0..bytes.len() - 4);
-        assert!(matches!(
-            read_edge_list_binary(truncated),
-            Err(GraphError::Parse { .. })
-        ));
-    }
-
-    #[test]
-    fn binary_missing_header_errors() {
-        assert!(matches!(
-            read_edge_list_binary(Bytes::from_static(&[1, 2, 3])),
-            Err(GraphError::Parse { .. })
-        ));
     }
 }

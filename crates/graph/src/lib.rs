@@ -53,10 +53,7 @@ pub use csr::{Csr, Snapshot};
 pub use dynamic::{DynamicGraph, UndoLog};
 pub use edge::Edge;
 pub use error::GraphError;
-pub use io::{
-    read_edge_list, read_edge_list_binary, read_update_list, write_edge_list,
-    write_edge_list_binary, write_update_list,
-};
+pub use io::{read_edge_list, read_update_list, write_edge_list, write_update_list};
 pub use shared::SharedGraph;
 pub use stats::{degree_stats, DegreeStats};
 pub use view::{GraphView, ReversedView};

@@ -24,11 +24,11 @@ use std::sync::Arc;
 /// # Examples
 ///
 /// ```
-/// use cisgraph_graph::{GraphView, SharedGraph};
+/// use cisgraph_graph::{DynamicGraph, GraphView, SharedGraph};
 /// use cisgraph_types::{EdgeUpdate, VertexId, Weight};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let mut shared = SharedGraph::with_vertices(2);
+/// let mut shared = SharedGraph::new(DynamicGraph::new(2));
 /// shared.apply_batch(&[EdgeUpdate::insert(
 ///     VertexId::new(0),
 ///     VertexId::new(1),
@@ -59,11 +59,6 @@ impl SharedGraph {
         Self {
             inner: Arc::new(graph),
         }
-    }
-
-    /// An empty shared graph with `num_vertices` isolated vertices.
-    pub fn with_vertices(num_vertices: usize) -> Self {
-        Self::new(DynamicGraph::new(num_vertices))
     }
 
     /// The underlying graph, for APIs that want a concrete
@@ -124,18 +119,6 @@ impl SharedGraph {
     pub fn snapshot(&self) -> Snapshot {
         self.inner.snapshot()
     }
-
-    /// Whether this handle is the only one alive (i.e. the next mutation
-    /// will be applied in place rather than copy-on-write).
-    pub fn is_unique(&self) -> bool {
-        Arc::strong_count(&self.inner) == 1
-    }
-
-    /// Consumes the handle, returning the graph. Clones the storage iff
-    /// other handles are still alive.
-    pub fn into_inner(self) -> DynamicGraph {
-        Arc::try_unwrap(self.inner).unwrap_or_else(|arc| (*arc).clone())
-    }
 }
 
 impl From<DynamicGraph> for SharedGraph {
@@ -177,23 +160,23 @@ mod tests {
 
     #[test]
     fn unique_handle_mutates_in_place() {
-        let mut shared = SharedGraph::with_vertices(3);
-        assert!(shared.is_unique());
+        let mut shared = SharedGraph::new(DynamicGraph::new(3));
+        assert_eq!(Arc::strong_count(&shared.inner), 1);
         shared
             .apply_batch(&[EdgeUpdate::insert(v(0), v(1), w(1.0))])
             .unwrap();
         assert_eq!(shared.num_edges(), 1);
-        assert!(shared.is_unique());
+        assert_eq!(Arc::strong_count(&shared.inner), 1);
     }
 
     #[test]
     fn readers_keep_their_snapshot() {
-        let mut shared = SharedGraph::with_vertices(3);
+        let mut shared = SharedGraph::new(DynamicGraph::new(3));
         shared
             .apply_batch(&[EdgeUpdate::insert(v(0), v(1), w(1.0))])
             .unwrap();
         let reader = shared.clone();
-        assert!(!shared.is_unique());
+        assert_eq!(Arc::strong_count(&shared.inner), 2);
         shared
             .apply_batch(&[
                 EdgeUpdate::insert(v(1), v(2), w(2.0)),
@@ -208,7 +191,7 @@ mod tests {
 
     #[test]
     fn undo_after_a_reader_clone_keeps_the_reader_view() {
-        let mut shared = SharedGraph::with_vertices(3);
+        let mut shared = SharedGraph::new(DynamicGraph::new(3));
         let log = shared
             .apply_batch_undoable(&[EdgeUpdate::insert(v(0), v(1), w(1.0))])
             .unwrap();
@@ -227,17 +210,5 @@ mod tests {
         assert_eq!(shared.out_degree(v(0)), 1);
         assert_eq!(shared.in_degree(v(1)), 1);
         assert_eq!(shared.snapshot().num_edges(), 1);
-    }
-
-    #[test]
-    fn into_inner_round_trips() {
-        let mut shared = SharedGraph::with_vertices(2);
-        shared
-            .apply(EdgeUpdate::insert(v(0), v(1), w(1.0)))
-            .unwrap();
-        let keep_alive = shared.clone();
-        let owned = shared.into_inner();
-        assert_eq!(owned.num_edges(), 1);
-        assert_eq!(keep_alive.num_edges(), 1);
     }
 }

@@ -479,15 +479,9 @@ pub fn read(path: &Path) -> Result<Checkpoint> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::temp_dir::TempDir;
     use crate::{recover, snapshot_digest};
     use cisgraph_types::EdgeUpdate;
-
-    fn tmpdir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("cisgraph_ckpt_{tag}_{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        fs::create_dir_all(&dir).unwrap();
-        dir
-    }
 
     /// Twelve vertices with edges among the first eight only, so the top
     /// four are isolated and only `num_rows` records them. Rows 0..5 hold
@@ -546,13 +540,14 @@ mod tests {
 
     #[test]
     fn write_then_read_round_trips() {
-        let dir = tmpdir("roundtrip");
+        let tmp = TempDir::new("roundtrip");
+        let dir = tmp.path();
         let names = [
             "ckpt-000000000000002a.ckpt",
             "ckpt-0000000000000009.dckpt",
             "ckpt-0000000000000005.dckpt",
         ];
-        let fx = fixtures(&dir);
+        let fx = fixtures(dir);
         for ((ckpt, path), name) in fx.iter().zip(names) {
             assert_eq!(path.file_name().unwrap().to_str(), Some(name));
             assert_eq!(read(path).unwrap(), *ckpt, "{name}");
@@ -566,7 +561,7 @@ mod tests {
         assert_eq!(listed, [5, 5, 0]);
         // The base is the newest checkpoint, and alone rebuilds the graph,
         // isolated top vertices included.
-        let r = recover(&dir, DynamicGraph::default).unwrap();
+        let r = recover(dir, DynamicGraph::default).unwrap();
         assert_eq!(r.next_seq, 42);
         assert_eq!(r.graph.num_vertices(), 12);
         assert_eq!(r.graph.promotion_threshold(), 3);
@@ -574,15 +569,15 @@ mod tests {
             snapshot_digest(&r.graph.snapshot()),
             snapshot_digest(&sample_graph().snapshot())
         );
-        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn every_single_byte_flip_is_detected() {
-        let dir = tmpdir("bitflip");
+        let tmp = TempDir::new("bitflip");
+        let dir = tmp.path();
         // Flipping any byte must fail validation (CRC or structure) —
         // never silently load different rows.
-        for (ckpt, path) in fixtures(&dir) {
+        for (ckpt, path) in fixtures(dir) {
             let clean = fs::read(&path).unwrap();
             let mut bytes = clean.clone();
             for pos in 0..bytes.len() {
@@ -594,26 +589,26 @@ mod tests {
             fs::write(&path, &clean).unwrap();
             assert_eq!(read(&path).unwrap(), ckpt);
         }
-        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn truncation_is_detected() {
-        let dir = tmpdir("trunc");
-        for (_, path) in fixtures(&dir) {
+        let tmp = TempDir::new("trunc");
+        let dir = tmp.path();
+        for (_, path) in fixtures(dir) {
             let bytes = fs::read(&path).unwrap();
             for cut in [0, 8, HEADER_BYTES, bytes.len() / 2, bytes.len() - 1] {
                 fs::write(&path, &bytes[..cut]).unwrap();
                 assert!(is_corrupt(read(&path)), "cut to {cut} bytes of {path:?}");
             }
         }
-        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn header_disagreeing_with_file_name_is_corrupt() {
-        let dir = tmpdir("misnamed");
-        let fx = fixtures(&dir);
+        let tmp = TempDir::new("misnamed");
+        let dir = tmp.path();
+        let fx = fixtures(dir);
         let (base, delta) = (&fx[0].1, &fx[1].1);
         // Each copy keeps a valid CRC; only the name disagrees: a base
         // named as a delta, a delta named as a base, another position.
@@ -628,27 +623,26 @@ mod tests {
             assert!(is_corrupt(read_header(&path)), "{to}");
             fs::remove_file(&path).unwrap();
         }
-        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn list_all_orders_by_position_and_parent_of_prefers_the_base() {
-        let dir = tmpdir("list");
+        let tmp = TempDir::new("list");
+        let dir = tmp.path();
         let g = DynamicGraph::new(2);
         for (seq, parent) in [(30, None), (7, None), (7, Some((7, &[][..])))] {
-            write(&dir, &Checkpoint::capture(&g, seq, parent)).unwrap();
+            write(dir, &Checkpoint::capture(&g, seq, parent)).unwrap();
         }
         // A stray temp file and a WAL segment must both be ignored.
         fs::write(dir.join("ckpt-0000000000000063.ckpt.tmp"), b"junk").unwrap();
         fs::write(dir.join("wal-0000000000000000.seg"), b"junk").unwrap();
-        let entries = list_all(&dir).unwrap();
+        let entries = list_all(dir).unwrap();
         let listed: Vec<_> = entries.iter().map(|e| (e.next_seq, e.has_parent)).collect();
         assert_eq!(listed, [(7, true), (7, false), (30, false)]);
         // The idle delta at 7 extends the base at 7, never itself.
         let parent = parent_of(&entries, &entries[0]).unwrap().unwrap();
         assert_eq!(parent.path, entries[1].path);
         assert!(parent_of(&entries, &entries[1]).unwrap().is_none());
-        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -669,15 +663,15 @@ mod tests {
             (none, HEADER_BYTES + 4, &u32::MAX.to_le_bytes()),
         ];
         for (i, (parent, offset, bytes)) in cases.into_iter().enumerate() {
-            let dir = tmpdir(&format!("crafted{i}"));
-            write(&dir, &Checkpoint::capture(&g, 1, None)).unwrap();
-            let path = write(&dir, &Checkpoint::capture(&g, 2, parent)).unwrap();
+            let tmp = TempDir::new(&format!("crafted{i}"));
+            let dir = tmp.path();
+            write(dir, &Checkpoint::capture(&g, 1, None)).unwrap();
+            let path = write(dir, &Checkpoint::capture(&g, 2, parent)).unwrap();
             patch(&path, offset, bytes);
-            let r = recover(&dir, DynamicGraph::default).unwrap();
+            let r = recover(dir, DynamicGraph::default).unwrap();
             assert_eq!(r.stats.corrupt_checkpoints, 1, "case {i}");
             assert_eq!(r.stats.checkpoint_seq, 1, "case {i}");
             assert_eq!(r.graph.snapshot(), g.snapshot(), "case {i}");
-            fs::remove_dir_all(&dir).unwrap();
         }
     }
 }

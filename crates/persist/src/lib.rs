@@ -22,8 +22,8 @@
 //!   tail (detected by the per-frame CRC), replays the surviving frames,
 //!   and hands back a graph whose
 //!   materialized [`Snapshot`](cisgraph_graph::Snapshot) is byte-identical
-//!   to an uninterrupted run — the crash-recovery property the
-//!   fault-injection tests and `tests/proptest_recovery.rs` pin down.
+//!   to an uninterrupted run — the crash-recovery property the root
+//!   durability harness (`tests/durability.rs`) pins down.
 //!
 //! [`DurableStore`] bundles the three into the one handle the serving
 //! layer and the bench harness use: open (which recovers), log each
@@ -78,6 +78,12 @@ mod frame;
 pub mod recover;
 mod store;
 mod wal;
+
+// The scratch-directory guard the root integration tests use, shared so
+// there is one.
+#[cfg(test)]
+#[path = "../../../tests/temp_dir/mod.rs"]
+mod temp_dir;
 
 /// Writes `bytes` atomically at `path`: temp sibling, fsync, rename, then
 /// a best-effort directory sync so the rename itself survives a crash that

@@ -14,7 +14,8 @@
 //!    the chosen chain are skipped,
 //! 3. the first torn or corrupt frame ends the log: the damaged segment is
 //!    **truncated in place** at the last good frame boundary and any later
-//!    segments are deleted,
+//!    segments are deleted, as is any segment named past the recovered
+//!    position (an emptied one: pruning trusts segment names),
 //! 4. every surviving frame is replayed with
 //!    [`DynamicGraph::apply_batch`], which is atomic: a logged batch the
 //!    graph rejected in the original run (possible only for a writer that
@@ -184,8 +185,9 @@ pub fn recover_with(
         }
     }
 
-    // Truncate the damaged segment in place and drop everything after it,
-    // so the next append continues from a clean boundary.
+    // Truncate the damaged segment in place, so the next append continues
+    // from a clean boundary.
+    let mut drop_from = segments.len();
     if let Some((idx, keep)) = stop_at {
         let (_, path) = &segments[idx];
         let len = fs::metadata(path)?.len();
@@ -193,9 +195,16 @@ pub fn recover_with(
         let file = OpenOptions::new().write(true).open(path)?;
         file.set_len(keep as u64)?;
         file.sync_data()?;
-        for (_, later) in &segments[idx + 1..] {
-            stats.truncated_bytes += fs::metadata(later)?.len();
-            fs::remove_file(later)?;
+        drop_from = idx + 1;
+    }
+    // Drop every segment after the damage, and every one named past the
+    // recovered position (an emptied one, or one past a gap): the writer
+    // resumes in `wal-{next_seq}`, and pruning trusts segment names, so a
+    // later name would claim frames that sit in an earlier segment.
+    for (idx, (first_seq, path)) in segments.iter().enumerate() {
+        if idx >= drop_from || *first_seq > replay_pos {
+            stats.truncated_bytes += fs::metadata(path)?.len();
+            fs::remove_file(path)?;
         }
     }
 
@@ -268,17 +277,10 @@ fn load_chain(entries: &[CheckpointEntry], head: &CheckpointEntry) -> Result<(Dy
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::temp_dir::TempDir;
     use crate::wal::{FsyncPolicy, Wal, WalConfig};
     use cisgraph_types::{EdgeUpdate, VertexId, Weight};
     use std::path::PathBuf;
-
-    fn tmpdir(tag: &str) -> PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("cisgraph_recover_{tag}_{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        fs::create_dir_all(&dir).unwrap();
-        dir
-    }
 
     fn upd(i: u32) -> EdgeUpdate {
         EdgeUpdate::insert(
@@ -299,66 +301,67 @@ mod tests {
 
     #[test]
     fn fresh_directory_recovers_to_bootstrap() {
-        let dir = tmpdir("fresh");
-        let r = recover(&dir, bootstrap).unwrap();
+        let tmp = TempDir::new("fresh");
+        let dir = tmp.path();
+        let r = recover(dir, bootstrap).unwrap();
         assert_eq!(r.next_seq, 0);
         assert_eq!(r.stats, RecoveryStats::default());
         assert_eq!(r.graph.snapshot(), bootstrap().snapshot());
-        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn wal_only_replay_matches_direct_application() {
-        let dir = tmpdir("walonly");
+        let tmp = TempDir::new("walonly");
+        let dir = tmp.path();
         let mut expected = bootstrap();
-        let mut wal = Wal::open(WalConfig::new(&dir), 0).unwrap();
+        let mut wal = Wal::open(WalConfig::new(dir), 0).unwrap();
         for b in 0..10u32 {
             let batch: Vec<_> = (0..5).map(|i| upd(b * 5 + i)).collect();
             wal.append(&batch).unwrap();
             expected.apply_batch(&batch).unwrap();
         }
         drop(wal);
-        let r = recover(&dir, bootstrap).unwrap();
+        let r = recover(dir, bootstrap).unwrap();
         assert_eq!(r.next_seq, 10);
         assert_eq!(r.stats.replayed_batches, 10);
         assert_eq!(r.stats.replayed_updates, 50);
         assert_eq!(r.stats.truncated_bytes, 0);
         assert_eq!(r.graph.snapshot(), expected.snapshot());
-        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn checkpoint_plus_tail_skips_covered_frames() {
-        let dir = tmpdir("ckpt_tail");
+        let tmp = TempDir::new("ckpt_tail");
+        let dir = tmp.path();
         let mut expected = bootstrap();
-        let mut wal = Wal::open(WalConfig::new(&dir), 0).unwrap();
+        let mut wal = Wal::open(WalConfig::new(dir), 0).unwrap();
         for b in 0..4u32 {
             let batch: Vec<_> = (0..3).map(|i| upd(b * 3 + i)).collect();
             wal.append(&batch).unwrap();
             expected.apply_batch(&batch).unwrap();
         }
         // Checkpoint covering the first 4 batches, then 2 more batches.
-        write_base(&dir, 4, &expected);
+        write_base(dir, 4, &expected);
         for b in 4..6u32 {
             let batch: Vec<_> = (0..3).map(|i| upd(b * 3 + i)).collect();
             wal.append(&batch).unwrap();
             expected.apply_batch(&batch).unwrap();
         }
         drop(wal);
-        let r = recover(&dir, bootstrap).unwrap();
+        let r = recover(dir, bootstrap).unwrap();
         assert_eq!(r.stats.checkpoint_seq, 4);
         assert_eq!(r.stats.skipped_frames, 4);
         assert_eq!(r.stats.replayed_batches, 2);
         assert_eq!(r.next_seq, 6);
         assert_eq!(r.graph.snapshot(), expected.snapshot());
-        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn torn_tail_is_truncated_and_next_open_appends_cleanly() {
-        let dir = tmpdir("torn");
+        let tmp = TempDir::new("torn");
+        let dir = tmp.path();
         let mut expected = bootstrap();
-        let mut wal = Wal::open(WalConfig::new(&dir), 0).unwrap();
+        let mut wal = Wal::open(WalConfig::new(dir), 0).unwrap();
         for b in 0..3u32 {
             let batch: Vec<_> = (0..3).map(|i| upd(b * 3 + i)).collect();
             wal.append(&batch).unwrap();
@@ -368,7 +371,7 @@ mod tests {
         }
         drop(wal);
         // Tear the last frame: chop 5 bytes off the segment.
-        let (_, path) = list_segments(&dir).unwrap().pop().unwrap();
+        let (_, path) = list_segments(dir).unwrap().pop().unwrap();
         let len = fs::metadata(&path).unwrap().len();
         OpenOptions::new()
             .write(true)
@@ -377,28 +380,28 @@ mod tests {
             .set_len(len - 5)
             .unwrap();
 
-        let r = recover(&dir, bootstrap).unwrap();
+        let r = recover(dir, bootstrap).unwrap();
         assert_eq!(r.stats.replayed_batches, 2);
         assert_eq!(r.next_seq, 2);
         assert!(r.stats.truncated_bytes > 0);
         assert_eq!(r.graph.snapshot(), expected.snapshot());
 
         // The truncation leaves a clean boundary: append and recover again.
-        let mut wal = Wal::open(WalConfig::new(&dir), r.next_seq).unwrap();
+        let mut wal = Wal::open(WalConfig::new(dir), r.next_seq).unwrap();
         let batch = vec![upd(90)];
         wal.append(&batch).unwrap();
         expected.apply_batch(&batch).unwrap();
         drop(wal);
-        let r2 = recover(&dir, bootstrap).unwrap();
+        let r2 = recover(dir, bootstrap).unwrap();
         assert_eq!(r2.next_seq, 3);
         assert_eq!(r2.graph.snapshot(), expected.snapshot());
-        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn corrupt_middle_segment_drops_later_segments() {
-        let dir = tmpdir("midrot");
-        let mut cfg = WalConfig::new(&dir);
+        let tmp = TempDir::new("midrot");
+        let dir = tmp.path();
+        let mut cfg = WalConfig::new(dir);
         cfg.segment_bytes = 200; // force several segments
         cfg.fsync = FsyncPolicy::Never;
         let mut expected = bootstrap();
@@ -410,7 +413,7 @@ mod tests {
             per_batch.push(batch);
         }
         drop(wal);
-        let segments = list_segments(&dir).unwrap();
+        let segments = list_segments(dir).unwrap();
         assert!(
             segments.len() >= 3,
             "need several segments, got {}",
@@ -423,7 +426,7 @@ mod tests {
         bytes[idx] ^= 0xFF;
         fs::write(second_path, &bytes).unwrap();
 
-        let r = recover(&dir, bootstrap).unwrap();
+        let r = recover(dir, bootstrap).unwrap();
         // Everything before the second segment replays; nothing after.
         assert_eq!(r.next_seq, *second_first_seq);
         for batch in &per_batch[..*second_first_seq as usize] {
@@ -432,45 +435,44 @@ mod tests {
         assert_eq!(r.graph.snapshot(), expected.snapshot());
         // Later segments are gone; the damaged one is truncated to zero
         // good frames... or the last good boundary.
-        let remaining = list_segments(&dir).unwrap();
+        let remaining = list_segments(dir).unwrap();
         assert_eq!(remaining.len(), 2);
         assert!(r.stats.truncated_bytes > 0);
-        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn corrupt_newest_checkpoint_falls_back_to_older() {
-        let dir = tmpdir("ckpt_fallback");
+        let tmp = TempDir::new("ckpt_fallback");
+        let dir = tmp.path();
         let mut g = bootstrap();
         g.apply_batch(&[upd(1)]).unwrap();
-        write_base(&dir, 1, &g);
+        write_base(dir, 1, &g);
         let older = g.snapshot();
         g.apply_batch(&[upd(2)]).unwrap();
-        let newest = write_base(&dir, 2, &g);
+        let newest = write_base(dir, 2, &g);
         // Corrupt the newest checkpoint.
         let mut bytes = fs::read(&newest).unwrap();
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x01;
         fs::write(&newest, &bytes).unwrap();
 
-        let r = recover(&dir, bootstrap).unwrap();
+        let r = recover(dir, bootstrap).unwrap();
         assert_eq!(r.stats.corrupt_checkpoints, 1);
         assert_eq!(r.stats.checkpoint_seq, 1);
         assert_eq!(r.graph.snapshot(), older);
-        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn all_checkpoints_corrupt_is_a_hard_error() {
-        let dir = tmpdir("ckpt_dead");
-        let path = write_base(&dir, 1, &bootstrap());
+        let tmp = TempDir::new("ckpt_dead");
+        let dir = tmp.path();
+        let path = write_base(dir, 1, &bootstrap());
         fs::write(&path, b"not a checkpoint").unwrap();
-        match recover(&dir, bootstrap) {
+        match recover(dir, bootstrap) {
             Err(PersistError::Corrupt { reason, .. }) => {
                 assert!(reason.contains("refusing"), "unexpected reason {reason:?}")
             }
             other => panic!("expected corrupt, got {other:?}"),
         }
-        fs::remove_dir_all(&dir).unwrap();
     }
 }

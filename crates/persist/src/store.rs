@@ -1,7 +1,8 @@
 //! [`DurableStore`]: the one handle the serving layer and the bench
-//! harness hold — open (which recovers), log each batch *before* applying
-//! it, checkpoint every N batches (full or delta, inline or on a
-//! background worker), prune what the newest chains make redundant.
+//! harness hold — open (which recovers), log each batch once it has been
+//! applied (the caller undoes it if the log refuses it), checkpoint every
+//! N batches (full or delta, inline or on a background worker), prune what
+//! the newest chains make redundant.
 
 use std::collections::HashSet;
 use std::fs;
@@ -252,8 +253,10 @@ impl DurableStore {
         ))
     }
 
-    /// Logs one batch ahead of application; returns its sequence number.
-    /// Durability on return follows the configured [`FsyncPolicy`].
+    /// Logs one batch the caller has already applied; returns its
+    /// sequence number. Durability on return follows the configured
+    /// [`FsyncPolicy`]. On an error the batch is not logged, and the
+    /// caller must undo it (see the protocol on [`DurableStore`]).
     pub fn log_batch(&mut self, batch: &[EdgeUpdate]) -> Result<u64> {
         let seq = self.wal.append(batch)?;
         self.batches_since_checkpoint += 1;
@@ -592,13 +595,8 @@ pub fn snapshot_digest(snapshot: &Snapshot) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::temp_dir::TempDir;
     use cisgraph_types::{VertexId, Weight};
-
-    fn tmpdir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("cisgraph_store_{tag}_{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        dir
-    }
 
     fn upd(i: u32) -> EdgeUpdate {
         EdgeUpdate::insert(
@@ -627,8 +625,9 @@ mod tests {
 
     #[test]
     fn open_log_reopen_replays() {
-        let dir = tmpdir("basic");
-        let cfg = PersistConfig::new(&dir);
+        let tmp = TempDir::new("basic");
+        let dir = tmp.path();
+        let cfg = PersistConfig::new(dir);
         let (mut store, recovered) = DurableStore::open(cfg.clone(), bootstrap).unwrap();
         let mut graph = recovered.graph;
         for b in 0..6u32 {
@@ -644,13 +643,13 @@ mod tests {
             snapshot_digest(&recovered2.graph.snapshot()),
             snapshot_digest(&graph.snapshot())
         );
-        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn checkpoint_cadence_and_pruning() {
-        let dir = tmpdir("cadence");
-        let mut cfg = PersistConfig::new(&dir);
+        let tmp = TempDir::new("cadence");
+        let dir = tmp.path();
+        let mut cfg = PersistConfig::new(dir);
         cfg.checkpoint_every = Some(2);
         cfg.segment_bytes = 256; // rotate often so pruning has prey
         cfg.fsync = FsyncPolicy::Never;
@@ -667,13 +666,12 @@ mod tests {
         }
         assert_eq!(wrote, 5);
         // Pruning keeps at most keep_checkpoints files.
-        assert!(count_files(&dir, ".ckpt") <= cfg.keep_checkpoints);
+        assert!(count_files(dir, ".ckpt") <= cfg.keep_checkpoints);
         drop(store);
         let (_s, recovered2) = DurableStore::open(cfg, bootstrap).unwrap();
         // The last checkpoint covered everything: nothing to replay.
         assert_eq!(recovered2.stats.replayed_batches, 0);
         assert_eq!(recovered2.graph.snapshot(), graph.snapshot());
-        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -681,8 +679,9 @@ mod tests {
         // Regression: `open` used to reset batches_since_checkpoint to 0
         // even when recovery replayed a WAL tail, letting the cadence
         // drift by up to checkpoint_every - 1 batches per restart.
-        let dir = tmpdir("reseed");
-        let mut cfg = PersistConfig::new(&dir);
+        let tmp = TempDir::new("reseed");
+        let dir = tmp.path();
+        let mut cfg = PersistConfig::new(dir);
         cfg.checkpoint_every = Some(3);
         cfg.fsync = FsyncPolicy::Never;
         let (mut store, recovered) = DurableStore::open(cfg.clone(), bootstrap).unwrap();
@@ -708,13 +707,13 @@ mod tests {
             store.maybe_checkpoint(&mut graph).unwrap(),
             "cadence must count the replayed tail"
         );
-        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn delta_mode_writes_deltas_and_recovers_identically() {
-        let dir = tmpdir("delta_mode");
-        let mut cfg = PersistConfig::new(&dir);
+        let tmp = TempDir::new("delta_mode");
+        let dir = tmp.path();
+        let mut cfg = PersistConfig::new(dir);
         cfg.checkpoint_every = Some(2);
         cfg.fsync = FsyncPolicy::Never;
         cfg.mode = CheckpointMode::Delta;
@@ -731,7 +730,7 @@ mod tests {
             store.maybe_checkpoint(&mut graph).unwrap();
         }
         assert!(
-            count_files(&dir, ".dckpt") >= 2,
+            count_files(dir, ".dckpt") >= 2,
             "expected delta checkpoints on disk"
         );
         drop(store);
@@ -742,13 +741,13 @@ mod tests {
             snapshot_digest(&graph.snapshot()),
             "delta-chain recovery must be byte-identical"
         );
-        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn full_every_bounds_the_chain() {
-        let dir = tmpdir("full_every");
-        let mut cfg = PersistConfig::new(&dir);
+        let tmp = TempDir::new("full_every");
+        let dir = tmp.path();
+        let mut cfg = PersistConfig::new(dir);
         cfg.checkpoint_every = Some(1);
         cfg.fsync = FsyncPolicy::Never;
         cfg.mode = CheckpointMode::Delta;
@@ -765,17 +764,17 @@ mod tests {
         drop(store);
         // 9 cadence checkpoints + the bootstrap full: with full_every=3
         // every third cadence write is full (positions 3, 6, 9).
-        let fulls = count_files(&dir, ".ckpt");
-        let deltas = count_files(&dir, ".dckpt");
+        let fulls = count_files(dir, ".ckpt");
+        let deltas = count_files(dir, ".dckpt");
         assert_eq!(fulls + deltas, 10);
         assert_eq!(fulls, 4, "bootstrap + every third cadence checkpoint");
-        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn background_checkpointing_completes_and_recovers() {
-        let dir = tmpdir("background");
-        let mut cfg = PersistConfig::new(&dir);
+        let tmp = TempDir::new("background");
+        let dir = tmp.path();
+        let mut cfg = PersistConfig::new(dir);
         cfg.checkpoint_every = Some(2);
         cfg.fsync = FsyncPolicy::Never;
         cfg.mode = CheckpointMode::Delta;
@@ -803,15 +802,15 @@ mod tests {
             snapshot_digest(&recovered2.graph.snapshot()),
             snapshot_digest(&graph.snapshot())
         );
-        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn prune_failure_never_fails_a_completed_checkpoint() {
         // A directory wearing a checkpoint's name cannot be removed by
         // fs::remove_file; old pruning aborted the checkpoint over it.
-        let dir = tmpdir("prunefail");
-        let mut cfg = PersistConfig::new(&dir);
+        let tmp = TempDir::new("prunefail");
+        let dir = tmp.path();
+        let mut cfg = PersistConfig::new(dir);
         cfg.checkpoint_every = Some(1);
         cfg.fsync = FsyncPolicy::Never;
         cfg.keep_checkpoints = 1;
@@ -839,22 +838,22 @@ mod tests {
             snapshot_digest(&recovered2.graph.snapshot()),
             snapshot_digest(&graph.snapshot())
         );
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn remove_file_best_effort_skips_missing_files() {
-        let dir = tmpdir("enoent");
-        fs::create_dir_all(&dir).unwrap();
+        let tmp = TempDir::new("enoent");
+        let dir = tmp.path();
+        fs::create_dir_all(dir).unwrap();
         // Must not panic or log an error for a file that vanished.
         remove_file_best_effort(&dir.join("ckpt-00000000000000ff.ckpt"));
-        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn prune_keeps_parents_of_retained_deltas() {
-        let dir = tmpdir("chain_prune");
-        let mut cfg = PersistConfig::new(&dir);
+        let tmp = TempDir::new("chain_prune");
+        let dir = tmp.path();
+        let mut cfg = PersistConfig::new(dir);
         cfg.checkpoint_every = Some(1);
         cfg.fsync = FsyncPolicy::Never;
         cfg.mode = CheckpointMode::Delta;
@@ -871,13 +870,12 @@ mod tests {
         drop(store);
         // The two newest heads are deltas; both chain down to the
         // bootstrap full, which pruning therefore must have kept.
-        assert!(count_files(&dir, ".ckpt") >= 1, "full base survives");
+        assert!(count_files(dir, ".ckpt") >= 1, "full base survives");
         let (_s, recovered2) = DurableStore::open(cfg, bootstrap).unwrap();
         assert_eq!(
             snapshot_digest(&recovered2.graph.snapshot()),
             snapshot_digest(&graph.snapshot())
         );
-        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

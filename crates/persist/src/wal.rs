@@ -328,14 +328,8 @@ impl Drop for Wal {
 mod tests {
     use super::*;
     use crate::frame::FrameDecode;
+    use crate::temp_dir::TempDir;
     use cisgraph_types::{VertexId, Weight};
-
-    fn tmpdir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("cisgraph_wal_{tag}_{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        fs::create_dir_all(&dir).unwrap();
-        dir
-    }
 
     fn upd(i: u32) -> EdgeUpdate {
         EdgeUpdate::insert(VertexId::new(i), VertexId::new(i + 1), Weight::ONE)
@@ -379,49 +373,50 @@ mod tests {
 
     #[test]
     fn appends_assign_consecutive_seqs_and_survive_sync() {
-        let dir = tmpdir("seqs");
-        let mut wal = Wal::open(WalConfig::new(&dir), 10).unwrap();
+        let tmp = TempDir::new("seqs");
+        let dir = tmp.path();
+        let mut wal = Wal::open(WalConfig::new(dir), 10).unwrap();
         for i in 0..5u32 {
             let seq = wal.append(&[upd(i)]).unwrap();
             assert_eq!(seq, 10 + u64::from(i));
         }
         drop(wal);
-        let segments = list_segments(&dir).unwrap();
+        let segments = list_segments(dir).unwrap();
         assert_eq!(segments.len(), 1);
         assert_eq!(segments[0].0, 10);
         let frames = decode_all(&segments[0].1);
         assert_eq!(frames.len(), 5);
         assert_eq!(frames[0].seq, 10);
         assert_eq!(frames[4].seq, 14);
-        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn never_policy_buffers_until_drop() {
-        let dir = tmpdir("buffered");
-        let mut cfg = WalConfig::new(&dir);
+        let tmp = TempDir::new("buffered");
+        let dir = tmp.path();
+        let mut cfg = WalConfig::new(dir);
         cfg.fsync = FsyncPolicy::Never;
         let mut wal = Wal::open(cfg, 0).unwrap();
         wal.append(&[upd(1), upd(2)]).unwrap();
         // Still buffered: the segment file on disk is empty.
-        let (_, path) = list_segments(&dir).unwrap().pop().unwrap();
+        let (_, path) = list_segments(dir).unwrap().pop().unwrap();
         assert_eq!(fs::metadata(&path).unwrap().len(), 0);
         drop(wal); // graceful shutdown flushes
         assert_eq!(decode_all(&path).len(), 1);
-        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn rotation_splits_the_stream_across_segments() {
-        let dir = tmpdir("rotate");
-        let mut cfg = WalConfig::new(&dir);
+        let tmp = TempDir::new("rotate");
+        let dir = tmp.path();
+        let mut cfg = WalConfig::new(dir);
         cfg.segment_bytes = 256; // tiny, to force rotation
         let mut wal = Wal::open(cfg, 0).unwrap();
         for i in 0..40u32 {
             wal.append(&[upd(i)]).unwrap();
         }
         drop(wal);
-        let segments = list_segments(&dir).unwrap();
+        let segments = list_segments(dir).unwrap();
         assert!(segments.len() > 1, "expected rotation, got one segment");
         let mut want = 0u64;
         for (first_seq, path) in &segments {
@@ -436,7 +431,6 @@ mod tests {
             }
         }
         assert_eq!(want, 40);
-        fs::remove_dir_all(&dir).unwrap();
     }
 
     /// Regression: a failed segment rotation used to leave the frame it
@@ -445,8 +439,9 @@ mod tests {
     /// on the next segment's name makes the rotation fail even as root.
     #[test]
     fn failed_rotation_takes_the_frame_back_and_poisons() {
-        let dir = tmpdir("rotate_fail");
-        let mut cfg = WalConfig::new(&dir);
+        let tmp = TempDir::new("rotate_fail");
+        let dir = tmp.path();
+        let mut cfg = WalConfig::new(dir);
         cfg.segment_bytes = 1; // rotate after every append
         let mut wal = Wal::open(cfg, 0).unwrap();
         assert_eq!(wal.append(&[upd(0)]).unwrap(), 0);
@@ -465,15 +460,15 @@ mod tests {
             "the failed frame left the file"
         );
         assert_eq!(decode_all(&dir.join(segment_file_name(0))).len(), 1);
-        fs::remove_dir_all(&dir).unwrap();
     }
 
     /// Regression: a failed flush used to leave the frame in the
     /// group-commit buffer, and the next append or `Drop` wrote it out.
     #[test]
     fn failed_write_never_reaches_disk_later() {
-        let dir = tmpdir("write_fail");
-        let mut wal = Wal::open(WalConfig::new(&dir), 0).unwrap();
+        let tmp = TempDir::new("write_fail");
+        let dir = tmp.path();
+        let mut wal = Wal::open(WalConfig::new(dir), 0).unwrap();
         wal.append(&[upd(0)]).unwrap();
         wal.fail_next_write = true;
         assert!(wal.append(&[upd(1)]).is_err());
@@ -484,10 +479,9 @@ mod tests {
         );
         assert!(wal.sync().is_err(), "and refuses to write its buffer");
         drop(wal);
-        let (_, path) = list_segments(&dir).unwrap().pop().unwrap();
+        let (_, path) = list_segments(dir).unwrap().pop().unwrap();
         let frames = decode_all(&path);
         assert_eq!(frames.len(), 1, "only the acknowledged frame is on disk");
         assert_eq!(frames[0].seq, 0);
-        fs::remove_dir_all(&dir).unwrap();
     }
 }

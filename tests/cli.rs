@@ -1,34 +1,19 @@
 //! End-to-end tests of the `cisgraph` command-line binary: real process,
 //! real files, real exit codes.
 
+mod temp_dir;
+
 use std::io::Write;
 use std::process::Command;
+use temp_dir::TempDir;
 
 fn bin() -> Command {
     Command::new(env!("CARGO_BIN_EXE_cisgraph"))
 }
 
-/// A temp dir private to one test (tests in this file run in parallel
-/// within one process), removed on drop.
-struct TestDir(std::path::PathBuf);
-
-impl TestDir {
-    fn new(test: &str) -> Self {
-        let dir = std::env::temp_dir().join(format!("cisgraph_cli_{test}_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        Self(dir)
-    }
-}
-
-impl Drop for TestDir {
-    fn drop(&mut self) {
-        std::fs::remove_dir_all(&self.0).ok();
-    }
-}
-
-fn write_demo_files(dir: &TestDir) -> (std::path::PathBuf, std::path::PathBuf) {
-    let graph = dir.0.join("graph.txt");
-    let updates = dir.0.join("updates.txt");
+fn write_demo_files(dir: &TempDir) -> (std::path::PathBuf, std::path::PathBuf) {
+    let graph = dir.path().join("graph.txt");
+    let updates = dir.path().join("updates.txt");
     let mut f = std::fs::File::create(&graph).unwrap();
     // 0 -> 1 -> 2 -> 3 chain plus a slow direct edge.
     writeln!(f, "# demo\n0 1 1\n1 2 1\n2 3 1\n0 3 9").unwrap();
@@ -40,7 +25,7 @@ fn write_demo_files(dir: &TestDir) -> (std::path::PathBuf, std::path::PathBuf) {
 
 #[test]
 fn answers_and_verifies_end_to_end() {
-    let dir = TestDir::new("answers_and_verifies_end_to_end");
+    let dir = TempDir::new("answers_and_verifies_end_to_end");
     let (graph, updates) = write_demo_files(&dir);
     let out = bin()
         .args([
@@ -86,7 +71,7 @@ fn answers_and_verifies_end_to_end() {
 
 #[test]
 fn accelerator_engine_reports_simulated_time() {
-    let dir = TestDir::new("accelerator_engine_reports_simulated_time");
+    let dir = TempDir::new("accelerator_engine_reports_simulated_time");
     let (graph, updates) = write_demo_files(&dir);
     let out = bin()
         .args([
