@@ -252,12 +252,6 @@ pub fn classify_batch_for_query<A: MonotonicAlgorithm>(
     classify_batch(result, &key_path, batch)
 }
 
-/// Returns the vertices whose contribution label the paper's Fig. 3 example
-/// illustrates — exposed for the worked example in `examples/quickstart.rs`.
-pub fn fig3_expected() -> (VertexId, VertexId) {
-    (VertexId::new(1), VertexId::new(5))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

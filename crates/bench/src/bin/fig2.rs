@@ -46,6 +46,17 @@ fn main() {
 }
 
 fn run<A: MonotonicAlgorithm>(args: &Args) {
+    // `--policy tag` switches the baseline to dependence tagging (the
+    // efficient repair); the default `reset` (reachability reset) mirrors
+    // the prior-work baseline the paper measures.
+    let policy = match args.get_str("policy") {
+        None | Some("reset") => DeletionPolicy::ReachabilityReset,
+        Some("tag") => DeletionPolicy::DependenceTag,
+        Some(other) => {
+            obs::log!(error, "unknown --policy `{other}` (tag|reset)");
+            std::process::exit(2);
+        }
+    };
     let mut cfg = RunConfig::default_run(pick_dataset(args));
     cfg.queries = 10;
     cfg.batches = 1;
@@ -53,13 +64,6 @@ fn run<A: MonotonicAlgorithm>(args: &Args) {
     cfg.additions = 1000;
     cfg.deletions = 1000;
     let cfg = cfg.with_args(args);
-    // `--policy tag` switches the baseline to dependence tagging (the
-    // efficient repair); the default reachability reset mirrors the
-    // prior-work baseline the paper measures.
-    let policy = match args.get_str("policy") {
-        Some("tag") => DeletionPolicy::DependenceTag,
-        _ => DeletionPolicy::ReachabilityReset,
-    };
     obs::log!(
         info,
         "fig2: {} scale {}, {}+{} batch, {} queries",

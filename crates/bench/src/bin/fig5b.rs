@@ -7,6 +7,12 @@
 //! triangle-inequality classification avoids the deletion-tagging blowup of
 //! prior work.
 //!
+//! A second table breaks the same accelerator runs into their mean cycle
+//! milestones per batch (identification, addition drain, early response,
+//! delayed drain) — the analysis behind the paper's claim that "the
+//! execution time in CISGraph includes the propagation phase and
+//! identification phase".
+//!
 //! ```text
 //! cargo run -p cisgraph-bench --release --bin fig5b -- --scale 0.01
 //! ```
@@ -41,6 +47,14 @@ fn main() {
         "Add/Del ratio".into(),
         "Delayed drain (post-response)".into(),
     ]);
+    let mut phases = Table::new(vec![
+        "Algorithm".into(),
+        "Identification".into(),
+        "Additions drained".into(),
+        "Response".into(),
+        "Delayed drained".into(),
+        "Response share".into(),
+    ]);
     let mut ratios = Vec::new();
     let mut artifacts = Vec::new();
 
@@ -68,6 +82,19 @@ fn main() {
                     "inf".into()
                 },
                 accel.drain_activations.to_string(),
+            ]);
+            let m = accel.milestones.unwrap_or_default();
+            let mean = |x: u64| format!("{:.0}", x as f64 / accel.samples.max(1) as f64);
+            phases.row(vec![
+                <$a as MonotonicAlgorithm>::NAME.into(),
+                mean(m.identification_done),
+                mean(m.additions_done),
+                mean(m.response),
+                mean(m.drain_done),
+                format!(
+                    "{:.0}%",
+                    100.0 * m.response as f64 / m.drain_done.max(1) as f64
+                ),
             ]);
             artifacts.push(results);
         }};
@@ -98,6 +125,16 @@ fn main() {
     println!(
         "Paper: additions activate ~2.92x the vertices deletions do on average\n\
          (Viterbi activates more on deletions)."
+    );
+    println!(
+        "\nAccelerator cycle milestones per batch (mean, {}; cycles @1GHz)\n",
+        cfg.dataset.name
+    );
+    println!("{}", phases.render());
+    println!(
+        "Milestones are cumulative stamps: the early response lands at\n\
+         'Response'; work after it (delayed drain) overlaps the next batch's\n\
+         gathering in real hardware."
     );
     obs_session.finish();
 }

@@ -1,5 +1,6 @@
-//! Sensitivity sweep (ablation): pipeline count, propagation units, and
-//! scratchpad capacity vs accelerator response time.
+//! Sensitivity sweep (ablation): pipeline count, propagation units,
+//! scratchpad capacity, batch size and contribution scheduling vs
+//! accelerator response time.
 //!
 //! These ablate the design choices DESIGN.md §6 lists; the paper fixes
 //! 4 pipelines / 32 MB (Table I) without a sweep, so this is reproduction
@@ -117,6 +118,33 @@ fn main() {
         t.row(vec![
             units.to_string(),
             format!("{:.6}", r.response_seconds),
+        ]);
+    }
+    println!("{}", t.render());
+
+    println!("\nSweep E: contribution scheduling (off = every deletion valuable, arrival order)\n");
+    let mut t = Table::new(vec![
+        "Scheduling".into(),
+        "Mean response (sim s)".into(),
+        "Mean total (sim s)".into(),
+        "Response vs on".into(),
+    ]);
+    let mut on_resp = None;
+    for (label, accel) in [
+        ("on", base.accel),
+        ("off", base.accel.without_contribution_scheduling()),
+    ] {
+        let cfg = RunConfig {
+            accel,
+            ..base.clone()
+        };
+        let r = run_engine::<Ppsp>(&cfg, &bundle, EngineSel::Accel, None);
+        let on = *on_resp.get_or_insert(r.response_seconds);
+        t.row(vec![
+            label.into(),
+            format!("{:.6}", r.response_seconds),
+            format!("{:.6}", r.total_seconds),
+            format!("{:.2}x", r.response_seconds / on.max(1e-12)),
         ]);
     }
     println!("{}", t.render());

@@ -454,7 +454,7 @@ fn crash(args: &Args, bundle: &WorkloadBundle, dir: &Path) {
     // Torn write: the process died mid-append of one more frame. Recovery
     // must truncate it and land exactly on the full logged prefix.
     let next_seq = bundle.batches.len() as u64;
-    let mut buf = cisgraph_persist::bytes::BytesMut::new();
+    let mut buf = Vec::new();
     let torn_batch = &bundle.batches[0];
     let len = WalFrame::encode(next_seq, torn_batch, &mut buf);
     let torn = &buf[..len / 2];

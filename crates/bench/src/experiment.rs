@@ -1,10 +1,9 @@
-//! The central experiment runner shared by all table/figure binaries and
-//! the Criterion benches.
+//! The central experiment runner shared by all table/figure binaries.
 
 use crate::args::Args;
 use cisgraph_algo::classify::ClassificationSummary;
 use cisgraph_algo::{Counters, MonotonicAlgorithm};
-use cisgraph_core::{AccelReport, AcceleratorConfig, CisGraphAccel};
+use cisgraph_core::{AccelReport, AcceleratorConfig, CisGraphAccel, CycleMilestones};
 use cisgraph_datasets::{queries, Dataset, StreamConfig};
 use cisgraph_engines::{
     BatchReport, CisGraphO, ColdStart, Pnp, SGraph, SGraphConfig, StreamingEngine,
@@ -163,23 +162,6 @@ impl RunConfig {
             queries: 5,
             seed: 42,
             hubs: 16,
-            accel: AcceleratorConfig::date2025(),
-            edges_file: None,
-            threads: default_threads(),
-        }
-    }
-
-    /// A tiny configuration for Criterion benches and smoke tests.
-    pub fn quick(dataset: Dataset) -> Self {
-        Self {
-            dataset,
-            scale: 0.002,
-            additions: 300,
-            deletions: 300,
-            batches: 1,
-            queries: 2,
-            seed: 42,
-            hubs: 8,
             accel: AcceleratorConfig::date2025(),
             edges_file: None,
             threads: default_threads(),
@@ -396,6 +378,9 @@ pub struct EngineResult {
     pub classification: Option<ClassificationSummary>,
     /// Memory statistics (accelerator only).
     pub mem: Option<MemStats>,
+    /// Cycle milestones summed over every batch (accelerator only); divide
+    /// by `samples` for per-batch means.
+    pub milestones: Option<CycleMilestones>,
     /// Batches × queries this result aggregates.
     pub samples: usize,
 }
@@ -411,6 +396,7 @@ struct Sample {
     drain_activations: u64,
     classification: Option<ClassificationSummary>,
     mem: Option<MemStats>,
+    milestones: Option<CycleMilestones>,
 }
 
 impl Sample {
@@ -426,6 +412,7 @@ impl Sample {
             drain_activations: rep.drain_activations,
             classification: rep.classification,
             mem: None,
+            milestones: None,
         }
     }
 
@@ -442,6 +429,7 @@ impl Sample {
             drain_activations: rep.drain_activations,
             classification: Some(rep.classification),
             mem: Some(rep.mem),
+            milestones: Some(rep.milestones),
         }
     }
 }
@@ -530,6 +518,9 @@ pub fn run_engine<A: MonotonicAlgorithm>(
             }
             if let Some(m) = sample.mem {
                 *result.mem.get_or_insert_default() += m;
+            }
+            if let Some(m) = sample.milestones {
+                *result.milestones.get_or_insert_default() += m;
             }
             result.samples += 1;
         }
@@ -676,6 +667,37 @@ mod tests {
         assert!(results.speedup_over_cs("nope").is_none());
     }
 
+    /// The milestone sums `run_engine` reports for the accelerator are the
+    /// sums of streaming `CisGraphAccel::process_batch` directly, and each
+    /// batch's stamps are ordered: identification and the addition drain
+    /// finish by the response, the delayed drain after it.
+    #[test]
+    fn accel_milestone_sums_match_direct_streaming() {
+        let cfg = RunConfig {
+            batches: 2,
+            ..tiny()
+        };
+        let bundle = build_workload(&cfg);
+        let result = run_engine::<Ppsp>(&cfg, &bundle, EngineSel::Accel, None);
+        let mut direct = CycleMilestones::default();
+        for &query in &bundle.queries {
+            let mut graph = bundle.initial.clone();
+            let mut accel = CisGraphAccel::<Ppsp>::new(&graph, query, cfg.accel);
+            for batch in &bundle.batches {
+                graph.apply_batch(batch).unwrap();
+                let m = accel.process_batch(&graph, batch).milestones;
+                assert!(m.identification_done <= m.response, "{m:?}");
+                assert!(m.additions_done <= m.response, "{m:?}");
+                assert!(m.response <= m.drain_done, "{m:?}");
+                direct += m;
+            }
+        }
+        assert_eq!(result.milestones, Some(direct));
+        assert!(direct.response > 0);
+        let cs = run_engine::<Ppsp>(&cfg, &bundle, EngineSel::Cs, None);
+        assert_eq!(cs.milestones, None, "software engines have no cycle stamps");
+    }
+
     #[test]
     fn with_args_overrides() {
         let args = crate::args::Args::parse_from(
@@ -683,7 +705,7 @@ mod tests {
                 .iter()
                 .map(|s| s.to_string()),
         );
-        let cfg = RunConfig::quick(registry::orkut_like()).with_args(&args);
+        let cfg = RunConfig::default_run(registry::orkut_like()).with_args(&args);
         assert_eq!(cfg.scale, 0.3);
         assert_eq!(cfg.additions, 7);
         assert_eq!(cfg.queries, 3);
@@ -692,7 +714,7 @@ mod tests {
     #[test]
     fn with_args_threads() {
         let args = crate::args::Args::parse_from(["--threads", "3"].iter().map(|s| s.to_string()));
-        let cfg = RunConfig::quick(registry::orkut_like()).with_args(&args);
+        let cfg = RunConfig::default_run(registry::orkut_like()).with_args(&args);
         assert_eq!(cfg.threads, 3);
     }
 

@@ -1,12 +1,11 @@
 //! Benchmark harness for the CISGraph reproduction.
 //!
-//! One library drives the table/figure binaries (`table1` … `fig5b`), the
-//! `variance`, `phases` and `sweep` studies, and the Criterion benches: it
-//! generates the paper's workloads (stand-in dataset + streaming batches +
-//! random queries), runs every engine — Cold-Start, SGraph, PnP,
-//! CISGraph-O in wall-clock time and the CISGraph accelerator in simulated
-//! cycles — through one aggregation path, and reports the metrics each
-//! experiment needs. Two more binaries drive the serving stack: `serve`
+//! One library drives the table/figure binaries (`table1` … `fig5b`) and
+//! the `variance` and `sweep` studies: it generates the paper's workloads
+//! (stand-in dataset + streaming batches + random queries), runs every
+//! engine — Cold-Start, SGraph, PnP, CISGraph-O in wall-clock time and the
+//! CISGraph accelerator in simulated cycles — through one aggregation
+//! path, and reports the metrics each experiment needs. Two more binaries drive the serving stack: `serve`
 //! (the multi-query server's thread sweep and durable runs) and
 //! `walbench` (WAL overhead, checkpoint stall and crash recovery).
 //!

@@ -1,7 +1,8 @@
 //! Smoke tests of the fast experiment binaries: they run to completion and
-//! print the rows the paper's tables contain. (The heavy bins — table4,
-//! fig2, fig5*, sweep, phases — are exercised at small scale through the
-//! library tests and CI.)
+//! print the rows the paper's tables contain. The heavy bins run their
+//! experiments through the library, which its unit tests cover at small
+//! scale; CI's experiment smoke runs `table4`, `fig5b` and `sweep` at
+//! scale 0.002.
 
 use std::process::Command;
 
@@ -51,6 +52,18 @@ fn fig1_reproduces_the_hazard() {
     let out = run(env!("CARGO_BIN_EXE_fig1"), &[]);
     assert!(out.contains("WRONG"));
     assert!(out.contains("Dependence repair"));
+}
+
+#[test]
+fn fig2_rejects_an_unknown_policy() {
+    for policy in ["Tag", "dependence"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_fig2"))
+            .args(["--policy", policy])
+            .output()
+            .expect("fig2 launches");
+        assert_eq!(out.status.code(), Some(2), "--policy {policy}");
+        assert!(String::from_utf8_lossy(&out.stderr).contains("unknown --policy"));
+    }
 }
 
 #[test]

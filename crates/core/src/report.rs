@@ -5,6 +5,7 @@ use cisgraph_algo::Counters;
 use cisgraph_sim::MemStats;
 use cisgraph_types::State;
 use serde::{Deserialize, Serialize};
+use std::ops::AddAssign;
 use std::time::Duration;
 
 /// Cycle milestones of one simulated batch, for phase-breakdown analysis.
@@ -29,6 +30,17 @@ pub struct CycleMilestones {
     pub response: u64,
     /// Delayed drain completed.
     pub drain_done: u64,
+}
+
+/// Sums milestones field by field, so a run's totals divide into
+/// per-batch means.
+impl AddAssign for CycleMilestones {
+    fn add_assign(&mut self, rhs: Self) {
+        self.identification_done += rhs.identification_done;
+        self.additions_done += rhs.additions_done;
+        self.response += rhs.response;
+        self.drain_done += rhs.drain_done;
+    }
 }
 
 /// What the accelerator did for one batch.

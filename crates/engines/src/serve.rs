@@ -267,11 +267,6 @@ impl<A: MonotonicAlgorithm> QueryServer<A> {
         self.persist = Some(store);
     }
 
-    /// Whether a durability handle is attached.
-    pub fn is_durable(&self) -> bool {
-        self.persist.is_some()
-    }
-
     /// Forces an immediate checkpoint of the current graph (and a WAL
     /// sync). No-op without an attached durability handle.
     ///

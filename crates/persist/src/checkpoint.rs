@@ -37,13 +37,13 @@ use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 use std::time::Instant;
 
-use bytes::{Buf, BufMut, BytesMut};
 use cisgraph_graph::{DynamicGraph, Edge, GraphView};
 use cisgraph_obs::{Counter, Histogram};
 use cisgraph_types::{VertexId, Weight};
 
 use crate::crc::crc32;
 use crate::error::PersistError;
+use crate::LeReader;
 use crate::Result;
 
 /// Checkpoint magic: the bytes `CCKP` read as a little-endian `u32`.
@@ -281,24 +281,25 @@ pub fn write(dir: &Path, ckpt: &Checkpoint) -> Result<PathBuf> {
     fs::create_dir_all(dir)?;
 
     let h = &ckpt.header;
-    let mut buf = BytesMut::with_capacity(HEADER_BYTES + ckpt.rows.encoded_len() + 4);
-    buf.put_u32_le(CHECKPOINT_MAGIC);
-    buf.put_u32_le(CHECKPOINT_VERSION);
-    buf.put_u64_le(h.next_seq);
-    buf.put_u32_le(u32::from(h.parent.is_some()));
-    buf.put_u64_le(h.parent.unwrap_or(0));
-    buf.put_u64_le(h.threshold);
-    buf.put_u64_le(h.num_rows);
-    buf.put_u64_le(ckpt.rows.len() as u64);
+    let mut buf = Vec::with_capacity(HEADER_BYTES + ckpt.rows.encoded_len() + 4);
+    buf.extend_from_slice(&CHECKPOINT_MAGIC.to_le_bytes());
+    buf.extend_from_slice(&CHECKPOINT_VERSION.to_le_bytes());
+    buf.extend_from_slice(&h.next_seq.to_le_bytes());
+    buf.extend_from_slice(&u32::from(h.parent.is_some()).to_le_bytes());
+    buf.extend_from_slice(&h.parent.unwrap_or(0).to_le_bytes());
+    buf.extend_from_slice(&h.threshold.to_le_bytes());
+    buf.extend_from_slice(&h.num_rows.to_le_bytes());
+    buf.extend_from_slice(&(ckpt.rows.len() as u64).to_le_bytes());
     for (row, edges) in ckpt.rows.iter() {
-        buf.put_u32_le(row);
-        buf.put_u32_le(edges.len() as u32);
+        buf.extend_from_slice(&row.to_le_bytes());
+        buf.extend_from_slice(&(edges.len() as u32).to_le_bytes());
         for e in edges {
-            buf.put_u32_le(e.to().raw());
-            buf.put_f64_le(e.weight().get());
+            buf.extend_from_slice(&e.to().raw().to_le_bytes());
+            buf.extend_from_slice(&e.weight().get().to_le_bytes());
         }
     }
-    buf.put_u32_le(crc32(&buf));
+    let crc = crc32(&buf);
+    buf.extend_from_slice(&crc.to_le_bytes());
 
     let path = dir.join(file_name(h.next_seq, h.parent.is_some()));
     crate::atomic_write(dir, &path, &buf)?;
@@ -321,21 +322,22 @@ pub fn write(dir: &Path, ckpt: &Checkpoint) -> Result<PathBuf> {
 /// Parses and checks a header (`head` holds at least [`HEADER_BYTES`]),
 /// returning it with the row count it announces. The file name must agree
 /// with the header on position and kind.
-fn parse_header(path: &Path, mut head: &[u8]) -> Result<(Header, u64)> {
+fn parse_header(path: &Path, head: &[u8]) -> Result<(Header, u64)> {
+    let mut head = LeReader::new(head);
     let corrupt = |offset: u64, reason: String| PersistError::corrupt(path, offset, reason);
-    let magic = head.get_u32_le();
+    let magic = head.u32();
     if magic != CHECKPOINT_MAGIC {
         return Err(corrupt(0, format!("bad checkpoint magic {magic:#010x}")));
     }
-    let version = head.get_u32_le();
+    let version = head.u32();
     if version != CHECKPOINT_VERSION {
         return Err(corrupt(
             4,
             format!("unsupported checkpoint version {version}"),
         ));
     }
-    let next_seq = head.get_u64_le();
-    let parent = match (head.get_u32_le(), head.get_u64_le()) {
+    let next_seq = head.u64();
+    let parent = match (head.u32(), head.u64()) {
         (0, 0) => None,
         (1, seq) if seq <= next_seq => Some(seq),
         (tag, seq) => {
@@ -355,9 +357,9 @@ fn parse_header(path: &Path, mut head: &[u8]) -> Result<(Header, u64)> {
             format!("header (seq {next_seq}, parent {parent:?}) disagrees with the file name"),
         ));
     }
-    let threshold = head.get_u64_le();
-    let num_rows = head.get_u64_le();
-    let row_count = head.get_u64_le();
+    let threshold = head.u64();
+    let num_rows = head.u64();
+    let row_count = head.u64();
     if num_rows > MAX_ROWS || row_count > num_rows {
         return Err(corrupt(
             36,
@@ -416,28 +418,31 @@ pub fn read(path: &Path) -> Result<Checkpoint> {
     }
     let (header, row_count) = parse_header(path, &bytes)?;
 
-    let mut cursor = &bytes[HEADER_BYTES..body_len];
+    let mut cursor = LeReader::new(&bytes[HEADER_BYTES..body_len]);
     // Each row takes at least 8 bytes, each edge exactly 12: both bounds
     // come from the file's length, not from its claims.
-    let max_rows = cursor.len() / 8;
+    let max_rows = cursor.remaining() / 8;
     if row_count > max_rows as u64 {
         return Err(corrupt(
             HEADER_BYTES,
-            format!("{row_count} rows cannot fit in {} bytes", cursor.len()),
+            format!(
+                "{row_count} rows cannot fit in {} bytes",
+                cursor.remaining()
+            ),
         ));
     }
     let row_count = row_count as usize;
     let mut rows = RowSet {
         rows: Vec::with_capacity(row_count),
-        edges: Vec::with_capacity((cursor.len() - 8 * row_count) / 12),
+        edges: Vec::with_capacity((cursor.remaining() - 8 * row_count) / 12),
     };
     for _ in 0..row_count {
-        let at = body_len - cursor.len();
-        if cursor.len() < 8 {
+        let at = body_len - cursor.remaining();
+        if cursor.remaining() < 8 {
             return Err(corrupt(at, "row header truncated".to_string()));
         }
-        let row = cursor.get_u32_le();
-        let len = cursor.get_u32_le() as usize;
+        let row = cursor.u32();
+        let len = cursor.u32() as usize;
         let ascending = rows.rows.last().is_none_or(|&(prev, _)| prev < row);
         if !ascending || u64::from(row) >= header.num_rows {
             return Err(corrupt(
@@ -445,15 +450,18 @@ pub fn read(path: &Path) -> Result<Checkpoint> {
                 format!("row {row} out of order or outside {} rows", header.num_rows),
             ));
         }
-        if len.checked_mul(12).is_none_or(|need| need > cursor.len()) {
+        if len
+            .checked_mul(12)
+            .is_none_or(|need| need > cursor.remaining())
+        {
             return Err(corrupt(
                 at,
                 format!("row {row} claims {len} edges but the body ends first"),
             ));
         }
         for j in 0..len {
-            let dst = cursor.get_u32_le();
-            match Weight::new(cursor.get_f64_le()) {
+            let dst = cursor.u32();
+            match Weight::new(cursor.f64()) {
                 Ok(w) if u64::from(dst) < header.num_rows => {
                     rows.edges.push(Edge::new(VertexId::new(dst), w));
                 }
@@ -467,10 +475,10 @@ pub fn read(path: &Path) -> Result<Checkpoint> {
         }
         rows.rows.push((row, len as u32));
     }
-    if !cursor.is_empty() {
+    if cursor.remaining() != 0 {
         return Err(corrupt(
-            body_len - cursor.len(),
-            format!("{} trailing bytes after the last row", cursor.len()),
+            body_len - cursor.remaining(),
+            format!("{} trailing bytes after the last row", cursor.remaining()),
         ));
     }
     Ok(Checkpoint { header, rows })

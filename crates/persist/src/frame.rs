@@ -20,7 +20,7 @@
 //! distinction matters for diagnostics.
 
 use crate::crc::crc32;
-use bytes::{Buf, BufMut, BytesMut};
+use crate::LeReader;
 use cisgraph_types::{EdgeUpdate, UpdateKind, VertexId, Weight};
 
 /// Frame magic: the bytes `CWAL` read as a little-endian `u32`.
@@ -79,12 +79,11 @@ pub enum FrameDecode {
 /// # Examples
 ///
 /// ```
-/// use bytes::BytesMut;
 /// use cisgraph_persist::{FrameDecode, FRAME_HEADER_BYTES, UPDATE_BYTES};
 /// use cisgraph_types::{EdgeUpdate, VertexId, Weight};
 ///
 /// let batch = [EdgeUpdate::insert(VertexId::new(0), VertexId::new(1), Weight::ONE)];
-/// let mut buf = BytesMut::new();
+/// let mut buf = Vec::new();
 /// let n = cisgraph_persist::WalFrame::encode(7, &batch, &mut buf);
 /// assert_eq!(n, FRAME_HEADER_BYTES + 4 + UPDATE_BYTES);
 /// match cisgraph_persist::WalFrame::decode(&buf) {
@@ -99,15 +98,16 @@ pub enum FrameDecode {
 impl WalFrame {
     /// Encodes one batch as a frame appended to `buf`; returns the frame's
     /// total encoded size.
-    pub fn encode(seq: u64, batch: &[EdgeUpdate], buf: &mut BytesMut) -> usize {
+    pub fn encode(seq: u64, batch: &[EdgeUpdate], buf: &mut Vec<u8>) -> usize {
         let payload_len = 4 + batch.len() * UPDATE_BYTES;
         buf.reserve(FRAME_HEADER_BYTES + payload_len);
         let header_at = buf.len();
-        buf.put_u32_le(WAL_FRAME_MAGIC);
-        buf.put_u32_le(payload_len as u32);
-        buf.put_u64_le(seq);
-        buf.put_u32_le(0); // CRC patched once the payload is in place.
-        buf.put_u32_le(u32::try_from(batch.len()).expect("batch fits in u32"));
+        buf.extend_from_slice(&WAL_FRAME_MAGIC.to_le_bytes());
+        buf.extend_from_slice(&(payload_len as u32).to_le_bytes());
+        buf.extend_from_slice(&seq.to_le_bytes());
+        buf.extend_from_slice(&0u32.to_le_bytes()); // CRC patched once the payload is in place.
+        let count = u32::try_from(batch.len()).expect("batch fits in u32");
+        buf.extend_from_slice(&count.to_le_bytes());
         for u in batch {
             // One contiguous write per record: assembling the fixed-width
             // layout on the stack keeps the append hot path off the
@@ -141,14 +141,14 @@ impl WalFrame {
                 need: FRAME_HEADER_BYTES,
             };
         }
-        let mut header = &bytes[..FRAME_HEADER_BYTES];
-        let magic = header.get_u32_le();
+        let mut header = LeReader::new(&bytes[..FRAME_HEADER_BYTES]);
+        let magic = header.u32();
         if magic != WAL_FRAME_MAGIC {
             return FrameDecode::Corrupt {
                 reason: format!("bad frame magic {magic:#010x}"),
             };
         }
-        let payload_len = header.get_u32_le() as usize;
+        let payload_len = header.u32() as usize;
         if !(4..=MAX_PAYLOAD_BYTES).contains(&payload_len)
             || !(payload_len - 4).is_multiple_of(UPDATE_BYTES)
         {
@@ -156,8 +156,8 @@ impl WalFrame {
                 reason: format!("implausible payload length {payload_len}"),
             };
         }
-        let seq = header.get_u64_le();
-        let expect_crc = header.get_u32_le();
+        let seq = header.u64();
+        let expect_crc = header.u32();
         let total = FRAME_HEADER_BYTES + payload_len;
         if bytes.len() < total {
             return FrameDecode::Torn {
@@ -172,8 +172,8 @@ impl WalFrame {
                 reason: format!("payload crc {actual_crc:#010x} != recorded {expect_crc:#010x}"),
             };
         }
-        let mut cursor = payload;
-        let count = cursor.get_u32_le() as usize;
+        let mut cursor = LeReader::new(payload);
+        let count = cursor.u32() as usize;
         if count * UPDATE_BYTES != payload_len - 4 {
             return FrameDecode::Corrupt {
                 reason: format!("count {count} disagrees with payload length {payload_len}"),
@@ -181,7 +181,7 @@ impl WalFrame {
         }
         let mut updates = Vec::with_capacity(count);
         for i in 0..count {
-            let kind = match cursor.get_u8() {
+            let kind = match cursor.u8() {
                 0 => UpdateKind::Insert,
                 1 => UpdateKind::Delete,
                 other => {
@@ -190,9 +190,9 @@ impl WalFrame {
                     }
                 }
             };
-            let src = VertexId::new(cursor.get_u32_le());
-            let dst = VertexId::new(cursor.get_u32_le());
-            let weight = match Weight::new(cursor.get_f64_le()) {
+            let src = VertexId::new(cursor.u32());
+            let dst = VertexId::new(cursor.u32());
+            let weight = match Weight::new(cursor.f64()) {
                 Ok(w) => w,
                 Err(e) => {
                     return FrameDecode::Corrupt {
@@ -236,7 +236,7 @@ mod tests {
     #[test]
     fn round_trip() {
         let b = batch(17);
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         let n = WalFrame::encode(99, &b, &mut buf);
         assert_eq!(n, buf.len());
         let (frame, consumed) = decode_frame(&buf);
@@ -247,7 +247,7 @@ mod tests {
 
     #[test]
     fn empty_batch_round_trips() {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         WalFrame::encode(1, &[], &mut buf);
         let (frame, _) = decode_frame(&buf);
         assert_eq!(frame.seq, 1);
@@ -256,7 +256,7 @@ mod tests {
 
     #[test]
     fn back_to_back_frames_decode_in_order() {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         WalFrame::encode(1, &batch(3), &mut buf);
         let first_len = buf.len();
         WalFrame::encode(2, &batch(5), &mut buf);
@@ -274,7 +274,7 @@ mod tests {
 
     #[test]
     fn every_truncation_point_is_torn_not_garbage() {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         WalFrame::encode(5, &batch(4), &mut buf);
         for cut in 1..buf.len() {
             match WalFrame::decode(&buf[..cut]) {
@@ -289,7 +289,7 @@ mod tests {
 
     #[test]
     fn crc_catches_payload_bit_flips() {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         WalFrame::encode(5, &batch(4), &mut buf);
         let mut bytes = buf.to_vec();
         for pos in FRAME_HEADER_BYTES..bytes.len() {
@@ -304,7 +304,7 @@ mod tests {
 
     #[test]
     fn header_damage_is_detected() {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         WalFrame::encode(5, &batch(2), &mut buf);
         // Magic.
         let mut bytes = buf.to_vec();
@@ -332,7 +332,7 @@ mod tests {
 
     #[test]
     fn invalid_weight_bits_are_corrupt_not_panic() {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         WalFrame::encode(5, &batch(1), &mut buf);
         // Overwrite the weight with NaN bits and fix up the CRC so only
         // the semantic validation can catch it.

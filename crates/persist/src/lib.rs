@@ -115,9 +115,46 @@ pub(crate) fn atomic_write(
     Ok(())
 }
 
-// Callers encoding frames by hand (fault injectors, the bench harness)
-// need the same `BytesMut` the codec takes.
-pub use bytes;
+/// A little-endian read cursor over a byte slice, the decoding half of the
+/// frame and checkpoint codecs (which encode with `to_le_bytes`). Callers
+/// check lengths first; reading past the end panics.
+pub(crate) struct LeReader<'a>(&'a [u8]);
+
+impl<'a> LeReader<'a> {
+    pub(crate) fn new(bytes: &'a [u8]) -> Self {
+        Self(bytes)
+    }
+
+    /// Bytes left to read.
+    pub(crate) fn remaining(&self) -> usize {
+        self.0.len()
+    }
+
+    fn take<const N: usize>(&mut self) -> [u8; N] {
+        let (head, rest) = self
+            .0
+            .split_first_chunk()
+            .unwrap_or_else(|| panic!("read of {N} bytes past the end of a checked buffer"));
+        self.0 = rest;
+        *head
+    }
+
+    pub(crate) fn u8(&mut self) -> u8 {
+        self.take::<1>()[0]
+    }
+
+    pub(crate) fn u32(&mut self) -> u32 {
+        u32::from_le_bytes(self.take())
+    }
+
+    pub(crate) fn u64(&mut self) -> u64 {
+        u64::from_le_bytes(self.take())
+    }
+
+    pub(crate) fn f64(&mut self) -> f64 {
+        f64::from_le_bytes(self.take())
+    }
+}
 
 pub use crc::crc32;
 pub use error::PersistError;

@@ -12,7 +12,6 @@ use std::sync::mpsc;
 use std::thread;
 use std::time::Instant;
 
-use bytes::BufMut;
 use cisgraph_graph::{DynamicGraph, Snapshot};
 use cisgraph_types::EdgeUpdate;
 
@@ -578,15 +577,15 @@ fn remove_file_best_effort(path: &Path) {
 /// equal iff they are byte-identical — the equality the crash-recovery CI
 /// smoke asserts across process boundaries.
 pub fn snapshot_digest(snapshot: &Snapshot) -> u32 {
-    let mut buf = bytes::BytesMut::new();
+    let mut buf = Vec::new();
     for csr in [snapshot.forward(), snapshot.reverse()] {
-        buf.put_u64_le(csr.num_vertices() as u64);
+        buf.extend_from_slice(&(csr.num_vertices() as u64).to_le_bytes());
         for &offset in csr.offsets() {
-            buf.put_u64_le(offset);
+            buf.extend_from_slice(&offset.to_le_bytes());
         }
         for e in csr.edges() {
-            buf.put_u32_le(e.to().raw());
-            buf.put_f64_le(e.weight().get());
+            buf.extend_from_slice(&e.to().raw().to_le_bytes());
+            buf.extend_from_slice(&e.weight().get().to_le_bytes());
         }
     }
     crc32(&buf)

@@ -13,7 +13,6 @@ use std::path::{Path, PathBuf};
 use std::str::FromStr;
 use std::time::Instant;
 
-use bytes::BytesMut;
 use cisgraph_types::EdgeUpdate;
 
 use crate::frame::WalFrame;
@@ -132,7 +131,7 @@ pub struct Wal {
     current: File,
     current_len: u64,
     next_seq: u64,
-    pending: BytesMut,
+    pending: Vec<u8>,
     unsynced_appends: u64,
     poisoned: bool,
     /// Test hook: the next write to the segment file fails.
@@ -155,7 +154,7 @@ impl Wal {
             current,
             current_len,
             next_seq,
-            pending: BytesMut::new(),
+            pending: Vec::new(),
             unsynced_appends: 0,
             poisoned: false,
             #[cfg(test)]
@@ -166,11 +165,6 @@ impl Wal {
     /// The sequence number the next appended batch will receive.
     pub fn next_seq(&self) -> u64 {
         self.next_seq
-    }
-
-    /// The configured durability policy.
-    pub fn fsync_policy(&self) -> FsyncPolicy {
-        self.config.fsync
     }
 
     fn check_poisoned(&self) -> Result<()> {

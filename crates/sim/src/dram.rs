@@ -61,11 +61,6 @@ impl DramConfig {
         self.channels = channels;
         self
     }
-
-    /// Aggregate peak bandwidth in bytes per cycle.
-    pub fn total_bytes_per_cycle(&self) -> f64 {
-        self.bytes_per_cycle * self.channels as f64
-    }
 }
 
 impl Default for DramConfig {

@@ -18,7 +18,6 @@
 //! * [`MemorySystem`] — SPM in front of DRAM: hits cost the SPM latency,
 //!   misses fetch lines over the right channel and install them, dirty
 //!   evictions write back.
-//! * [`Fifo`] — bounded queues with backpressure for pipeline plumbing.
 //! * [`MemStats`] — counters every experiment reads out.
 //!
 //! Cycles are plain `u64` values ([`Cycle`]) in the accelerator's 1 GHz
@@ -41,13 +40,11 @@
 #![warn(missing_docs)]
 
 mod dram;
-mod fifo;
 mod mem;
 mod spm;
 mod stats;
 
 pub use dram::{DramConfig, DramModel};
-pub use fifo::Fifo;
 pub use mem::MemorySystem;
 pub use spm::{Spm, SpmConfig};
 pub use stats::MemStats;

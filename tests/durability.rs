@@ -24,7 +24,6 @@ use std::path::{Path, PathBuf};
 
 use cisgraph::graph::GraphError;
 use cisgraph::prelude::*;
-use cisgraph_persist::bytes::BytesMut;
 use cisgraph_persist::{
     recover, snapshot_digest, CheckpointMode, DurableStore, FsyncPolicy, PersistConfig, Recovered,
     RecoveryStats, WalFrame, FRAME_HEADER_BYTES, UPDATE_BYTES,
@@ -348,7 +347,7 @@ impl Harness {
                 return None;
             }
             Damage::TearNextFrame(percent) => {
-                let mut frame = BytesMut::new();
+                let mut frame = Vec::new();
                 let next = [EdgeUpdate::insert(v(0), v(1), Weight::ONE)];
                 let encoded = WalFrame::encode(self.acked.len() as u64, &next, &mut frame);
                 let torn = (encoded * percent / 100).clamp(1, encoded - 1);
