@@ -53,28 +53,48 @@ impl KeyPath {
     /// from [`ConvergedResult::state`]), or in debug builds on a corrupt
     /// parent chain.
     pub fn extract<A: MonotonicAlgorithm>(result: &ConvergedResult<A>, query: PairQuery) -> Self {
+        let mut path = Vec::new();
+        Self::push_reversed(result, query, &mut path);
+        path.reverse();
+        let members = path.iter().copied().collect();
+        Self { path, members }
+    }
+
+    /// Appends the key path's vertices to `out`, destination first, with
+    /// no membership set: the walk behind [`KeyPath::extract`], for callers
+    /// that collect several paths into one buffer. Appends nothing where
+    /// `extract` would return an empty path.
+    ///
+    /// # Panics
+    ///
+    /// As [`KeyPath::extract`].
+    pub fn push_reversed<A: MonotonicAlgorithm>(
+        result: &ConvergedResult<A>,
+        query: PairQuery,
+        out: &mut Vec<VertexId>,
+    ) {
         let d = query.destination();
         if !result.is_reached(d) {
-            return Self::empty();
+            return;
         }
-        let mut path = vec![d];
+        let start = out.len();
+        out.push(d);
         let mut cursor = d;
         let limit = result.num_vertices() + 1;
         while cursor != query.source() {
             let Some(parent) = result.parent(cursor) else {
                 debug_assert!(false, "reached vertex {cursor} has no parent");
-                return Self::empty();
+                out.truncate(start);
+                return;
             };
-            path.push(parent);
+            out.push(parent);
             cursor = parent;
-            if path.len() > limit {
+            if out.len() - start > limit {
                 debug_assert!(false, "parent chain of {d} is cyclic");
-                return Self::empty();
+                out.truncate(start);
+                return;
             }
         }
-        path.reverse();
-        let members = path.iter().copied().collect();
-        Self { path, members }
     }
 
     /// An empty key path (destination unreached).
@@ -144,6 +164,20 @@ mod tests {
         assert!(!kp.exists());
         assert!(kp.vertices().is_empty());
         assert!(!kp.contains(v(0)));
+    }
+
+    #[test]
+    fn push_reversed_appends_paths_destination_first() {
+        let mut g = DynamicGraph::new(4);
+        g.insert_edge(v(0), v(1), w(1.0)).unwrap();
+        g.insert_edge(v(1), v(2), w(1.0)).unwrap();
+        let r = best_first::<Ppsp, _>(&g, v(0), &mut Counters::new());
+        let mut out = vec![v(3)];
+        for d in [2, 3, 1] {
+            KeyPath::push_reversed(&r, PairQuery::new(v(0), v(d)).unwrap(), &mut out);
+        }
+        // v3 is unreached and appends nothing; earlier contents stay.
+        assert_eq!(out, [v(3), v(2), v(1), v(0), v(1), v(0)]);
     }
 
     #[test]

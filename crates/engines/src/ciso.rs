@@ -18,7 +18,7 @@ impl KeyPathUnion {
     fn extract<A: MonotonicAlgorithm>(result: &ConvergedResult<A>, queries: &[PairQuery]) -> Self {
         let mut members = Vec::new();
         for &q in queries {
-            members.extend_from_slice(KeyPath::extract(result, q).vertices());
+            KeyPath::push_reversed(result, q, &mut members);
         }
         members.sort_unstable();
         members.dedup();
@@ -28,13 +28,30 @@ impl KeyPathUnion {
     fn contains(&self, v: VertexId) -> bool {
         self.0.binary_search(&v).is_ok()
     }
+
+    /// Whether repairing `del` can move a key path: `del` still supports
+    /// its target (`parent(v) == u`) and the target lies on the union.
+    /// Repairing `u -> v` resets only `v`'s dependence subtree, and a
+    /// key-path vertex inside it would make `v` its ancestor, so on the key
+    /// path too: every other deletion leaves the key paths and their states
+    /// as they are.
+    fn moved_by<A: MonotonicAlgorithm>(
+        &self,
+        result: &ConvergedResult<A>,
+        del: EdgeUpdate,
+    ) -> bool {
+        result.parent(del.dst()) == Some(del.src()) && self.contains(del.dst())
+    }
 }
 
 /// The CISGraph-O workflow for one converged result serving `queries`, all
-/// from the result's source. Deletions split on the union of the queries'
-/// key paths: a supporting deletion is non-delayed iff its source lies on
-/// any of them, which keeps the early answer exact for every destination at
-/// once. The report's answer is the first query's.
+/// from the result's source. Deletions are labelled on the union of the
+/// queries' key paths with Algorithm 1's source test (the classification
+/// summary), but only those whose *target* lies on the union are repaired
+/// before the response; every other supporting deletion waits for the
+/// drain. That keeps the early answer exact for every destination at once
+/// (see [`KeyPathUnion::moved_by`]). The report's answer is the first
+/// query's.
 ///
 /// Without a shared `pending`, the batch's deletion links are built inside
 /// the response window. `boundary` runs after the additions and again at
@@ -88,14 +105,21 @@ pub(crate) fn run_workflow<A: MonotonicAlgorithm>(
     // prefetchers read the live SPM image, which already holds the addition
     // results by the time deletions stream in).
     let mut key_paths = KeyPathUnion::extract(result, queries);
-    let mut non_delayed = Vec::new();
+    // Non-delayed deletions off the key paths drain first, in batch order,
+    // then the delayed ones.
+    let mut preempt = Vec::new();
+    let mut drain = Vec::new();
     let mut delayed = Vec::new();
     for &update in batch.iter().filter(|u| u.kind().is_delete()) {
         counters.computations += 1;
         match classify_deletion_dependence(result, |u| key_paths.contains(u), update) {
             Contribution::Valuable => {
                 summary.valuable_deletions += 1;
-                non_delayed.push(update);
+                if key_paths.contains(update.dst()) {
+                    preempt.push(update);
+                } else {
+                    drain.push(update);
+                }
             }
             Contribution::Delayed => {
                 summary.delayed_deletions += 1;
@@ -107,23 +131,24 @@ pub(crate) fn run_workflow<A: MonotonicAlgorithm>(
             }
         }
     }
+    drain.extend(delayed);
 
-    // Phase 2: process non-delayed deletions preemptively; each repair can
-    // move a key path, so delayed updates are re-scanned and promoted when
-    // they become valuable ("when detecting a valuable update, we assign it
-    // the highest priority", §III-A). After this loop no pending deletion
-    // can touch a key path, which makes the early answer exact.
-    while !non_delayed.is_empty() {
-        for del in non_delayed.drain(..) {
+    // Phase 2: repair the deletions that can move a key path preemptively;
+    // each repair can move one, so the drain list is re-scanned and a
+    // deletion is promoted once its target joins a key path ("when
+    // detecting a valuable update, we assign it the highest priority",
+    // §III-A). After this loop no pending deletion can touch a key path,
+    // which makes the early answer exact.
+    while !preempt.is_empty() {
+        for del in preempt.drain(..) {
             incremental::apply_deletion_with(graph, result, del, pending, scratch, &mut counters);
         }
         key_paths = KeyPathUnion::extract(result, queries);
-        let (promoted, rest): (Vec<_>, Vec<_>) = delayed.into_iter().partition(|&del| {
-            classify_deletion_dependence(result, |u| key_paths.contains(u), del)
-                == Contribution::Valuable
-        });
-        non_delayed = promoted;
-        delayed = rest;
+        let (promoted, rest): (Vec<_>, Vec<_>) = drain
+            .into_iter()
+            .partition(|&del| key_paths.moved_by(result, del));
+        preempt = promoted;
+        drain = rest;
     }
 
     // Phase 3: respond.
@@ -133,8 +158,8 @@ pub(crate) fn run_workflow<A: MonotonicAlgorithm>(
     let response_time = start.elapsed().saturating_sub(excluded);
     excluded += boundary(result);
 
-    // Phase 4: drain delayed deletions for future correctness.
-    for del in delayed {
+    // Phase 4: drain the remaining deletions for future correctness.
+    for del in drain {
         incremental::apply_deletion_with(graph, result, del, pending, scratch, &mut counters);
     }
 
@@ -165,11 +190,12 @@ fn changed(before: &[State], after: &[State]) -> u64 {
 /// 1. **Identify** — run Algorithm 1 over the batch against the previous
 ///    converged states and global key path,
 /// 2. **Schedule** — drop useless updates; propagate valuable additions,
-///    then non-delayed valuable deletions preemptively,
-/// 3. **Respond** — the query answer is ready as soon as no valuable update
-///    remains (`response_time`),
-/// 4. **Drain** — process delayed deletions to keep future batches correct
-///    (`total_time`).
+///    then repair preemptively the deletions whose target lies on the key
+///    path,
+/// 3. **Respond** — the query answer is ready as soon as no update that can
+///    change it remains (`response_time`),
+/// 4. **Drain** — repair the other non-delayed deletions, then the delayed
+///    ones, to keep future batches correct (`total_time`).
 ///
 /// Final states after the drain are bit-identical to a full recomputation
 /// on the new snapshot (verified by the cross-engine equivalence tests).
@@ -347,6 +373,97 @@ mod tests {
     }
 
     #[test]
+    fn off_key_path_repair_waits_for_the_drain() {
+        // Key path v0 -> v1 -> v2; side branch v1 -> v3 -> v4. Deleting
+        // v1 -> v3 is non-delayed by Algorithm 1 (v1 is on the key path),
+        // but its target v3 is not, so the repair runs after the response.
+        let mut g = DynamicGraph::new(5);
+        for (a, b) in [(0, 1), (1, 2), (1, 3), (3, 4)] {
+            g.insert_edge(v(a), v(b), w(1.0)).unwrap();
+        }
+        let q = PairQuery::new(v(0), v(2)).unwrap();
+        let mut engine = CisGraphO::<Ppsp>::new(&g, q);
+
+        let batch = vec![EdgeUpdate::delete(v(1), v(3), w(1.0))];
+        g.apply_batch(&batch).unwrap();
+        let r = engine.process_batch(&g, &batch);
+        assert_eq!(activations(&r), [0, 0, 2], "v3 and v4 reset in the drain");
+        assert_eq!(r.answer.get(), 2.0, "the early answer");
+        assert_eq!(r.classification.unwrap().valuable_deletions, 1);
+        assert_eq!(engine.result().state(v(4)), State::POS_INF);
+    }
+
+    /// Runs the workflow for one group and returns every destination's
+    /// state as the `boundary` callback sees it at the response.
+    fn states_at_response<A: MonotonicAlgorithm>(
+        result: &mut ConvergedResult<A>,
+        queries: &[PairQuery],
+        graph: &DynamicGraph,
+        batch: &[EdgeUpdate],
+    ) -> Vec<State> {
+        let mut boundaries = 0;
+        let mut early = Vec::new();
+        let mut scratch = RepairScratch::new();
+        run_workflow(result, queries, graph, batch, None, &mut scratch, |r| {
+            boundaries += 1;
+            if boundaries == 2 {
+                early = queries.iter().map(|q| r.state(q.destination())).collect();
+            }
+            Duration::ZERO
+        });
+        early
+    }
+
+    /// Groups of 2-4 destinations over random mixed streams: at the
+    /// response, every destination already holds its cold-solve state.
+    fn check_early_response_per_destination<A: MonotonicAlgorithm>() {
+        use cisgraph_datasets::{erdos_renyi, weights::WeightDistribution, StreamConfig};
+        for seed in 0..6u64 {
+            let edges = erdos_renyi::generate(80, 560, WeightDistribution::paper_default(), seed);
+            let mut workload = StreamConfig::paper_default()
+                .with_batch_size(30, 30)
+                .build(edges, seed + 1);
+            let n = workload.num_vertices() as u32;
+            let mut g = DynamicGraph::new(n as usize);
+            for &(a, b, wt) in workload.initial_edges() {
+                g.insert_edge(a, b, wt).unwrap();
+            }
+            let source = v(seed as u32 % n);
+            let queries: Vec<PairQuery> = (1..=2 + seed as u32 % 3)
+                .map(|k| PairQuery::new(source, v((source.raw() + 17 * k) % n)).unwrap())
+                .collect();
+            let mut result = solver::best_first::<A, _>(&g, source, &mut Counters::new());
+            for round in 0..4 {
+                let Some(batch) = workload.next_batch() else {
+                    break;
+                };
+                g.apply_batch(&batch).unwrap();
+                let early = states_at_response(&mut result, &queries, &g, &batch);
+                let cold = solver::best_first::<A, _>(&g, source, &mut Counters::new());
+                assert_eq!(early.len(), queries.len(), "no response boundary");
+                for (q, &state) in queries.iter().zip(&early) {
+                    assert_eq!(
+                        state,
+                        cold.state(q.destination()),
+                        "{} {q}, seed {seed} round {round}",
+                        A::NAME
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn early_response_is_exact_for_every_destination() {
+        use cisgraph_algo::{Ppnp, Ppwp, Viterbi};
+        check_early_response_per_destination::<Ppsp>();
+        check_early_response_per_destination::<Ppwp>();
+        check_early_response_per_destination::<Ppnp>();
+        check_early_response_per_destination::<Viterbi>();
+        check_early_response_per_destination::<Reach>();
+    }
+
+    #[test]
     fn reach_engine_tracks_disconnection() {
         let mut g = DynamicGraph::new(3);
         g.insert_edge(v(0), v(1), w(1.0)).unwrap();
@@ -418,7 +535,9 @@ mod tests {
             [49, 0, 2],
             [35, 0, 0],
             [29, 0, 3],
-            [29, 2, 2],
+            // A non-delayed deletion whose target is off the key path: its
+            // repair, and so its two net state changes, land in the drain.
+            [29, 0, 4],
         ];
         assert_eq!(trace, expected);
     }

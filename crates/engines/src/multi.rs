@@ -7,11 +7,10 @@
 //!
 //! Queries are grouped by source — all queries `Q(s -> d_i)` share one
 //! converged result for `s`, so propagation work is shared. Each group runs
-//! CISGraph-O's workflow, with deletion classification on the *union* of
-//! the group's global key paths: a supporting deletion is non-delayed iff
-//! its source vertex lies on any member query's key path, which preserves
-//! the early-response exactness argument for every destination
-//! simultaneously.
+//! CISGraph-O's workflow on the *union* of the group's global key paths: a
+//! supporting deletion is repaired before the response iff its target lies
+//! on any member query's key path, which preserves the early-response
+//! exactness argument for every destination simultaneously.
 //!
 //! Groups are independent, so a batch fans out over worker threads that
 //! claim groups one at a time (see [`MultiQuery::with_workers`]).
@@ -281,8 +280,8 @@ impl<A: MonotonicAlgorithm> MultiQuery<A> {
             worker_spans,
             |group, scratch| {
                 // Timed in isolation: `response_time` covers classification,
-                // valuable propagation, and the promotion loop; `total_time`
-                // adds the delayed drain.
+                // valuable propagation, key-path repairs and the promotion
+                // loop; `total_time` adds the drain.
                 let report = run_workflow(
                     &mut group.result,
                     &group.queries,

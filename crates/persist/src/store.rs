@@ -515,10 +515,17 @@ fn prune_best_effort(dir: &Path, keep: usize) {
 
     // Ancestry closure of the newest `keep` heads: a retained delta keeps
     // its parent alive, transitively. An unreadable link ends that walk —
-    // the chain is already broken, keeping more of it helps nobody.
+    // the chain is already broken, keeping more of it helps nobody. An
+    // entry whose header does not read is never a head: recovery cannot
+    // start from it, and counting it would push good checkpoints, and the
+    // WAL they replay, out of the window.
     let mut needed: HashSet<PathBuf> = HashSet::new();
-    let heads = entries.len().saturating_sub(keep);
-    for head in &entries[heads..] {
+    let heads = entries
+        .iter()
+        .rev()
+        .filter(|e| checkpoint::read_header(&e.path).is_ok())
+        .take(keep);
+    for head in heads {
         let mut cur = Some(head);
         while let Some(entry) = cur {
             if !needed.insert(entry.path.clone()) {
@@ -836,6 +843,35 @@ mod tests {
         assert_eq!(
             snapshot_digest(&recovered2.graph.snapshot()),
             snapshot_digest(&graph.snapshot())
+        );
+    }
+
+    #[test]
+    fn prune_never_counts_an_unreadable_checkpoint_as_a_head() {
+        let tmp = TempDir::new("prune_unreadable");
+        let dir = tmp.path();
+        let mut cfg = PersistConfig::new(dir);
+        cfg.checkpoint_every = Some(1);
+        cfg.fsync = FsyncPolicy::Never;
+        cfg.segment_bytes = 256;
+        cfg.keep_checkpoints = 1;
+        let (mut store, recovered) = DurableStore::open(cfg.clone(), bootstrap).unwrap();
+        let mut graph = recovered.graph;
+        // A corrupt checkpoint named past every position this run reaches:
+        // newest by name, but no recovery can start from it.
+        fs::write(dir.join("ckpt-00000000000000ff.ckpt"), b"not a checkpoint").unwrap();
+        for b in 0..6u32 {
+            let batch: Vec<_> = (0..4).map(|i| upd(b * 4 + i)).collect();
+            store.log_batch(&batch).unwrap();
+            graph.apply_batch(&batch).unwrap();
+            assert!(store.maybe_checkpoint(&mut graph).unwrap());
+        }
+        drop(store);
+        let (_s, recovered2) = DurableStore::open(cfg, bootstrap).unwrap();
+        assert_eq!(
+            snapshot_digest(&recovered2.graph.snapshot()),
+            snapshot_digest(&graph.snapshot()),
+            "every acknowledged batch survives the prune"
         );
     }
 

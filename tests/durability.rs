@@ -273,9 +273,8 @@ impl Harness {
                 self.remove_squats();
             }
             Step::FailCheckpointWrite(ops) | Step::FailCheckpointRename(ops) => {
-                // Listing takes a squat on a final name for a checkpoint and
-                // pruning keeps the newest two, so one squat at a time.
-                self.remove_squats();
+                // Earlier checkpoint squats stay: pruning never counts one
+                // on a final name as a retained checkpoint.
                 if matches!(step, Step::FailCheckpointWrite(_)) {
                     self.squat(format!("{checkpoint}.ckpt.tmp"));
                     self.squat(format!("{checkpoint}.dckpt.tmp"));

@@ -113,6 +113,48 @@ fn early_response_is_exact() {
     }
 }
 
+/// Every engine with an early response captures its answer before the drain
+/// (CISGraph-O at the end of its promotion loop, the accelerator at its
+/// response cycle); for all five algorithms that answer must already equal a
+/// cold solve of the post-batch graph.
+fn check_early_response<A: MonotonicAlgorithm>(seed: u64) {
+    let (g, stream) = workload(0.0008, 100, 400, seed);
+    for query in random_connected_pairs(&g, 4, seed + 3) {
+        let mut g = g.clone();
+        let mut stream = stream.clone();
+        let mut ciso = CisGraphO::<A>::new(&g, query);
+        let mut accel = CisGraphAccel::<A>::new(&g, query, AcceleratorConfig::date2025());
+        for round in 0..3 {
+            let Some(batch) = stream.next_batch() else {
+                break;
+            };
+            g.apply_batch(&batch).expect("consistent batch");
+            let fresh = solver::best_first::<A, _>(&g, query.source(), &mut Counters::new());
+            let expected = fresh.state(query.destination());
+            let context = format!("{} {query}, seed {seed} round {round}", A::NAME);
+            assert_eq!(
+                ciso.process_batch(&g, &batch).answer,
+                expected,
+                "CISGraph-O {context}"
+            );
+            assert_eq!(
+                accel.process_batch(&g, &batch).answer,
+                expected,
+                "accel {context}"
+            );
+        }
+    }
+}
+
+#[test]
+fn early_response_is_exact_all_algorithms() {
+    check_early_response::<Ppsp>(201);
+    check_early_response::<Ppwp>(202);
+    check_early_response::<Ppnp>(203);
+    check_early_response::<Viterbi>(204);
+    check_early_response::<Reach>(205);
+}
+
 /// Streaming through many batches never corrupts the incremental state:
 /// after the last batch, every vertex state matches a cold solve.
 #[test]
