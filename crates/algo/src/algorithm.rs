@@ -1,7 +1,7 @@
 //! The ⊕/⊗ abstraction of Table II.
 
 use cisgraph_types::{State, Weight};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A monotonic pairwise graph algorithm (Table II of the paper).
 ///
@@ -107,7 +107,7 @@ pub trait MonotonicAlgorithm: Copy + Send + Sync + 'static {
 /// assert_eq!(AlgorithmKind::ALL.len(), 5);
 /// assert_eq!(AlgorithmKind::Ppsp.to_string(), "PPSP");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum AlgorithmKind {
     /// Point-to-Point Shortest Path.
     Ppsp,

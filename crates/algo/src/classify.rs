@@ -127,7 +127,7 @@ pub struct ClassifiedBatch {
 }
 
 /// Counts of the classification outcome, split by update kind.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize)]
 pub struct ClassificationSummary {
     /// Valuable additions.
     pub valuable_additions: usize,

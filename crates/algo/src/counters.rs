@@ -1,6 +1,6 @@
 //! Computation accounting shared across engines and the accelerator model.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::ops::AddAssign;
 
 /// Counts of the work a solver or engine performed.
@@ -24,7 +24,7 @@ use std::ops::AddAssign;
 /// a += b;
 /// assert_eq!(a.computations, 15);
 /// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct Counters {
     /// Number of ⊕ evaluations (edge relaxations).
     pub computations: u64,

@@ -40,18 +40,11 @@ use std::marker::PhantomData;
 /// # Ok(())
 /// # }
 /// ```
-/// Serialization note: a checkpointed result can be restored in a later
-/// session (e.g. to resume a long-running streaming engine without
-/// re-converging `G0`); the algorithm type is compile-time only, so the
-/// caller is responsible for deserializing with the same `A` it was
-/// serialized with.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
-#[serde(bound(serialize = "", deserialize = ""))]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ConvergedResult<A> {
     states: Vec<State>,
     parents: Vec<Option<VertexId>>,
     source: VertexId,
-    #[serde(skip)]
     _algorithm: PhantomData<A>,
 }
 
@@ -350,10 +343,9 @@ impl RepairScratch {
     }
 }
 
-/// The repair core of [`apply_deletion_with`] and
-/// [`apply_deletions_batched`]: closes the roots tagged in `scratch` over
-/// the dependence forest, resets the closure, reseeds each tagged vertex
-/// from its in-neighbors, and re-converges.
+/// The repair core of [`apply_deletion_with`]: closes the roots tagged in
+/// `scratch` over the dependence forest, resets the closure, reseeds each
+/// tagged vertex from its in-neighbors, and re-converges.
 fn repair_tagged<A: MonotonicAlgorithm, G: GraphView>(
     graph: &G,
     result: &mut ConvergedResult<A>,
@@ -454,51 +446,6 @@ pub fn apply_deletion_with<A: MonotonicAlgorithm, G: GraphView>(
     scratch.tag(v);
     repair_tagged(graph, result, pending, scratch, counters);
     true
-}
-
-/// Applies a whole slice of edge deletions with *one* shared repair pass.
-///
-/// Where [`apply_deletion_with`] tags, resets, and re-converges per
-/// deletion, this variant follows the GraphFly batching idea: collect the
-/// union of all firing deletions' dependence subtrees first, reset the
-/// union once, then reseed and re-converge once. For deletion-heavy
-/// batches this avoids repeatedly re-deriving overlapping subtrees.
-///
-/// `graph` must reflect the post-batch topology. Returns how many
-/// deletions fired (their target's witness was the deleted edge's source).
-/// Final states are identical to processing the deletions one by one
-/// (property-tested).
-///
-/// # Panics
-///
-/// Panics if an update references a vertex outside `result`.
-pub fn apply_deletions_batched<A: MonotonicAlgorithm, G: GraphView>(
-    graph: &G,
-    result: &mut ConvergedResult<A>,
-    deletions: &[EdgeUpdate],
-    scratch: &mut RepairScratch,
-    counters: &mut Counters,
-) -> usize {
-    let pending = PendingDeletions::from_batch(deletions.iter().copied());
-    scratch.begin(result.num_vertices());
-    // Roots: deletions whose target currently depends on the deleted edge.
-    let mut fired = 0usize;
-    for del in deletions {
-        debug_assert!(del.kind().is_delete());
-        counters.computations += 1;
-        let (u, v) = (del.src(), del.dst());
-        if v == result.source() || result.parent(v) != Some(u) {
-            counters.updates_dropped += 1;
-            continue;
-        }
-        counters.updates_processed += 1;
-        fired += 1;
-        scratch.tag(v);
-    }
-    if fired > 0 {
-        repair_tagged(graph, result, &pending, scratch, counters);
-    }
-    fired
 }
 
 /// Applies one edge deletion with no other deletions pending in the batch.
@@ -835,20 +782,6 @@ mod tests {
     #[should_panic(expected = "out of bounds")]
     fn fresh_rejects_oob_source() {
         let _ = ConvergedResult::<Ppsp>::fresh(2, v(5));
-    }
-
-    #[test]
-    fn checkpoint_roundtrip() {
-        let mut g = DynamicGraph::new(4);
-        g.insert_edge(v(0), v(1), w(2.0)).unwrap();
-        g.insert_edge(v(1), v(3), w(1.0)).unwrap();
-        let r = best_first::<Ppsp, _>(&g, v(0), &mut Counters::new());
-        let json = serde_json::to_string(&r).unwrap();
-        let back: ConvergedResult<Ppsp> = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, r);
-        assert_eq!(back.state(v(3)).get(), 3.0);
-        assert_eq!(back.parent(v(3)), Some(v(1)));
-        assert_eq!(back.source(), v(0));
     }
 
     #[test]

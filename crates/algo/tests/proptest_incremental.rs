@@ -93,10 +93,9 @@ fn image<A: MonotonicAlgorithm>(r: &ConvergedResult<A>) -> (Vec<State>, Vec<Opti
 
 /// Each round grows a converged result to `N + extra` vertices, hangs a
 /// chain of the new vertices off `v(N-1)`, then deletes every `k`-th base
-/// edge plus the chain's first link — one by one, then as one batched
-/// repair. One scratch serves every call of every round; it must match a
-/// fresh scratch per call in results, states, parents, and counters after
-/// every call.
+/// edge plus the chain's first link, one by one. One scratch serves every
+/// call of every round; it must match a fresh scratch per call in results,
+/// states, parents, and counters after every call.
 fn check_scratch_reuse<A: MonotonicAlgorithm>(
     initial: &[(u32, u32, u32)],
     k: usize,
@@ -144,12 +143,7 @@ fn check_scratch_reuse<A: MonotonicAlgorithm>(
                     incremental::apply_deletion_with(&g, &mut r, del, &pending, scratch, &mut c);
                 trace.push((fired, image(&r), c));
             }
-            let (mut batched, mut c) = (start.clone(), Counters::new());
-            let mut fresh = RepairScratch::new();
-            let scratch = if reuse { &mut shared } else { &mut fresh };
-            let fired =
-                incremental::apply_deletions_batched(&g, &mut batched, &deletions, scratch, &mut c);
-            (trace, fired, image(&batched), c)
+            trace
         };
         let fresh = run(false);
         prop_assert_eq!(
@@ -252,47 +246,6 @@ proptest! {
         for i in 0..g.num_vertices() {
             let x = VertexId::from_index(i);
             prop_assert_eq!(result.state(x), baseline.state(x), "state of v{} changed", i);
-        }
-    }
-
-    /// Batched deletion repair reaches the same fixpoint as per-deletion
-    /// repair, for any of the five algorithms (checked via PPSP + PPWP to
-    /// cover min- and max-select).
-    #[test]
-    fn batched_deletions_match_sequential(initial in edges_strategy(), k in 1usize..4) {
-        let mut g = graph_from(&initial);
-        let source = VertexId::new(0);
-        let deletions: Vec<EdgeUpdate> = initial
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| i % k == 0)
-            .map(|(_, &(u, v, w))| EdgeUpdate::delete(
-                VertexId::new(u),
-                VertexId::new(v),
-                Weight::new(f64::from(w)).unwrap(),
-            ))
-            .collect();
-
-        let mut sequential = solver::best_first::<Ppsp, _>(&g, source, &mut Counters::new());
-        let mut batched = sequential.clone();
-        for &del in &deletions {
-            g.apply(del).unwrap();
-        }
-        let pending = PendingDeletions::from_batch(deletions.iter().copied());
-        let mut scratch = RepairScratch::new();
-        for &del in &deletions {
-            incremental::apply_deletion_with(&g, &mut sequential, del, &pending, &mut scratch, &mut Counters::new());
-        }
-        incremental::apply_deletions_batched(&g, &mut batched, &deletions, &mut scratch, &mut Counters::new());
-        for i in 0..g.num_vertices() {
-            let x = VertexId::from_index(i);
-            prop_assert_eq!(sequential.state(x), batched.state(x), "state of v{} differs", i);
-        }
-        // And both equal a cold solve.
-        let fresh = solver::best_first::<Ppsp, _>(&g, source, &mut Counters::new());
-        for i in 0..g.num_vertices() {
-            let x = VertexId::from_index(i);
-            prop_assert_eq!(batched.state(x), fresh.state(x), "v{} vs fresh", i);
         }
     }
 

@@ -51,12 +51,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn writes_and_is_parseable() {
-        let path =
-            write_json("artifact_unit_test", &serde_json::json!({"x": 1})).expect("write succeeds");
+    fn writes_pretty_json() {
+        let path = write_json("artifact_unit_test", &vec![1, 2]).expect("write succeeds");
         let content = std::fs::read_to_string(&path).unwrap();
-        let v: serde_json::Value = serde_json::from_str(&content).unwrap();
-        assert_eq!(v["x"], 1);
+        assert_eq!(content, "[\n  1,\n  2\n]");
         std::fs::remove_file(path).ok();
     }
 }

@@ -63,7 +63,7 @@ fn main() {
     println!("Table I: experimental configurations (regenerated from code)\n");
     println!("{}", t.render());
     println!(
-        "Software engines (CS, SGraph, PnP, CISGraph-O) run natively on this host;\n\
+        "Software engines (CS, SGraph, CISGraph-O) run natively on this host;\n\
          the accelerator column is the cycle-level model in cisgraph-core."
     );
     obs_session.finish();

@@ -5,9 +5,7 @@ use cisgraph_algo::classify::ClassificationSummary;
 use cisgraph_algo::{Counters, MonotonicAlgorithm};
 use cisgraph_core::{AccelReport, AcceleratorConfig, CisGraphAccel, CycleMilestones};
 use cisgraph_datasets::{queries, Dataset, StreamConfig};
-use cisgraph_engines::{
-    BatchReport, CisGraphO, ColdStart, Pnp, SGraph, SGraphConfig, StreamingEngine,
-};
+use cisgraph_engines::{BatchReport, CisGraphO, ColdStart, SGraph, SGraphConfig, StreamingEngine};
 use cisgraph_graph::DynamicGraph;
 use cisgraph_sim::MemStats;
 use cisgraph_types::{EdgeUpdate, PairQuery, State};
@@ -20,8 +18,6 @@ pub enum EngineSel {
     Cs,
     /// SGraph hub-bound pruning.
     SGraph,
-    /// PnP upper-bound pruning.
-    Pnp,
     /// CISGraph-O software workflow.
     Ciso,
     /// CISGraph accelerator (simulated cycles).
@@ -30,21 +26,9 @@ pub enum EngineSel {
 
 impl EngineSel {
     /// The four engines of the Table IV comparison, in presentation order.
-    /// PnP is *not* part of the paper's table; select [`EngineSel::ALL`]
-    /// to include it.
     pub const TABLE4: [EngineSel; 4] = [
         EngineSel::Cs,
         EngineSel::SGraph,
-        EngineSel::Ciso,
-        EngineSel::Accel,
-    ];
-
-    /// Every engine — the Table IV four plus the PnP extra baseline — in
-    /// presentation order.
-    pub const ALL: [EngineSel; 5] = [
-        EngineSel::Cs,
-        EngineSel::SGraph,
-        EngineSel::Pnp,
         EngineSel::Ciso,
         EngineSel::Accel,
     ];
@@ -54,7 +38,6 @@ impl EngineSel {
         match self {
             Self::Cs => "CS",
             Self::SGraph => "SGraph",
-            Self::Pnp => "PnP",
             Self::Ciso => "CISGraph-O",
             Self::Accel => "CISGraph",
         }
@@ -78,7 +61,6 @@ impl EngineSel {
                 query,
                 SGraphConfig { num_hubs: cfg.hubs },
             )),
-            Self::Pnp => Box::new(Pnp::new(query)),
             Self::Ciso => Box::new(CisGraphO::new(graph, query)),
             Self::Accel => Box::new(CisGraphAccel::new(graph, query, cfg.accel)),
         }
@@ -619,18 +601,8 @@ mod tests {
     fn all_engines_agree_ppsp() {
         let cfg = tiny();
         let bundle = build_workload(&cfg);
-        let results = run_engines::<Ppsp>(
-            &cfg,
-            &bundle,
-            &[
-                EngineSel::Cs,
-                EngineSel::SGraph,
-                EngineSel::Pnp,
-                EngineSel::Ciso,
-                EngineSel::Accel,
-            ],
-        );
-        assert_eq!(results.engines.len(), 5);
+        let results = run_engines::<Ppsp>(&cfg, &bundle, &EngineSel::TABLE4);
+        assert_eq!(results.engines.len(), 4);
         for e in &results.engines {
             assert_eq!(e.samples, cfg.queries * cfg.batches);
         }
@@ -719,18 +691,11 @@ mod tests {
     }
 
     #[test]
-    fn all_includes_pnp_table4_does_not() {
-        assert!(EngineSel::ALL.contains(&EngineSel::Pnp));
-        assert!(!EngineSel::TABLE4.contains(&EngineSel::Pnp));
-        assert_eq!(EngineSel::ALL.len(), EngineSel::TABLE4.len() + 1);
-    }
-
-    #[test]
     fn build_constructs_every_engine() {
         let cfg = tiny();
         let bundle = build_workload(&cfg);
         let query = bundle.queries[0];
-        for sel in EngineSel::ALL {
+        for sel in EngineSel::TABLE4 {
             let engine = sel.build::<Ppsp>(&bundle.initial, query, &cfg);
             assert_eq!(engine.name(), sel.name());
         }

@@ -3,7 +3,7 @@
 //! One library drives the table/figure binaries (`table1` … `fig5b`) and
 //! the `variance` and `sweep` studies: it generates the paper's workloads
 //! (stand-in dataset + streaming batches + random queries), runs every
-//! engine — Cold-Start, SGraph, PnP, CISGraph-O in wall-clock time and the
+//! engine — Cold-Start, SGraph, CISGraph-O in wall-clock time and the
 //! CISGraph accelerator in simulated cycles — through one aggregation
 //! path, and reports the metrics each experiment needs. Two more binaries drive the serving stack: `serve`
 //! (the multi-query server's thread sweep and durable runs) and

@@ -117,6 +117,15 @@ mod tests {
         LOCK.lock().unwrap()
     }
 
+    /// A fresh directory of this process's own, so concurrent test runs
+    /// never share one.
+    fn scratch_dir(tag: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("{tag}_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
     #[test]
     fn inactive_without_flags() {
         let s = ObsSession::init(&args(&[]));
@@ -127,8 +136,7 @@ mod tests {
     #[test]
     fn trace_jsonl_streams_span_lines() {
         let _guard = obs_test_lock();
-        let dir = std::env::temp_dir().join("cisgraph_obsout_stream_test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = scratch_dir("cisgraph_obsout_stream_test");
         let j = dir.join("t.jsonl");
         let s = ObsSession::init(&args(&["--trace-jsonl", j.to_str().unwrap()]));
         assert!(s.active());
@@ -140,14 +148,13 @@ mod tests {
         assert!(lines
             .lines()
             .any(|l| l.contains("obsout.test.streamed") && l.starts_with('{')));
-        std::fs::remove_file(j).ok();
+        std::fs::remove_dir_all(dir).ok();
     }
 
     #[test]
     fn metrics_out_writes_valid_json() {
         let _guard = obs_test_lock();
-        let dir = std::env::temp_dir().join("cisgraph_obsout_test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = scratch_dir("cisgraph_obsout_test");
         let m = dir.join("m.json");
         let t = dir.join("t.json");
         let s = ObsSession::init(&args(&[
@@ -166,7 +173,6 @@ mod tests {
         assert!(metrics.contains("obsout.test.counter"));
         let trace = std::fs::read_to_string(&t).unwrap();
         assert!(trace.contains("\"traceEvents\""));
-        std::fs::remove_file(m).ok();
-        std::fs::remove_file(t).ok();
+        std::fs::remove_dir_all(dir).ok();
     }
 }

@@ -100,29 +100,24 @@ impl<A: MonotonicAlgorithm> CisGraphAccel<A> {
             &mut self.result,
             self.query,
             image,
-            MemoryLayout::for_image(image),
             batch,
-            0,
         )
     }
 }
 
-/// The shared per-batch simulation: one converged result, one query, one
-/// timeline starting at `t_base`. Used by [`CisGraphAccel`] (with
-/// `t_base = 0`) and by the multi-query accelerator, which time-multiplexes
-/// several source groups over the same pipelines and memory system.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn simulate_batch<A: MonotonicAlgorithm, G: CsrImage>(
+/// The per-batch simulation: one converged result, one query, one
+/// timeline starting at cycle 0, on the image laid out by
+/// [`MemoryLayout::for_image`].
+fn simulate_batch<A: MonotonicAlgorithm, G: CsrImage>(
     config: &AcceleratorConfig,
     mem: &mut MemorySystem,
     result: &mut ConvergedResult<A>,
     query: PairQuery,
     image: &G,
-    layout: MemoryLayout,
     batch: &[EdgeUpdate],
-    t_base: Cycle,
 ) -> AccelReport {
     {
+        let layout = MemoryLayout::for_image(image);
         result.grow(image.num_vertices());
         let mut counters = Counters::new();
         let mem_before = mem.stats();
@@ -133,10 +128,10 @@ pub(crate) fn simulate_batch<A: MonotonicAlgorithm, G: CsrImage>(
         // single ALU cycle evaluates the triangle check. Additions stream
         // first (§IV-A fairness) and see the pre-batch converged states.
         let pipelines = config.pipelines.max(1);
-        let mut issue: Vec<Cycle> = vec![t_base; pipelines];
+        let mut issue: Vec<Cycle> = vec![0; pipelines];
         let mut summary = ClassificationSummary::default();
         let mut additions: Vec<(EdgeUpdate, Cycle)> = Vec::new();
-        let mut ident_done: Cycle = t_base;
+        let mut ident_done: Cycle = 0;
         let ident = |update: EdgeUpdate,
                      issue: &mut Vec<Cycle>,
                      mem: &mut cisgraph_sim::MemorySystem,
@@ -182,7 +177,7 @@ pub(crate) fn simulate_batch<A: MonotonicAlgorithm, G: CsrImage>(
         // resets and restores a vertex does not activate it for the
         // figure), so states are snapshotted at phase boundaries.
         let states_before_adds: Vec<cisgraph_types::State> = propagator.result.states().to_vec();
-        let mut t_cursor: Cycle = t_base;
+        let mut t_cursor: Cycle = 0;
         for (add, ready) in additions {
             t_cursor = t_cursor.max(propagator.seed_addition(add, ready));
         }

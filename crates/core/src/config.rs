@@ -1,7 +1,7 @@
 //! Accelerator configuration (Table I).
 
 use cisgraph_sim::{DramConfig, SpmConfig};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Hardware parameters of the modeled CISGraph instance.
 ///
@@ -19,7 +19,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(cfg.clock_ghz, 1.0);
 /// assert_eq!(cfg.total_propagation_units(), 16);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct AcceleratorConfig {
     /// Number of identification/scheduling pipelines; updates are routed by
     /// `v mod pipelines`.

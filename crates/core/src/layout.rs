@@ -17,7 +17,7 @@
 
 use crate::CsrImage;
 use cisgraph_types::VertexId;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Byte size of one vertex state.
 pub const STATE_BYTES: u64 = 8;
@@ -40,7 +40,7 @@ pub const EDGE_BYTES: u64 = 16;
 /// let a1 = layout.state_addr(cisgraph_types::VertexId::new(1));
 /// assert_eq!(a1 - a0, 8);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct MemoryLayout {
     /// Base of the state array.
     pub state_base: u64,
@@ -90,34 +90,6 @@ impl MemoryLayout {
             image.out_offsets()[n] as usize,
             image.in_offsets()[n] as usize,
         )
-    }
-
-    /// Relocates the state and parent arrays for query group `group`,
-    /// leaving the CSR regions shared.
-    ///
-    /// The multi-query accelerator keeps one graph image but a distinct
-    /// state/parent array per standing query; group 0 uses the base layout,
-    /// group `k > 0` places its arrays after the image. Shared CSR regions
-    /// are what make an additional standing query cheaper than a separate
-    /// accelerator: its edge-list bursts hit lines the other queries
-    /// already pulled into the scratchpad.
-    #[must_use]
-    pub fn for_group(&self, group: usize, num_vertices: usize) -> MemoryLayout {
-        const ALIGN: u64 = 4096;
-        let align = |x: u64| x.div_ceil(ALIGN) * ALIGN;
-        if group == 0 {
-            return *self;
-        }
-        let n = num_vertices as u64;
-        let state_bytes = align(n * STATE_BYTES);
-        let parent_bytes = align(n * PARENT_BYTES);
-        let region = state_bytes + parent_bytes;
-        let base = align(self.image_bytes) + (group as u64 - 1) * region;
-        MemoryLayout {
-            state_base: base,
-            parent_base: base + state_bytes,
-            ..*self
-        }
     }
 
     /// Address of `v`'s state.

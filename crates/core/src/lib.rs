@@ -58,7 +58,6 @@ mod accel;
 mod config;
 mod image;
 mod layout;
-mod multi;
 mod prop;
 mod report;
 
@@ -66,5 +65,4 @@ pub use accel::CisGraphAccel;
 pub use config::AcceleratorConfig;
 pub use image::CsrImage;
 pub use layout::MemoryLayout;
-pub use multi::{MultiAccelReport, MultiQueryAccel};
 pub use report::{AccelReport, CycleMilestones};

@@ -4,7 +4,7 @@ use cisgraph_algo::classify::ClassificationSummary;
 use cisgraph_algo::Counters;
 use cisgraph_sim::MemStats;
 use cisgraph_types::State;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::ops::AddAssign;
 use std::time::Duration;
 
@@ -20,7 +20,7 @@ use std::time::Duration;
 /// let m = cisgraph_core::CycleMilestones::default();
 /// assert_eq!(m.response, 0);
 /// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct CycleMilestones {
     /// Last identification check completed.
     pub identification_done: u64,
@@ -59,7 +59,7 @@ impl AddAssign for CycleMilestones {
 /// let r = AccelReport::new(State::ZERO);
 /// assert_eq!(r.response_cycles, 0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct AccelReport {
     /// The converged query answer for the new snapshot.
     pub answer: State,

@@ -1,4 +1,4 @@
-//! The accelerators simulate on a read-only image of the live adjacency
+//! The accelerator simulates on a read-only image of the live adjacency
 //! (`process_batch`) instead of a materialized snapshot
 //! (`process_batch_on_snapshot`). The two must produce identical reports,
 //! cycle for cycle, because the simulated timing depends on CSR row order.
@@ -11,7 +11,7 @@
 //! system's state carried between batches is compared too.
 
 use cisgraph_algo::Ppsp;
-use cisgraph_core::{AcceleratorConfig, CisGraphAccel, MultiQueryAccel};
+use cisgraph_core::{AcceleratorConfig, CisGraphAccel};
 use cisgraph_graph::DynamicGraph;
 use cisgraph_sim::SpmConfig;
 use cisgraph_types::{EdgeUpdate, PairQuery, VertexId, Weight};
@@ -75,32 +75,23 @@ proptest! {
     fn live_image_reports_match_snapshot_reports(
         initial in proptest::collection::vec((vertex(), vertex(), 1..5u32), 20..60),
         plans in proptest::collection::vec(batch_plan(), 1..4),
-        dests in proptest::collection::vec(1..N, 3..4),
+        dest in 1..N,
     ) {
         let mut g = DynamicGraph::with_promotion_threshold(N as usize, THRESHOLD);
         for &(a, b, x) in &initial {
             g.insert_edge(v(a), v(b), w(x)).unwrap();
         }
-        let queries: Vec<PairQuery> = dests
-            .iter()
-            .map(|&d| PairQuery::new(v(HUB), v(d)).unwrap())
-            .collect();
-        let mut single_live = CisGraphAccel::<Ppsp>::new(&g, queries[0], config());
-        let mut single_snap = single_live.clone();
-        let mut multi_live = MultiQueryAccel::<Ppsp>::new(&g, &queries, config());
-        let mut multi_snap = multi_live.clone();
+        let query = PairQuery::new(v(HUB), v(dest)).unwrap();
+        let mut live = CisGraphAccel::<Ppsp>::new(&g, query, config());
+        let mut snap = live.clone();
 
         for plan in &plans {
             let batch = build_batch(&g, plan);
             g.apply_batch(&batch).unwrap();
             let snapshot = g.snapshot();
             prop_assert_eq!(
-                single_live.process_batch(&g, &batch),
-                single_snap.process_batch_on_snapshot(&snapshot, &batch)
-            );
-            prop_assert_eq!(
-                multi_live.process_batch(&g, &batch),
-                multi_snap.process_batch_on_snapshot(&snapshot, &batch)
+                live.process_batch(&g, &batch),
+                snap.process_batch_on_snapshot(&snapshot, &batch)
             );
         }
         prop_assert!(g.index_promotions() > 0, "hub lists must cross the threshold");

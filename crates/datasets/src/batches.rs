@@ -16,7 +16,7 @@ use cisgraph_types::{EdgeUpdate, VertexId, Weight};
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Configuration of the streaming protocol.
 ///
@@ -30,7 +30,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(cfg.additions_per_batch, 50_000);
 /// assert_eq!(cfg.deletions_per_batch, 50_000);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct StreamConfig {
     /// Fraction of edges loaded as the initial snapshot.
     pub load_fraction: f64,

@@ -13,10 +13,10 @@
 
 use crate::rmat::RmatConfig;
 use cisgraph_types::{VertexId, Weight};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Which R-MAT skew recipe a dataset stand-in uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum Skew {
     /// Social-network parameters (Orkut, LiveJournal).
     Social,
@@ -37,7 +37,7 @@ pub enum Skew {
 /// let edges = ds.generate(0.0005, 1);
 /// assert!(!edges.is_empty());
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Dataset {
     /// Human-readable name (`"orkut_like"` etc.).
     pub name: &'static str,

@@ -10,7 +10,7 @@ use crate::weights::WeightDistribution;
 use cisgraph_types::{VertexId, Weight};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::HashSet;
 
 /// R-MAT quadrant probabilities and size parameters.
@@ -24,7 +24,7 @@ use std::collections::HashSet;
 /// assert!(edges.len() <= 1024 * 16);
 /// assert!(!edges.is_empty());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct RmatConfig {
     /// log2 of the number of vertices.
     pub scale: u32,

@@ -14,10 +14,10 @@
 
 use cisgraph_types::Weight;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A weight distribution for generated graphs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 #[non_exhaustive]
 pub enum WeightDistribution {
     /// Uniform integers in `[lo, hi]` (inclusive), as `f64`.

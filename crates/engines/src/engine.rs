@@ -4,7 +4,7 @@ use cisgraph_algo::classify::ClassificationSummary;
 use cisgraph_algo::{Counters, MonotonicAlgorithm};
 use cisgraph_graph::DynamicGraph;
 use cisgraph_types::{EdgeUpdate, State};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::ops::{Deref, DerefMut};
 use std::time::Duration;
 
@@ -32,7 +32,7 @@ use std::time::Duration;
 /// total.accumulate(&shard);
 /// assert_eq!(total.counters.computations, 7);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ReportCore {
     /// The converged query answer for the new snapshot.
     pub answer: State,
@@ -94,7 +94,7 @@ impl ReportCore {
 /// assert_eq!(r.answer.get(), 3.0);
 /// assert_eq!(r.total_time, std::time::Duration::ZERO);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct BatchReport {
     /// The engine-agnostic metric core.
     pub core: ReportCore,

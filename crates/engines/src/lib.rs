@@ -12,8 +12,6 @@
 //!   (the paper's CS baseline everything is normalized to),
 //! * [`SGraph`] — hub-based upper/lower-bound pruning (16 highest-degree
 //!   hubs), re-evaluating the query per snapshot with bound maintenance,
-//! * [`Pnp`] — upper-bound-only pruning with early termination (related
-//!   work §II-B; an extra baseline beyond the paper's table),
 //! * [`CisGraphO`] — the contribution-aware workflow of §III-A: Algorithm 1
 //!   classification, priority scheduling (valuable first, delayed last,
 //!   useless dropped), and early response.
@@ -45,19 +43,15 @@
 #![warn(missing_docs)]
 
 mod ciso;
-mod coalescing;
 mod cold_start;
 mod engine;
 mod multi;
-mod pnp;
 mod serve;
 mod sgraph;
 
 pub use ciso::CisGraphO;
-pub use coalescing::Coalescing;
 pub use cold_start::ColdStart;
 pub use engine::{BatchReport, ReportCore, StreamingEngine};
 pub use multi::MultiQuery;
-pub use pnp::Pnp;
 pub use serve::{QueryServer, ServeConfig, ServeReport};
 pub use sgraph::{SGraph, SGraphConfig};

@@ -2,7 +2,7 @@
 
 use crate::{Edge, GraphView};
 use cisgraph_types::{VertexId, Weight};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A Compressed Sparse Row adjacency: `offsets[v]..offsets[v+1]` indexes the
 /// adjacency entries of vertex `v` in one contiguous `edges` array.
@@ -29,7 +29,7 @@ use serde::{Deserialize, Serialize};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Csr {
     offsets: Vec<u64>,
     edges: Vec<Edge>,
@@ -166,7 +166,7 @@ impl Csr {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Snapshot {
     forward: Csr,
     reverse: Csr,

@@ -1,7 +1,7 @@
 //! Compact adjacency entries.
 
 use cisgraph_types::{VertexId, Weight};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// One adjacency entry: the far endpoint and the edge weight.
@@ -23,7 +23,7 @@ use std::fmt;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct Edge {
     to: VertexId,
     weight: Weight,

@@ -3,7 +3,7 @@
 
 use crate::GraphView;
 use cisgraph_types::VertexId;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Summary of a graph's degree distribution.
 ///
@@ -23,7 +23,7 @@ use serde::{Deserialize, Serialize};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct DegreeStats {
     /// Number of vertices.
     pub num_vertices: usize,

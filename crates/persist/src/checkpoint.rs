@@ -41,7 +41,7 @@ use cisgraph_graph::{DynamicGraph, Edge, GraphView};
 use cisgraph_obs::{Counter, Histogram};
 use cisgraph_types::{VertexId, Weight};
 
-use crate::crc::crc32;
+use crate::crc::{crc32, crc32_update};
 use crate::error::PersistError;
 use crate::LeReader;
 use crate::Result;
@@ -54,6 +54,9 @@ pub const CHECKPOINT_MAGIC: u32 = u32::from_le_bytes(*b"CCKP");
 pub const CHECKPOINT_VERSION: u32 = 2;
 
 const HEADER_BYTES: usize = 4 + 4 + 8 + 4 + 8 + 8 + 8 + 8;
+
+/// Bytes the CRC check reads at a time.
+const CRC_CHUNK: usize = 64 * 1024;
 
 /// Row ids are `u32`, so no graph has more rows than this.
 const MAX_ROWS: u64 = 1 << 32;
@@ -386,6 +389,46 @@ pub fn read_header(path: &Path) -> Result<Header> {
     Ok(parse_header(path, &head)?.0)
 }
 
+/// Checks the trailing CRC of a `len`-byte checkpoint read from `src`,
+/// in [`CRC_CHUNK`]-sized pieces, so no buffer the size of the file is
+/// needed.
+fn check_crc(path: &Path, mut src: impl Read, len: u64) -> Result<()> {
+    let corrupt = |offset: u64, reason: String| PersistError::corrupt(path, offset, reason);
+    if len < (HEADER_BYTES + 4) as u64 {
+        return Err(corrupt(len, format!("checkpoint truncated at {len} bytes")));
+    }
+    let body_len = len - 4;
+    let truncated = |_| corrupt(body_len, "checkpoint shorter than its length".to_string());
+    let mut chunk = vec![0u8; CRC_CHUNK.min(body_len as usize)];
+    let (mut actual_crc, mut left) = (0, body_len);
+    while left > 0 {
+        let piece = &mut chunk[..left.min(CRC_CHUNK as u64) as usize];
+        src.read_exact(piece).map_err(truncated)?;
+        actual_crc = crc32_update(actual_crc, piece);
+        left -= piece.len() as u64;
+    }
+    let mut recorded = [0u8; 4];
+    src.read_exact(&mut recorded).map_err(truncated)?;
+    let expect_crc = u32::from_le_bytes(recorded);
+    if actual_crc != expect_crc {
+        return Err(corrupt(
+            body_len,
+            format!("checkpoint crc {actual_crc:#010x} != recorded {expect_crc:#010x}"),
+        ));
+    }
+    Ok(())
+}
+
+/// Checks a checkpoint's header and CRC without loading its rows. Pruning
+/// picks heads with this: a file that fails it cannot start a recovery.
+pub fn verify(path: &Path) -> Result<Header> {
+    let header = read_header(path)?;
+    let file = File::open(path)?;
+    let len = file.metadata()?.len();
+    check_crc(path, file, len)?;
+    Ok(header)
+}
+
 /// Loads and validates one checkpoint file.
 ///
 /// Every size field is checked against the bytes that remain before it
@@ -401,21 +444,8 @@ pub fn read(path: &Path) -> Result<Checkpoint> {
     let bytes = fs::read(path)?;
     let corrupt =
         |offset: usize, reason: String| PersistError::corrupt(path, offset as u64, reason);
-    if bytes.len() < HEADER_BYTES + 4 {
-        return Err(corrupt(
-            bytes.len(),
-            format!("checkpoint truncated at {} bytes", bytes.len()),
-        ));
-    }
+    check_crc(path, bytes.as_slice(), bytes.len() as u64)?;
     let body_len = bytes.len() - 4;
-    let expect_crc = u32::from_le_bytes(bytes[body_len..].try_into().expect("4 bytes"));
-    let actual_crc = crc32(&bytes[..body_len]);
-    if actual_crc != expect_crc {
-        return Err(corrupt(
-            body_len,
-            format!("checkpoint crc {actual_crc:#010x} != recorded {expect_crc:#010x}"),
-        ));
-    }
     let (header, row_count) = parse_header(path, &bytes)?;
 
     let mut cursor = LeReader::new(&bytes[HEADER_BYTES..body_len]);

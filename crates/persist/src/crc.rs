@@ -43,8 +43,15 @@ fn tables() -> &'static [[u32; 256]; 8] {
 /// assert_eq!(cisgraph_persist::crc32(b""), 0);
 /// ```
 pub fn crc32(data: &[u8]) -> u32 {
+    crc32_update(0, data)
+}
+
+/// Extends `crc`, the CRC-32 of some prefix, over `data`:
+/// `crc32_update(crc32(a), b) == crc32(a ++ b)` (zlib's `crc32(crc, buf)`
+/// convention), so a file can be checked in chunks.
+pub(crate) fn crc32_update(crc: u32, data: &[u8]) -> u32 {
     let t = tables();
-    let mut crc = !0u32;
+    let mut crc = !crc;
     let mut chunks = data.chunks_exact(8);
     for chunk in &mut chunks {
         let lo = u32::from_le_bytes(chunk[0..4].try_into().expect("4-byte slice")) ^ crc;
@@ -101,6 +108,15 @@ mod tests {
             .collect();
         for len in 0..data.len() {
             assert_eq!(crc32(&data[..len]), reference(&data[..len]), "len {len}");
+        }
+    }
+
+    #[test]
+    fn chunked_update_matches_one_pass() {
+        let data: Vec<u8> = (0..100u32).map(|i| (i * 37) as u8).collect();
+        for split in 0..=data.len() {
+            let (a, b) = data.split_at(split);
+            assert_eq!(crc32_update(crc32(a), b), crc32(&data), "split {split}");
         }
     }
 

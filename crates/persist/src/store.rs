@@ -516,14 +516,15 @@ fn prune_best_effort(dir: &Path, keep: usize) {
     // Ancestry closure of the newest `keep` heads: a retained delta keeps
     // its parent alive, transitively. An unreadable link ends that walk —
     // the chain is already broken, keeping more of it helps nobody. An
-    // entry whose header does not read is never a head: recovery cannot
-    // start from it, and counting it would push good checkpoints, and the
-    // WAL they replay, out of the window.
+    // entry whose header or CRC does not check is never a head: recovery
+    // cannot start from it, and counting it would push good checkpoints,
+    // and the WAL they replay, out of the window. Candidates are checked
+    // newest first, only until `keep` heads are found.
     let mut needed: HashSet<PathBuf> = HashSet::new();
     let heads = entries
         .iter()
         .rev()
-        .filter(|e| checkpoint::read_header(&e.path).is_ok())
+        .filter(|e| checkpoint::verify(&e.path).is_ok())
         .take(keep);
     for head in heads {
         let mut cur = Some(head);
@@ -860,6 +861,43 @@ mod tests {
         // A corrupt checkpoint named past every position this run reaches:
         // newest by name, but no recovery can start from it.
         fs::write(dir.join("ckpt-00000000000000ff.ckpt"), b"not a checkpoint").unwrap();
+        for b in 0..6u32 {
+            let batch: Vec<_> = (0..4).map(|i| upd(b * 4 + i)).collect();
+            store.log_batch(&batch).unwrap();
+            graph.apply_batch(&batch).unwrap();
+            assert!(store.maybe_checkpoint(&mut graph).unwrap());
+        }
+        drop(store);
+        let (_s, recovered2) = DurableStore::open(cfg, bootstrap).unwrap();
+        assert_eq!(
+            snapshot_digest(&recovered2.graph.snapshot()),
+            snapshot_digest(&graph.snapshot()),
+            "every acknowledged batch survives the prune"
+        );
+    }
+
+    #[test]
+    fn prune_never_counts_a_corrupt_body_checkpoint_as_a_head() {
+        let tmp = TempDir::new("prune_corrupt_body");
+        let dir = tmp.path();
+        let mut cfg = PersistConfig::new(dir);
+        cfg.checkpoint_every = Some(1);
+        cfg.fsync = FsyncPolicy::Never;
+        cfg.segment_bytes = 256;
+        cfg.keep_checkpoints = 1;
+        let (mut store, recovered) = DurableStore::open(cfg.clone(), bootstrap).unwrap();
+        let mut graph = recovered.graph;
+        // A real checkpoint named past every position this run reaches,
+        // with one body byte flipped: its header reads, its CRC fails.
+        let mut rows = bootstrap();
+        rows.apply_batch(&[upd(0), upd(1)]).unwrap();
+        let path = checkpoint::write(dir, &Checkpoint::capture(&rows, 0xff, None)).unwrap();
+        let mut bytes = fs::read(&path).unwrap();
+        let last_body_byte = bytes.len() - 5;
+        bytes[last_body_byte] ^= 0x01;
+        fs::write(&path, bytes).unwrap();
+        assert!(checkpoint::read_header(&path).is_ok());
+        assert!(checkpoint::verify(&path).is_err());
         for b in 0..6u32 {
             let batch: Vec<_> = (0..4).map(|i| upd(b * 4 + i)).collect();
             store.log_batch(&batch).unwrap();

@@ -137,6 +137,9 @@ pub struct Wal {
     /// Test hook: the next write to the segment file fails.
     #[cfg(test)]
     fail_next_write: bool,
+    /// Test hook: the next `sync` fails after its write reached the file.
+    #[cfg(test)]
+    fail_next_sync: bool,
 }
 
 impl Wal {
@@ -159,6 +162,8 @@ impl Wal {
             poisoned: false,
             #[cfg(test)]
             fail_next_write: false,
+            #[cfg(test)]
+            fail_next_sync: false,
         })
     }
 
@@ -278,6 +283,10 @@ impl Wal {
         if self.unsynced_appends == 0 {
             return Ok(());
         }
+        #[cfg(test)]
+        if std::mem::take(&mut self.fail_next_sync) {
+            return Err(io::Error::other("injected sync failure").into());
+        }
         let start = cisgraph_obs::enabled().then(Instant::now);
         self.current.sync_data()?;
         self.unsynced_appends = 0;
@@ -323,6 +332,7 @@ mod tests {
     use super::*;
     use crate::frame::FrameDecode;
     use crate::temp_dir::TempDir;
+    use cisgraph_graph::{DynamicGraph, GraphView};
     use cisgraph_types::{VertexId, Weight};
 
     fn upd(i: u32) -> EdgeUpdate {
@@ -477,5 +487,37 @@ mod tests {
         let frames = decode_all(&path);
         assert_eq!(frames.len(), 1, "only the acknowledged frame is on disk");
         assert_eq!(frames[0].seq, 0);
+    }
+
+    /// A failed fsync comes after the frame reached the file. The append
+    /// must fail, the segment must be cut back to the frame's start, and
+    /// the log must be poisoned, so recovery finds exactly the
+    /// acknowledged prefix.
+    #[test]
+    fn failed_sync_takes_the_frame_back_and_poisons() {
+        let tmp = TempDir::new("sync_fail");
+        let dir = tmp.path();
+        let mut wal = Wal::open(WalConfig::new(dir), 0).unwrap();
+        wal.append(&[upd(0)]).unwrap();
+        wal.append(&[upd(1)]).unwrap();
+        let (_, path) = list_segments(dir).unwrap().pop().unwrap();
+        let acknowledged = fs::metadata(&path).unwrap().len();
+        wal.fail_next_sync = true;
+        assert!(wal.append(&[upd(2)]).is_err());
+        assert_eq!(
+            fs::metadata(&path).unwrap().len(),
+            acknowledged,
+            "the segment is cut back to the failed frame's start"
+        );
+        assert!(wal.poisoned);
+        assert!(
+            wal.append(&[upd(3)]).is_err(),
+            "a poisoned log refuses appends"
+        );
+        drop(wal);
+        let recovered = crate::recover(dir, || DynamicGraph::new(8)).unwrap();
+        assert_eq!(recovered.next_seq, 2, "only the acknowledged batches");
+        assert_eq!(recovered.graph.num_edges(), 2);
+        assert_eq!(recovered.stats.truncated_bytes, 0);
     }
 }

@@ -1,7 +1,7 @@
 //! DDR4 channel/bank timing model (DRAMSim3 substitute).
 
 use crate::{Cycle, MemStats};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Timing and geometry of the off-chip memory (Table I: 8× DDR4-3200
 /// channels, 12 GB/s each).
@@ -19,7 +19,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(cfg.channels, 8);
 /// assert_eq!(cfg.bytes_per_cycle, 12.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct DramConfig {
     /// Number of independent channels.
     pub channels: usize,

@@ -1,7 +1,7 @@
 //! Scratchpad (eDRAM) model, organized as a cache (CACTI substitute).
 
 use crate::Cycle;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Geometry and latency of the on-chip scratchpad (Table I: 32 MB eDRAM
 /// @ 2 GHz, 0.8 ns access — ≈1 accelerator cycle at 1 GHz).
@@ -15,7 +15,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(cfg.capacity_bytes, 32 * 1024 * 1024);
 /// assert_eq!(cfg.access_latency, 1);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct SpmConfig {
     /// Total capacity in bytes.
     pub capacity_bytes: u64,

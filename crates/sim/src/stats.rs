@@ -1,6 +1,6 @@
 //! Memory-system statistics.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::ops::AddAssign;
 
 /// Counters for the simulated memory hierarchy.
@@ -15,7 +15,7 @@ use std::ops::AddAssign;
 /// s.spm_misses = 10;
 /// assert_eq!(s.spm_hit_rate(), 0.9);
 /// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct MemStats {
     /// DRAM read bursts issued.
     pub dram_reads: u64,

@@ -1,6 +1,6 @@
 //! Contribution levels for graph updates.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// The contribution level CISGraph assigns to a graph update (§III-A).
@@ -25,7 +25,7 @@ use std::fmt;
 /// assert!(!Contribution::Delayed.blocks_response());
 /// assert!(!Contribution::Useless.needs_propagation());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub enum Contribution {
     /// Must be processed before the query can be answered.
     Valuable,

@@ -1,6 +1,6 @@
 //! Typed identifiers for vertices and edges.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// A vertex identifier.
@@ -19,10 +19,7 @@ use std::fmt;
 /// assert_eq!(v.index(), 7);
 /// assert_eq!(format!("{v}"), "v7");
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize)]
 pub struct VertexId(u32);
 
 impl VertexId {
@@ -85,10 +82,7 @@ impl From<VertexId> for u32 {
 /// let e = EdgeId::new(42);
 /// assert_eq!(e.index(), 42);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize)]
 pub struct EdgeId(u64);
 
 impl EdgeId {

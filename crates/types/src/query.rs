@@ -1,7 +1,7 @@
 //! Pairwise queries.
 
 use crate::{TypeError, VertexId};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// A point-to-point query `Q(s -> d)` over two distinct vertices.
@@ -19,7 +19,7 @@ use std::fmt;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct PairQuery {
     source: VertexId,
     destination: VertexId,
@@ -88,10 +88,9 @@ mod tests {
     }
 
     #[test]
-    fn serde_roundtrip() {
+    fn serde_names_both_endpoints() {
         let q = PairQuery::new(VertexId::new(10), VertexId::new(20)).unwrap();
         let json = serde_json::to_string(&q).unwrap();
-        let back: PairQuery = serde_json::from_str(&json).unwrap();
-        assert_eq!(q, back);
+        assert_eq!(json, r#"{"source":10,"destination":20}"#);
     }
 }

@@ -1,7 +1,7 @@
 //! Algorithm state values.
 
 use crate::TypeError;
-use serde::{Deserialize, Serialize};
+use serde::{Content, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -26,42 +26,20 @@ use std::hash::{Hash, Hasher};
 /// # Ok(())
 /// # }
 /// ```
-/// Serialization: finite states round-trip as plain numbers; the
-/// infinities use the strings `"inf"` / `"-inf"` because JSON (and several
-/// other formats) cannot represent non-finite floats.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-#[serde(try_from = "StateRepr", into = "StateRepr")]
+/// Serialization: finite states render as plain numbers; the infinities
+/// use the strings `"inf"` / `"-inf"` because JSON (and several other
+/// formats) cannot represent non-finite floats.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct State(f64);
 
-/// Wire representation of a [`State`]: a number, or `"inf"` / `"-inf"`.
-#[derive(Serialize, Deserialize)]
-#[serde(untagged)]
-enum StateRepr {
-    Finite(f64),
-    Symbol(String),
-}
-
-impl From<State> for StateRepr {
-    fn from(s: State) -> Self {
-        if s.0 == f64::INFINITY {
-            StateRepr::Symbol("inf".to_string())
-        } else if s.0 == f64::NEG_INFINITY {
-            StateRepr::Symbol("-inf".to_string())
+impl Serialize for State {
+    fn to_content(&self) -> Content {
+        if self.0 == f64::INFINITY {
+            Content::Str("inf".to_string())
+        } else if self.0 == f64::NEG_INFINITY {
+            Content::Str("-inf".to_string())
         } else {
-            StateRepr::Finite(s.0)
-        }
-    }
-}
-
-impl TryFrom<StateRepr> for State {
-    type Error = TypeError;
-
-    fn try_from(repr: StateRepr) -> Result<Self, Self::Error> {
-        match repr {
-            StateRepr::Finite(x) => State::new(x),
-            StateRepr::Symbol(s) if s == "inf" => Ok(State::POS_INF),
-            StateRepr::Symbol(s) if s == "-inf" => Ok(State::NEG_INF),
-            StateRepr::Symbol(_) => Err(TypeError::NanState),
+            Content::F64(self.0)
         }
     }
 }
@@ -232,21 +210,15 @@ mod tests {
     }
 
     #[test]
-    fn serde_finite_roundtrip() {
-        let s: State = serde_json::from_str("7.5").unwrap();
-        assert_eq!(s.get(), 7.5);
+    fn serde_finite_is_a_number() {
+        let s = State::new(7.5).unwrap();
         assert_eq!(serde_json::to_string(&s).unwrap(), "7.5");
     }
 
     #[test]
-    fn serde_infinity_roundtrip() {
+    fn serde_infinities_are_strings() {
         assert_eq!(serde_json::to_string(&State::POS_INF).unwrap(), "\"inf\"");
         assert_eq!(serde_json::to_string(&State::NEG_INF).unwrap(), "\"-inf\"");
-        let pos: State = serde_json::from_str("\"inf\"").unwrap();
-        assert_eq!(pos, State::POS_INF);
-        let neg: State = serde_json::from_str("\"-inf\"").unwrap();
-        assert_eq!(neg, State::NEG_INF);
-        assert!(serde_json::from_str::<State>("\"whatever\"").is_err());
     }
 
     proptest! {

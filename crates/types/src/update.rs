@@ -1,7 +1,7 @@
 //! Streaming graph updates.
 
 use crate::{VertexId, Weight};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// The kind of a streaming update: edge insertion or deletion.
@@ -17,7 +17,7 @@ use std::fmt;
 /// assert!(UpdateKind::Insert.is_insert());
 /// assert!(UpdateKind::Delete.is_delete());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum UpdateKind {
     /// An edge addition. Always safe for monotonic algorithms: it can only
     /// tighten or preserve the converged result.
@@ -66,7 +66,7 @@ impl fmt::Display for UpdateKind {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct EdgeUpdate {
     src: VertexId,
     dst: VertexId,
@@ -165,10 +165,9 @@ mod tests {
     }
 
     #[test]
-    fn serde_roundtrip() {
+    fn serde_names_every_field() {
         let e = EdgeUpdate::insert(VertexId::new(4), VertexId::new(5), w(1.5));
         let json = serde_json::to_string(&e).unwrap();
-        let back: EdgeUpdate = serde_json::from_str(&json).unwrap();
-        assert_eq!(e, back);
+        assert_eq!(json, r#"{"src":4,"dst":5,"weight":1.5,"kind":"Insert"}"#);
     }
 }

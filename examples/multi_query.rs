@@ -65,26 +65,5 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     }
     println!("\nall answers verified against full recomputation");
-
-    // The same standing queries on the multi-query *hardware* model: one
-    // shared graph image, one state array per query, time-multiplexed
-    // pipelines.
-    let mut hw = MultiQueryAccel::<Ppsp>::new(&g, &queries, AcceleratorConfig::date2025());
-    let batch = stream.next_batch().expect("dataset large enough");
-    g.apply_batch(&batch)?;
-    let report = hw.process_batch(&g, &batch);
-    println!(
-        "\nhardware model: {} queries answered in {} cycles ({} to full drain), \
-         SPM hit rate {:.1}%",
-        report.per_query.len(),
-        report.response_cycles,
-        report.total_cycles,
-        report.mem.spm_hit_rate() * 100.0
-    );
-    for (q, r) in &report.per_query {
-        let fresh = solver::best_first::<Ppsp, _>(&g, q.source(), &mut Counters::new());
-        assert_eq!(r.answer, fresh.state(q.destination()), "{q} diverged");
-        println!("  {q} = {}", r.answer);
-    }
     Ok(())
 }

@@ -10,7 +10,7 @@
 //! * `--updates <file>` — update stream, `+ src dst [weight]` /
 //!   `- src dst [weight]` lines, processed in `--batch`-sized batches,
 //! * `--algo ppsp|ppwp|ppnp|viterbi|reach` (default `ppsp`),
-//! * `--engine ciso|cs|sgraph|pnp|coalescing|accel` (default `ciso`;
+//! * `--engine ciso|cs|sgraph|accel` (default `ciso`;
 //!   `accel` runs the cycle-level hardware model and reports simulated
 //!   time),
 //! * `--source` / `--dest` — the standing query endpoints (required),
@@ -37,7 +37,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: cisgraph --graph <file> --source <id> --dest <id> \
          [--updates <file>] [--algo ppsp|ppwp|ppnp|viterbi|reach] \
-         [--engine ciso|cs|sgraph|pnp|coalescing|accel] [--batch <n>] [--verify]"
+         [--engine ciso|cs|sgraph|accel] [--batch <n>] [--verify]"
     );
     std::process::exit(2)
 }
@@ -120,8 +120,6 @@ fn run<A: MonotonicAlgorithm>(cli: &Cli) -> Result<(), Box<dyn std::error::Error
         "ciso" => Box::new(CisGraphO::<A>::new(&g, query)),
         "cs" => Box::new(ColdStart::<A>::new(query)),
         "sgraph" => Box::new(SGraph::<A>::new(&g, query, SGraphConfig::paper_default())),
-        "pnp" => Box::new(Pnp::<A>::new(query)),
-        "coalescing" => Box::new(cisgraph::engines::Coalescing::<A>::new(&g, query)),
         "accel" => Box::new(CisGraphAccel::<A>::new(
             &g,
             query,

@@ -13,7 +13,7 @@
 //! * [`datasets`] — R-MAT stand-in datasets and the §IV-A batch protocol,
 //! * [`algo`] — the five monotonic algorithms, solvers, incremental
 //!   computation, and Algorithm 1 classification,
-//! * [`engines`] — Cold-Start, SGraph, PnP, CISGraph-O, and the parallel
+//! * [`engines`] — Cold-Start, SGraph, CISGraph-O, and the parallel
 //!   [`QueryServer`](engines::QueryServer) serving layer,
 //! * [`sim`] — the DDR4 + scratchpad timing substrate,
 //! * [`core`] — the CISGraph accelerator model,
@@ -118,13 +118,10 @@ pub mod prelude {
         solver, AlgorithmKind, ConvergedResult, Counters, KeyPath, MonotonicAlgorithm, Ppnp, Ppsp,
         Ppwp, Reach, Viterbi,
     };
-    pub use cisgraph_core::{
-        AccelReport, AcceleratorConfig, CisGraphAccel, CycleMilestones, MultiAccelReport,
-        MultiQueryAccel,
-    };
+    pub use cisgraph_core::{AccelReport, AcceleratorConfig, CisGraphAccel, CycleMilestones};
     pub use cisgraph_datasets::{registry, Dataset, StreamConfig, StreamingWorkload};
     pub use cisgraph_engines::{
-        BatchReport, CisGraphO, ColdStart, MultiQuery, Pnp, QueryServer, ReportCore, SGraph,
+        BatchReport, CisGraphO, ColdStart, MultiQuery, QueryServer, ReportCore, SGraph,
         SGraphConfig, ServeConfig, ServeReport, StreamingEngine,
     };
     pub use cisgraph_graph::{

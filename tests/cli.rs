@@ -23,50 +23,59 @@ fn write_demo_files(dir: &TempDir) -> (std::path::PathBuf, std::path::PathBuf) {
     (graph, updates)
 }
 
+/// Every engine the usage line names, each checked batch by batch
+/// against a full recomputation.
 #[test]
 fn answers_and_verifies_end_to_end() {
     let dir = TempDir::new("answers_and_verifies_end_to_end");
     let (graph, updates) = write_demo_files(&dir);
-    let out = bin()
-        .args([
-            "--graph",
-            graph.to_str().unwrap(),
-            "--updates",
-            updates.to_str().unwrap(),
-            "--source",
-            "0",
-            "--dest",
-            "3",
-            "--batch",
-            "1",
-            "--verify",
-        ])
-        .output()
-        .expect("binary runs");
-    assert!(
-        out.status.success(),
-        "stderr: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(
-        stdout.contains("CISGraph-O Q(v0 -> v3) = 3"),
-        "stdout: {stdout}"
-    );
-    // Shortcut improves 3 -> 2; breaking the chain keeps the shortcut.
-    assert!(
-        stdout.contains("batch    1: Q(v0 -> v3) = 2"),
-        "stdout: {stdout}"
-    );
-    assert!(
-        stdout.contains("batch    2: Q(v0 -> v3) = 2"),
-        "stdout: {stdout}"
-    );
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        stderr.contains("verified against full recomputation"),
-        "stderr: {stderr}"
-    );
+    // Cold-Start and SGraph solve only when a batch arrives, so only the
+    // other two print an answer for the initial graph.
+    for (engine, name, initial) in [
+        ("ciso", "CISGraph-O", "3"),
+        ("cs", "CS", ""),
+        ("sgraph", "SGraph", ""),
+        ("accel", "CISGraph", "3"),
+    ] {
+        let out = bin()
+            .args([
+                "--graph",
+                graph.to_str().unwrap(),
+                "--updates",
+                updates.to_str().unwrap(),
+                "--source",
+                "0",
+                "--dest",
+                "3",
+                "--engine",
+                engine,
+                "--batch",
+                "1",
+                "--verify",
+            ])
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{engine} stderr: {stderr}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            stdout.contains(&format!("{name} Q(v0 -> v3) = {initial}")),
+            "{engine} stdout: {stdout}"
+        );
+        // Shortcut improves 3 -> 2; breaking the chain keeps the shortcut.
+        assert!(
+            stdout.contains("batch    1: Q(v0 -> v3) = 2"),
+            "{engine} stdout: {stdout}"
+        );
+        assert!(
+            stdout.contains("batch    2: Q(v0 -> v3) = 2"),
+            "{engine} stdout: {stdout}"
+        );
+        assert!(
+            stderr.contains("verified against full recomputation"),
+            "{engine} stderr: {stderr}"
+        );
+    }
 }
 
 #[test]
@@ -116,6 +125,30 @@ fn usage_errors_exit_2() {
         Some(2),
         "unknown algorithm is a usage error"
     );
+
+    // The engine is resolved once the graph has loaded.
+    let dir = TempDir::new("usage_errors_exit_2");
+    let (graph, _) = write_demo_files(&dir);
+    for engine in ["pnp", "coalescing"] {
+        let out = bin()
+            .args([
+                "--graph",
+                graph.to_str().unwrap(),
+                "--source",
+                "0",
+                "--dest",
+                "1",
+                "--engine",
+                engine,
+            ])
+            .output()
+            .expect("binary runs");
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "unknown engine `{engine}` is a usage error"
+        );
+    }
 }
 
 #[test]

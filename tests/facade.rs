@@ -43,9 +43,6 @@ fn module_reexports_are_reachable() {
     let _ = cisgraph::sim::DramConfig::ddr4_3200();
     let _ = cisgraph::core::AcceleratorConfig::date2025();
     let _ = cisgraph::core::CycleMilestones::default();
-    fn _multi_query_types_exist(m: cisgraph::core::MultiQueryAccel<Ppsp>) -> usize {
-        m.queries().len()
-    }
 }
 
 #[test]

@@ -1,8 +1,11 @@
-//! Checkpoint/restore and report-serialization integration tests: every
-//! reportable artifact round-trips through JSON, including infinite states,
-//! and a restored converged result continues streaming correctly.
+//! Report-serialization and edge-list file tests: every reportable artifact
+//! serializes to JSON, infinite states included, and an edge list survives
+//! a write/read round trip through a file.
+
+mod temp_dir;
 
 use cisgraph::prelude::*;
+use temp_dir::TempDir;
 
 fn build() -> (DynamicGraph, PairQuery) {
     let edges = registry::orkut_like().generate(0.0005, 13);
@@ -19,37 +22,7 @@ fn build() -> (DynamicGraph, PairQuery) {
 }
 
 #[test]
-fn converged_result_checkpoint_resumes_streaming() {
-    let (mut g, q) = build();
-    let mut engine = CisGraphO::<Ppsp>::new(&g, q);
-
-    // Checkpoint the converged result mid-stream.
-    let checkpoint = serde_json::to_vec(engine.result()).expect("serialize");
-
-    // Continue the original: one batch of churn.
-    let some_edges: Vec<_> = g.iter_edges().take(30).collect();
-    let batch: Vec<EdgeUpdate> = some_edges
-        .iter()
-        .map(|&(u, v, w)| EdgeUpdate::delete(u, v, w))
-        .collect();
-    g.apply_batch(&batch).unwrap();
-    let expected = engine.process_batch(&g, &batch).answer;
-
-    // Restore into a fresh engine via the checkpoint: the restored state
-    // must produce the same answer for the same batch.
-    let restored: ConvergedResult<Ppsp> = serde_json::from_slice(&checkpoint).expect("deserialize");
-    // Sanity: restored state matches a cold solve of the pre-batch graph.
-    assert_eq!(restored.source(), q.source());
-
-    // Re-run from the checkpointed state.
-    let mut counters = Counters::new();
-    let mut result = restored;
-    cisgraph::algo::incremental::apply_batch(&g, &mut result, &batch, &mut counters);
-    assert_eq!(result.state(q.destination()), expected);
-}
-
-#[test]
-fn batch_report_roundtrips_with_infinities() {
+fn batch_report_serializes_with_infinities() {
     let (mut g, q) = build();
     let mut engine = CisGraphO::<Reach>::new(&g, q);
     let some_edges: Vec<_> = g.iter_edges().take(10).collect();
@@ -58,15 +31,19 @@ fn batch_report_roundtrips_with_infinities() {
         .map(|&(u, v, w)| EdgeUpdate::delete(u, v, w))
         .collect();
     g.apply_batch(&batch).unwrap();
-    let report = engine.process_batch(&g, &batch);
+    let mut report = engine.process_batch(&g, &batch);
     let json = serde_json::to_string(&report).expect("serialize");
-    let back: BatchReport = serde_json::from_str(&json).expect("deserialize");
-    assert_eq!(back.answer, report.answer);
-    assert_eq!(back.counters, report.counters);
+    let answer = serde_json::to_string(&report.answer).unwrap();
+    assert!(json.contains(&format!("\"answer\":{answer}")), "{json}");
+    for (state, text) in [(State::POS_INF, "\"inf\""), (State::NEG_INF, "\"-inf\"")] {
+        report.answer = state;
+        let json = serde_json::to_string(&report).expect("serialize an infinite answer");
+        assert!(json.contains(&format!("\"answer\":{text}")), "{json}");
+    }
 }
 
 #[test]
-fn accel_report_roundtrips() {
+fn accel_report_serializes() {
     let (mut g, q) = build();
     let mut accel = CisGraphAccel::<Ppsp>::new(&g, q, AcceleratorConfig::date2025());
     let some_edges: Vec<_> = g.iter_edges().take(10).collect();
@@ -77,25 +54,25 @@ fn accel_report_roundtrips() {
     g.apply_batch(&batch).unwrap();
     let report = accel.process_batch(&g, &batch);
     let json = serde_json::to_string(&report).expect("serialize");
-    let back: AccelReport = serde_json::from_str(&json).expect("deserialize");
-    assert_eq!(back.response_cycles, report.response_cycles);
-    assert_eq!(back.mem, report.mem);
-    assert_eq!(back.milestones, report.milestones);
+    let response = format!("\"response_cycles\":{}", report.response_cycles);
+    assert!(json.contains(&response), "{json}");
+    let drain_done = format!("\"drain_done\":{}", report.milestones.drain_done);
+    assert!(json.contains(&drain_done), "{json}");
 }
 
 #[test]
-fn config_roundtrips() {
+fn config_serializes() {
     let cfg = AcceleratorConfig::date2025().with_pipelines(2);
     let json = serde_json::to_string(&cfg).expect("serialize");
-    let back: AcceleratorConfig = serde_json::from_str(&json).expect("deserialize");
-    assert_eq!(back, cfg);
+    assert!(json.contains("\"pipelines\":2"), "{json}");
 }
 
 #[test]
 fn edge_list_file_roundtrip() {
     let (g, _) = build();
     let edges: Vec<_> = g.iter_edges().collect();
-    let path = std::env::temp_dir().join("cisgraph_persistence_test_edges.txt");
+    let dir = TempDir::new("edge_list_file_roundtrip");
+    let path = dir.path().join("edges.txt");
     {
         let file = std::fs::File::create(&path).expect("create temp file");
         cisgraph::graph::write_edge_list(std::io::BufWriter::new(file), &edges)
@@ -104,5 +81,4 @@ fn edge_list_file_roundtrip() {
     let file = std::fs::File::open(&path).expect("open temp file");
     let back = cisgraph::graph::read_edge_list(std::io::BufReader::new(file)).expect("read edges");
     assert_eq!(back, edges);
-    let _ = std::fs::remove_file(&path);
 }

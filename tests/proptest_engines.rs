@@ -1,6 +1,6 @@
 //! Property test: over arbitrary random graphs and batches, every engine —
-//! including the coalescing baseline and the accelerator — answers exactly
-//! what a cold recomputation answers.
+//! including the accelerator — answers exactly what a cold recomputation
+//! answers.
 
 use cisgraph::prelude::*;
 use proptest::prelude::*;
@@ -71,10 +71,8 @@ proptest! {
 
         let mut engines: Vec<Box<dyn StreamingEngine<Ppsp>>> = vec![
             Box::new(ColdStart::<Ppsp>::new(query)),
-            Box::new(Pnp::<Ppsp>::new(query)),
             Box::new(SGraph::<Ppsp>::new(&g, query, SGraphConfig { num_hubs: 3 })),
             Box::new(CisGraphO::<Ppsp>::new(&g, query)),
-            Box::new(cisgraph::engines::Coalescing::<Ppsp>::new(&g, query)),
             Box::new(CisGraphAccel::<Ppsp>::new(&g, query, AcceleratorConfig::date2025())),
         ];
 

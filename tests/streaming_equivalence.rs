@@ -24,7 +24,6 @@ fn check_all_engines<A: MonotonicAlgorithm>(seed: u64) {
 
     let mut cs = ColdStart::<A>::new(query);
     let mut sgraph = SGraph::<A>::new(&g, query, SGraphConfig { num_hubs: 8 });
-    let mut pnp = Pnp::<A>::new(query);
     let mut ciso = CisGraphO::<A>::new(&g, query);
     let mut accel = CisGraphAccel::<A>::new(&g, query, AcceleratorConfig::date2025());
 
@@ -38,12 +37,6 @@ fn check_all_engines<A: MonotonicAlgorithm>(seed: u64) {
             sgraph.process_batch(&g, &batch).answer,
             expected,
             "{} SGraph, seed {seed} round {round}",
-            A::NAME
-        );
-        assert_eq!(
-            pnp.process_batch(&g, &batch).answer,
-            expected,
-            "{} PnP, seed {seed} round {round}",
             A::NAME
         );
         assert_eq!(
