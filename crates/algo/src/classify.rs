@@ -98,18 +98,6 @@ pub fn classify_deletion_dependence<A: MonotonicAlgorithm>(
     }
 }
 
-/// Classifies any update, dispatching on its kind.
-pub fn classify<A: MonotonicAlgorithm>(
-    result: &ConvergedResult<A>,
-    key_path: &KeyPath,
-    update: EdgeUpdate,
-) -> Contribution {
-    match update.kind() {
-        UpdateKind::Insert => classify_addition(result, update),
-        UpdateKind::Delete => classify_deletion(result, key_path, update),
-    }
-}
-
 /// A batch after Algorithm 1: what to propagate and in which order, plus the
 /// per-level counts used by the Fig. 2 instrumentation.
 #[derive(Debug, Clone, Default)]
@@ -382,14 +370,5 @@ mod tests {
         let s = ClassificationSummary::default();
         assert_eq!(s.total(), 0);
         assert_eq!(s.useless_fraction(), 0.0);
-    }
-
-    #[test]
-    fn classify_dispatches_on_kind() {
-        let (_, r, kp) = fig3();
-        let add = EdgeUpdate::insert(v(2), v(5), w(1.0));
-        let del = EdgeUpdate::delete(v(0), v(5), w(5.0));
-        assert_eq!(classify(&r, &kp, add), Contribution::Valuable);
-        assert_eq!(classify(&r, &kp, del), Contribution::Valuable);
     }
 }

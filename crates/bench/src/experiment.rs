@@ -367,49 +367,45 @@ pub struct EngineResult {
     pub samples: usize,
 }
 
-/// One query's outcome for one batch, in the units [`EngineResult`] sums.
+/// One query's outcome for one batch: the engine's report, its times in
+/// the seconds [`EngineResult`] averages, and the accelerator-only
+/// statistics.
 struct Sample {
-    answer: State,
+    work: BatchReport,
     response_seconds: f64,
     total_seconds: f64,
-    counters: Counters,
-    addition_activations: u64,
-    deletion_activations: u64,
-    drain_activations: u64,
-    classification: Option<ClassificationSummary>,
     mem: Option<MemStats>,
     milestones: Option<CycleMilestones>,
 }
 
 impl Sample {
     /// A software engine's report; times are wall-clock.
-    fn software(rep: BatchReport) -> Self {
+    fn software(work: BatchReport) -> Self {
         Self {
-            answer: rep.answer,
-            response_seconds: rep.response_time.as_secs_f64(),
-            total_seconds: rep.total_time.as_secs_f64(),
-            counters: rep.counters,
-            addition_activations: rep.addition_activations,
-            deletion_activations: rep.deletion_activations,
-            drain_activations: rep.drain_activations,
-            classification: rep.classification,
+            response_seconds: work.response_time.as_secs_f64(),
+            total_seconds: work.total_time.as_secs_f64(),
+            work,
             mem: None,
             milestones: None,
         }
     }
 
-    /// The accelerator's report; times are simulated cycles at the
-    /// configured clock.
-    fn accel(rep: &AccelReport, accel: &AcceleratorConfig) -> Self {
+    /// The accelerator's report. Its seconds come straight from the
+    /// simulated cycles at the configured clock, not through a rounded
+    /// [`Duration`](std::time::Duration), so the printed accelerator times
+    /// are exact.
+    fn accel(rep: AccelReport, accel: &AcceleratorConfig) -> Self {
         Self {
-            answer: rep.answer,
+            work: BatchReport {
+                counters: rep.counters,
+                addition_activations: rep.addition_activations,
+                deletion_activations: rep.deletion_activations,
+                drain_activations: rep.drain_activations,
+                classification: Some(rep.classification),
+                ..BatchReport::new(rep.answer)
+            },
             response_seconds: rep.response_seconds(accel.clock_ghz),
             total_seconds: accel.cycles_to_seconds(rep.total_cycles),
-            counters: rep.counters,
-            addition_activations: rep.addition_activations,
-            deletion_activations: rep.deletion_activations,
-            drain_activations: rep.drain_activations,
-            classification: Some(rep.classification),
             mem: Some(rep.mem),
             milestones: Some(rep.milestones),
         }
@@ -464,7 +460,7 @@ pub fn run_engine<A: MonotonicAlgorithm>(
             bundle,
             cfg.threads,
             |graph, query| CisGraphAccel::<A>::new(graph, query, cfg.accel),
-            |accel, graph, batch| Sample::accel(&accel.process_batch(graph, batch), &cfg.accel),
+            |accel, graph, batch| Sample::accel(accel.process_batch(graph, batch), &cfg.accel),
         )
     } else {
         stream_queries(
@@ -479,25 +475,20 @@ pub fn run_engine<A: MonotonicAlgorithm>(
         engine: sel.name().to_string(),
         ..EngineResult::default()
     };
+    let mut work = BatchReport::new(A::unreached());
     for (qi, samples) in per_query.iter().enumerate() {
         for (bi, sample) in samples.iter().enumerate() {
             if let Some(expected) = check {
                 assert_eq!(
-                    sample.answer,
+                    sample.work.answer,
                     expected[qi][bi],
                     "{} diverged on query {qi} batch {bi}",
                     sel.name()
                 );
             }
+            work.accumulate(&sample.work);
             result.response_seconds += sample.response_seconds;
             result.total_seconds += sample.total_seconds;
-            result.counters += sample.counters;
-            result.addition_activations += sample.addition_activations;
-            result.deletion_activations += sample.deletion_activations;
-            result.drain_activations += sample.drain_activations;
-            if let Some(c) = sample.classification {
-                *result.classification.get_or_insert_default() += c;
-            }
             if let Some(m) = sample.mem {
                 *result.mem.get_or_insert_default() += m;
             }
@@ -511,7 +502,14 @@ pub fn run_engine<A: MonotonicAlgorithm>(
         result.response_seconds /= result.samples as f64;
         result.total_seconds /= result.samples as f64;
     }
-    result
+    EngineResult {
+        counters: work.counters,
+        addition_activations: work.addition_activations,
+        deletion_activations: work.deletion_activations,
+        drain_activations: work.drain_activations,
+        classification: work.classification,
+        ..result
+    }
 }
 
 /// Reference answers per query per batch, computed by Cold-Start. Queries

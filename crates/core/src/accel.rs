@@ -342,10 +342,18 @@ impl<A: MonotonicAlgorithm> cisgraph_engines::StreamingEngine<A> for CisGraphAcc
         batch: &[EdgeUpdate],
     ) -> cisgraph_engines::BatchReport {
         let report = CisGraphAccel::process_batch(self, graph, batch);
-        let mut out =
-            cisgraph_engines::BatchReport::from_core(report.to_core(self.config.clock_ghz));
-        out.classification = Some(report.classification);
-        out
+        let simulated =
+            |cycles| std::time::Duration::from_secs_f64(self.config.cycles_to_seconds(cycles));
+        cisgraph_engines::BatchReport {
+            answer: report.answer,
+            response_time: simulated(report.response_cycles),
+            total_time: simulated(report.total_cycles),
+            counters: report.counters,
+            addition_activations: report.addition_activations,
+            deletion_activations: report.deletion_activations,
+            drain_activations: report.drain_activations,
+            classification: Some(report.classification),
+        }
     }
 
     fn answer(&self) -> State {

@@ -19,6 +19,10 @@
 //! The accelerator answers the standing query as soon as no valuable update
 //! remains (the *early response*, `response_cycles`) and keeps draining
 //! delayed deletions for future correctness (`total_cycles`).
+//! [`CisGraphAccel::process_batch`] returns the full [`AccelReport`]
+//! (cycles, memory statistics, milestones); through its `StreamingEngine`
+//! impl the accelerator returns the software engines' `BatchReport`, with
+//! the cycles as simulated durations at the configured clock.
 //!
 //! The model is cycle-level in the same sense as the substrate in
 //! [`cisgraph_sim`]: every memory touch goes through the scratchpad + DDR4

@@ -6,7 +6,6 @@ use cisgraph_sim::MemStats;
 use cisgraph_types::State;
 use serde::Serialize;
 use std::ops::AddAssign;
-use std::time::Duration;
 
 /// Cycle milestones of one simulated batch, for phase-breakdown analysis.
 ///
@@ -106,11 +105,6 @@ impl AccelReport {
         self.response_cycles as f64 / (clock_ghz * 1e9)
     }
 
-    /// The early-response latency as a [`Duration`] at the given clock.
-    pub fn response_duration(&self, clock_ghz: f64) -> Duration {
-        Duration::from_secs_f64(self.response_seconds(clock_ghz))
-    }
-
     /// The cycles of this batch that cannot be hidden behind the next
     /// batch's gathering window.
     ///
@@ -134,34 +128,6 @@ impl AccelReport {
         let drain = self.total_cycles.saturating_sub(self.response_cycles);
         self.response_cycles + drain.saturating_sub(gather_cycles)
     }
-
-    /// Projects this report onto the engine-agnostic
-    /// [`ReportCore`](cisgraph_engines::ReportCore) at the given clock:
-    /// cycle counts become simulated durations, so the serving layer
-    /// aggregates accelerator runs exactly like software-engine runs.
-    /// Memory statistics and cycle milestones stay accelerator-specific
-    /// and are not projected.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// let mut r = cisgraph_core::AccelReport::new(cisgraph_types::State::ZERO);
-    /// r.response_cycles = 2_000_000_000;
-    /// r.total_cycles = 3_000_000_000;
-    /// let core = r.to_core(1.0); // 1 GHz
-    /// assert_eq!(core.response_time.as_secs(), 2);
-    /// assert_eq!(core.total_time.as_secs(), 3);
-    /// ```
-    pub fn to_core(&self, clock_ghz: f64) -> cisgraph_engines::ReportCore {
-        let mut core = cisgraph_engines::ReportCore::new(self.answer);
-        core.response_time = self.response_duration(clock_ghz);
-        core.total_time = Duration::from_secs_f64(self.total_cycles as f64 / (clock_ghz * 1e9));
-        core.counters = self.counters;
-        core.addition_activations = self.addition_activations;
-        core.deletion_activations = self.deletion_activations;
-        core.drain_activations = self.drain_activations;
-        core
-    }
 }
 
 #[cfg(test)]
@@ -174,7 +140,6 @@ mod tests {
         r.response_cycles = 2_000_000_000;
         assert_eq!(r.response_seconds(1.0), 2.0);
         assert_eq!(r.response_seconds(2.0), 1.0);
-        assert_eq!(r.response_duration(1.0), Duration::from_secs(2));
     }
 
     #[test]

@@ -39,7 +39,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod barabasi_albert;
 pub mod batches;
 pub mod erdos_renyi;
 pub mod grid;

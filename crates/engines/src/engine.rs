@@ -1,39 +1,37 @@
-//! The engine abstraction, per-batch reports, and type erasure.
+//! The engine abstraction and the per-batch report.
 
 use cisgraph_algo::classify::ClassificationSummary;
 use cisgraph_algo::{Counters, MonotonicAlgorithm};
 use cisgraph_graph::DynamicGraph;
 use cisgraph_types::{EdgeUpdate, State};
 use serde::Serialize;
-use std::ops::{Deref, DerefMut};
 use std::time::Duration;
 
-/// The metric core every per-batch report shares.
-///
-/// Both the software engines' [`BatchReport`] and the simulated
-/// accelerator's report (`AccelReport` in `cisgraph-core`, via
-/// `to_core`) reduce to this struct, so the serving layer can aggregate
-/// software and accelerator runs identically.
+/// What one engine did for one batch: the paper's per-batch record.
 ///
 /// `response_time` is the paper's headline metric: the time until the
 /// engine can answer the pairwise query for the new snapshot. For engines
 /// without early response it equals `total_time`; for CISGraph-O and the
-/// accelerator it excludes the delayed-deletion tail.
+/// accelerator it excludes the delayed-deletion tail. The accelerator's
+/// `StreamingEngine` impl (in `cisgraph-core`) reports simulated durations
+/// at its configured clock.
 ///
 /// # Examples
 ///
 /// ```
-/// use cisgraph_engines::ReportCore;
+/// use cisgraph_engines::BatchReport;
 /// use cisgraph_types::State;
 ///
-/// let mut total = ReportCore::new(State::ZERO);
-/// let mut shard = ReportCore::new(State::ONE);
-/// shard.counters.computations = 7;
-/// total.accumulate(&shard);
+/// let mut total = BatchReport::new(State::new(3.0).unwrap());
+/// let mut group = BatchReport::new(State::ONE);
+/// group.counters.computations = 7;
+/// total.accumulate(&group);
+/// assert_eq!(total.answer.get(), 3.0);
 /// assert_eq!(total.counters.computations, 7);
+/// assert_eq!(total.total_time, std::time::Duration::ZERO);
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct ReportCore {
+pub struct BatchReport {
     /// The converged query answer for the new snapshot.
     pub answer: State,
     /// Time until the answer was available.
@@ -49,10 +47,13 @@ pub struct ReportCore {
     pub deletion_activations: u64,
     /// Activations of the post-response delayed-deletion drain.
     pub drain_activations: u64,
+    /// Algorithm 1 outcome, when the engine classifies (CISGraph-O,
+    /// `MultiQuery` and the accelerator).
+    pub classification: Option<ClassificationSummary>,
 }
 
-impl ReportCore {
-    /// A zeroed core carrying only an answer.
+impl BatchReport {
+    /// A zeroed report carrying only an answer.
     pub fn new(answer: State) -> Self {
         Self {
             answer,
@@ -62,72 +63,25 @@ impl ReportCore {
             addition_activations: 0,
             deletion_activations: 0,
             drain_activations: 0,
+            classification: None,
         }
     }
 
-    /// Folds another core's work into this one: counters, activations, and
-    /// times are summed (times as *sequential-equivalent* work — a parallel
-    /// harness measures wall-clock separately); the answer is kept.
-    pub fn accumulate(&mut self, other: &ReportCore) {
+    /// Folds another report's work into this one: times, counters,
+    /// activations and classification are summed (times as
+    /// *sequential-equivalent* work — a parallel harness measures
+    /// wall-clock separately); the answer is kept. This is the one place
+    /// per-batch reports are summed.
+    pub fn accumulate(&mut self, other: &BatchReport) {
         self.response_time += other.response_time;
         self.total_time += other.total_time;
         self.counters += other.counters;
         self.addition_activations += other.addition_activations;
         self.deletion_activations += other.deletion_activations;
         self.drain_activations += other.drain_activations;
-    }
-}
-
-/// What one engine did for one batch: the shared [`ReportCore`] metrics
-/// plus the software-side classification outcome.
-///
-/// Dereferences to [`ReportCore`], so the metric fields read as before the
-/// split (`report.answer`, `report.response_time`, …).
-///
-/// # Examples
-///
-/// ```
-/// use cisgraph_engines::BatchReport;
-/// use cisgraph_types::State;
-///
-/// let r = BatchReport::new(State::new(3.0).unwrap());
-/// assert_eq!(r.answer.get(), 3.0);
-/// assert_eq!(r.total_time, std::time::Duration::ZERO);
-/// ```
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct BatchReport {
-    /// The engine-agnostic metric core.
-    pub core: ReportCore,
-    /// Algorithm 1 outcome, when the engine classifies (CISGraph-O only).
-    pub classification: Option<ClassificationSummary>,
-}
-
-impl BatchReport {
-    /// A zeroed report carrying only an answer.
-    pub fn new(answer: State) -> Self {
-        Self::from_core(ReportCore::new(answer))
-    }
-
-    /// Wraps a metric core without classification data.
-    pub fn from_core(core: ReportCore) -> Self {
-        Self {
-            core,
-            classification: None,
+        if let Some(c) = other.classification {
+            *self.classification.get_or_insert_default() += c;
         }
-    }
-}
-
-impl Deref for BatchReport {
-    type Target = ReportCore;
-
-    fn deref(&self) -> &ReportCore {
-        &self.core
-    }
-}
-
-impl DerefMut for BatchReport {
-    fn deref_mut(&mut self) -> &mut ReportCore {
-        &mut self.core
     }
 }
 
@@ -220,17 +174,24 @@ mod tests {
     }
 
     #[test]
-    fn core_accumulates_work() {
-        let mut total = ReportCore::new(State::ZERO);
-        let mut part = ReportCore::new(State::ONE);
+    fn accumulate_sums_work_and_classification() {
+        let mut total = BatchReport::new(State::ZERO);
+        let mut part = BatchReport::new(State::ONE);
         part.counters.computations = 3;
         part.addition_activations = 2;
         part.response_time = Duration::from_millis(5);
         total.accumulate(&part);
+        assert!(total.classification.is_none(), "no classifying part yet");
+        part.classification = Some(ClassificationSummary {
+            useless_additions: 4,
+            ..ClassificationSummary::default()
+        });
         total.accumulate(&part);
-        assert_eq!(total.counters.computations, 6);
-        assert_eq!(total.addition_activations, 4);
-        assert_eq!(total.response_time, Duration::from_millis(10));
+        total.accumulate(&part);
+        assert_eq!(total.counters.computations, 9);
+        assert_eq!(total.addition_activations, 6);
+        assert_eq!(total.response_time, Duration::from_millis(15));
+        assert_eq!(total.classification.unwrap().useless_additions, 8);
         assert_eq!(total.answer, State::ZERO);
     }
 

@@ -5,8 +5,11 @@
 //! [`DynamicGraph`](cisgraph_graph::DynamicGraph), applies each update batch
 //! to it (topology first, exactly as the accelerator does), then hands the
 //! post-batch graph and the raw batch to the engine, which returns a
-//! [`BatchReport`] with the answer, the response/total times, and the work
-//! counters.
+//! [`BatchReport`]: the answer, the response/total times, the work
+//! counters, the Fig. 5(b) activations and, for classifying engines, the
+//! Algorithm 1 outcome. It is the one per-batch record: [`MultiQuery`] and
+//! [`QueryServer`] sum per-group reports with [`BatchReport::accumulate`],
+//! and the accelerator (`cisgraph-core`) reports through it too.
 //!
 //! * [`ColdStart`] — full recomputation from the initial state per snapshot
 //!   (the paper's CS baseline everything is normalized to),
@@ -51,7 +54,7 @@ mod sgraph;
 
 pub use ciso::CisGraphO;
 pub use cold_start::ColdStart;
-pub use engine::{BatchReport, ReportCore, StreamingEngine};
+pub use engine::{BatchReport, StreamingEngine};
 pub use multi::MultiQuery;
 pub use serve::{QueryServer, ServeConfig, ServeReport};
 pub use sgraph::{SGraph, SGraphConfig};

@@ -17,7 +17,6 @@
 
 use crate::ciso::run_workflow;
 use crate::BatchReport;
-use cisgraph_algo::classify::ClassificationSummary;
 use cisgraph_algo::incremental::{PendingDeletions, RepairScratch};
 use cisgraph_algo::{solver, ConvergedResult, Counters, MonotonicAlgorithm};
 use cisgraph_graph::DynamicGraph;
@@ -309,14 +308,9 @@ impl<A: MonotonicAlgorithm> MultiQuery<A> {
             .and_then(|g| g.queries.first().map(|q| g.result.state(q.destination())))
             .unwrap_or_else(A::unreached);
         let mut report = BatchReport::new(answer);
-        let mut summary = ClassificationSummary::default();
         for group_report in &per_group {
-            report.core.accumulate(&group_report.core);
-            if let Some(s) = group_report.classification {
-                summary += s;
-            }
+            report.accumulate(group_report);
         }
-        report.classification = Some(summary);
         report
     }
 }

@@ -35,8 +35,7 @@
 //! of the acknowledged stream (see `docs/persistence.md`).
 
 use crate::multi::WorkerLoad;
-use crate::{BatchReport, MultiQuery, ReportCore};
-use cisgraph_algo::classify::ClassificationSummary;
+use crate::{BatchReport, MultiQuery};
 use cisgraph_algo::MonotonicAlgorithm;
 use cisgraph_graph::{DynamicGraph, GraphError, SharedGraph};
 use cisgraph_obs::{Counter, Gauge, Histogram};
@@ -108,12 +107,10 @@ pub struct ServeReport {
     pub response_p99: Duration,
     /// Worst per-group response time (exact, not bucketed).
     pub response_max: Duration,
-    /// Summed work across every group: ⊕/⊗ counters, activations, and
-    /// sequential-equivalent times. The answer slot carries the first
-    /// standing query's answer.
-    pub work: ReportCore,
-    /// Summed Algorithm 1 classification outcome across groups.
-    pub classification: ClassificationSummary,
+    /// Summed work across every group: ⊕/⊗ counters, activations,
+    /// Algorithm 1 classification, and sequential-equivalent times. The
+    /// answer slot carries the first standing query's answer.
+    pub work: BatchReport,
     /// Every standing query's post-batch answer, sorted by
     /// (source, destination).
     pub answers: Vec<(PairQuery, State)>,
@@ -401,8 +398,7 @@ impl<A: MonotonicAlgorithm> QueryServer<A> {
             .first()
             .map(|&(_, s)| s)
             .unwrap_or_else(A::unreached);
-        let mut work = ReportCore::new(first);
-        let mut classification = ClassificationSummary::default();
+        let mut work = BatchReport::new(first);
         // Per-group response times go into an owned log2 histogram — the
         // same distribution `record_obs` publishes — instead of a sorted
         // vector. Quantiles are bucket-resolution (each reported value is
@@ -412,10 +408,7 @@ impl<A: MonotonicAlgorithm> QueryServer<A> {
         let mut responses = cisgraph_obs::HistogramSnapshot::default();
         let mut response_max = Duration::ZERO;
         for report in reports {
-            work.accumulate(&report.core);
-            if let Some(s) = report.classification {
-                classification += s;
-            }
+            work.accumulate(report);
             responses.record(duration_to_nanos(report.response_time));
             response_max = response_max.max(report.response_time);
         }
@@ -429,7 +422,6 @@ impl<A: MonotonicAlgorithm> QueryServer<A> {
             response_p99: Duration::from_nanos(responses.quantile(0.99)),
             response_max,
             work,
-            classification,
             answers,
             checkpoint_error: None,
         }
@@ -568,7 +560,7 @@ mod tests {
                 for (a, b) in baseline.iter().zip(&parallel) {
                     let context = format!("scenario {s}, threads = {threads}");
                     assert_eq!(a.work.counters, b.work.counters, "{context}");
-                    assert_eq!(a.classification, b.classification, "{context}");
+                    assert_eq!(a.work.classification, b.work.classification, "{context}");
                     assert_eq!(a.groups, b.groups, "{context}");
                 }
             }

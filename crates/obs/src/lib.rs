@@ -12,9 +12,10 @@
 //!   serving layer and the bench binaries share),
 //! * [`span`] — lightweight phase spans that record wall time into a
 //!   `span.<name>` histogram and, when tracing is on, append to an event
-//!   log exportable as JSONL ([`export_jsonl`]) or as a Chrome
-//!   `trace_event` file ([`export_chrome_trace`], viewable in
-//!   `chrome://tracing` or [Perfetto](https://ui.perfetto.dev)),
+//!   log exportable as a Chrome `trace_event` file
+//!   ([`export_chrome_trace`], viewable in `chrome://tracing` or
+//!   [Perfetto](https://ui.perfetto.dev)) or stream to a JSONL file as
+//!   they complete ([`stream_trace_to`]),
 //! * [`snapshot`] — a [`MetricsSnapshot`] of every registered metric,
 //!   rendered to JSON for the bench artifact pipeline,
 //! * [`log!`] — a leveled stderr logging macro gated by the `CISGRAPH_LOG`
@@ -61,8 +62,8 @@ pub use logging::{log_enabled, log_message, Level};
 pub use registry::{counter, gauge, histogram, Counter, Gauge};
 pub use snapshot::{snapshot, MetricsSnapshot};
 pub use span::{
-    clear_trace, close_trace_stream, enable_tracing, export_chrome_trace, export_jsonl,
-    num_trace_events, span, stream_trace_to, trace_enabled, trace_stream_active, Span,
+    close_trace_stream, enable_tracing, export_chrome_trace, num_trace_events, span,
+    stream_trace_to, trace_enabled, trace_stream_active, Span,
 };
 
 use std::sync::atomic::{AtomicBool, Ordering};

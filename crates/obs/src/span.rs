@@ -4,9 +4,10 @@
 //! shard fan-out, delayed drain, …). Every finished span records into the
 //! `span.<name>` histogram; when tracing is additionally enabled
 //! ([`enable_tracing`]) it also appends a complete event — name, start,
-//! duration, thread — to an in-memory log that exports as JSONL
-//! ([`export_jsonl`]) or as a Chrome `trace_event` JSON document
-//! ([`export_chrome_trace`]) loadable in `chrome://tracing` or Perfetto.
+//! duration, thread — to an in-memory log that exports as a Chrome
+//! `trace_event` JSON document ([`export_chrome_trace`]) loadable in
+//! `chrome://tracing` or Perfetto, or streams to a JSONL file as events
+//! complete ([`stream_trace_to`]).
 
 use crate::snapshot::escape_json;
 use std::collections::hash_map::DefaultHasher;
@@ -56,14 +57,14 @@ fn stream_sink() -> &'static Mutex<Option<BufWriter<File>>> {
 }
 
 /// Streams trace events to `path` as JSON Lines **as they complete**,
-/// instead of buffering them in the in-memory log. One line per span, the
-/// same schema [`export_jsonl`] emits, appended incrementally through a
-/// buffered writer — so arbitrarily long runs trace in bounded memory and
-/// a crashed run keeps everything flushed so far.
+/// instead of buffering them in the in-memory log. One line per span with
+/// `name`, `start_us`, `dur_us`, and `tid` fields, appended incrementally
+/// through a buffered writer — so arbitrarily long runs trace in bounded
+/// memory and a crashed run keeps everything flushed so far.
 ///
 /// Implies [`enable_tracing`]. While a stream is active the in-memory log
-/// stays empty (and [`export_jsonl`] accordingly returns only what was
-/// buffered before the stream started).
+/// stays empty (and [`export_chrome_trace`] accordingly renders only what
+/// was buffered before the stream started).
 pub fn stream_trace_to(path: impl AsRef<Path>) -> std::io::Result<()> {
     let file = File::create(path)?;
     *stream_sink().lock().expect("trace stream poisoned") = Some(BufWriter::new(file));
@@ -194,28 +195,6 @@ pub fn num_trace_events() -> usize {
     events().lock().expect("trace log poisoned").len()
 }
 
-/// Empties the trace log (the metrics registry is untouched).
-pub fn clear_trace() {
-    events().lock().expect("trace log poisoned").clear();
-}
-
-/// Renders the trace log as JSON Lines: one object per completed span with
-/// `name`, `start_us`, `dur_us`, and `tid` fields, in completion order.
-pub fn export_jsonl() -> String {
-    let log = events().lock().expect("trace log poisoned");
-    let mut out = String::new();
-    for e in log.iter() {
-        out.push_str(&format!(
-            "{{\"name\":\"{}\",\"start_us\":{},\"dur_us\":{},\"tid\":{}}}\n",
-            escape_json(&e.name),
-            e.start_us,
-            e.dur_us,
-            e.tid
-        ));
-    }
-    out
-}
-
 /// Renders the trace log as a Chrome `trace_event` JSON document
 /// (complete `"ph":"X"` events), loadable in `chrome://tracing` or
 /// [Perfetto](https://ui.perfetto.dev).
@@ -291,20 +270,18 @@ mod tests {
         {
             let _s = span("span.test.stream.after");
         }
-        assert!(export_jsonl().contains("span.test.stream.after"));
+        assert!(export_chrome_trace().contains("span.test.stream.after"));
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
-    fn trace_log_exports_both_formats() {
+    fn trace_log_exports_a_chrome_trace() {
         let _guard = trace_test_lock();
         enable_tracing();
         {
             let _s = span("span.test.trace");
         }
         assert!(num_trace_events() >= 1);
-        let jsonl = export_jsonl();
-        assert!(jsonl.lines().any(|l| l.contains("span.test.trace")));
         let chrome = export_chrome_trace();
         assert!(chrome.contains("\"traceEvents\""));
         assert!(chrome.contains("\"ph\":\"X\""));

@@ -22,13 +22,22 @@
 use cisgraph::prelude::*;
 use std::process::ExitCode;
 
+/// The engines `--engine` selects.
+#[derive(Clone, Copy, PartialEq)]
+enum Engine {
+    Ciso,
+    Cs,
+    SGraph,
+    Accel,
+}
+
 struct Cli {
     graph: String,
     updates: Option<String>,
     source: u32,
     dest: u32,
     algo: String,
-    engine: String,
+    engine: Engine,
     batch: usize,
     verify: bool,
 }
@@ -48,7 +57,7 @@ fn parse_cli() -> Cli {
     let mut source = None;
     let mut dest = None;
     let mut algo = "ppsp".to_string();
-    let mut engine = "ciso".to_string();
+    let mut engine = Engine::Ciso;
     let mut batch = 1000usize;
     let mut verify = false;
 
@@ -66,7 +75,18 @@ fn parse_cli() -> Cli {
             "--source" => source = value("--source").parse().ok(),
             "--dest" => dest = value("--dest").parse().ok(),
             "--algo" => algo = value("--algo"),
-            "--engine" => engine = value("--engine"),
+            "--engine" => {
+                engine = match value("--engine").as_str() {
+                    "ciso" => Engine::Ciso,
+                    "cs" => Engine::Cs,
+                    "sgraph" => Engine::SGraph,
+                    "accel" => Engine::Accel,
+                    other => {
+                        eprintln!("unknown engine `{other}`");
+                        usage()
+                    }
+                }
+            }
             "--batch" => {
                 batch = value("--batch").parse().unwrap_or_else(|_| {
                     eprintln!("--batch expects a positive integer");
@@ -116,26 +136,28 @@ fn run<A: MonotonicAlgorithm>(cli: &Cli) -> Result<(), Box<dyn std::error::Error
     );
 
     let query = PairQuery::new(VertexId::new(cli.source), VertexId::new(cli.dest))?;
-    let mut engine: Box<dyn StreamingEngine<A>> = match cli.engine.as_str() {
-        "ciso" => Box::new(CisGraphO::<A>::new(&g, query)),
-        "cs" => Box::new(ColdStart::<A>::new(query)),
-        "sgraph" => Box::new(SGraph::<A>::new(&g, query, SGraphConfig::paper_default())),
-        "accel" => Box::new(CisGraphAccel::<A>::new(
+    let mut engine: Box<dyn StreamingEngine<A>> = match cli.engine {
+        Engine::Ciso => Box::new(CisGraphO::<A>::new(&g, query)),
+        Engine::Cs => Box::new(ColdStart::<A>::new(query)),
+        Engine::SGraph => Box::new(SGraph::<A>::new(&g, query, SGraphConfig::paper_default())),
+        Engine::Accel => Box::new(CisGraphAccel::<A>::new(
             &g,
             query,
             AcceleratorConfig::date2025(),
         )),
-        other => {
-            eprintln!("unknown engine `{other}`");
-            usage()
-        }
     };
-    let simulated = cli.engine == "accel";
+    let simulated = cli.engine == Engine::Accel;
+    // A full recomputation: the initial answer (Cold-Start and SGraph solve
+    // only when a batch arrives) and the `--verify` oracle.
+    let cold_answer = |g: &DynamicGraph| {
+        solver::best_first::<A, _>(g, query.source(), &mut Counters::new())
+            .state(query.destination())
+    };
     println!(
         "{} {} = {}{}",
         engine.name(),
         query,
-        engine.answer(),
+        cold_answer(&g),
         if simulated {
             "  (cycle-level model)"
         } else {
@@ -182,9 +204,7 @@ fn run<A: MonotonicAlgorithm>(cli: &Cli) -> Result<(), Box<dyn std::error::Error
             if simulated { " simulated" } else { "" },
         );
         if cli.verify {
-            let mut counters = Counters::new();
-            let fresh = solver::best_first::<A, _>(&g, query.source(), &mut counters);
-            let expected = fresh.state(query.destination());
+            let expected = cold_answer(&g);
             if report.answer != expected {
                 return Err(format!(
                     "verification failed on batch {}: engine {} vs recompute {expected}",

@@ -13,8 +13,10 @@
 //! * [`datasets`] — R-MAT stand-in datasets and the §IV-A batch protocol,
 //! * [`algo`] — the five monotonic algorithms, solvers, incremental
 //!   computation, and Algorithm 1 classification,
-//! * [`engines`] — Cold-Start, SGraph, CISGraph-O, and the parallel
-//!   [`QueryServer`](engines::QueryServer) serving layer,
+//! * [`engines`] — Cold-Start, SGraph, CISGraph-O, the parallel
+//!   [`QueryServer`](engines::QueryServer) serving layer, and the one
+//!   per-batch record every engine returns,
+//!   [`BatchReport`](engines::BatchReport),
 //! * [`sim`] — the DDR4 + scratchpad timing substrate,
 //! * [`core`] — the CISGraph accelerator model,
 //! * [`obs`] — in-process counters, gauges, log2 latency histograms,
@@ -121,8 +123,8 @@ pub mod prelude {
     pub use cisgraph_core::{AccelReport, AcceleratorConfig, CisGraphAccel, CycleMilestones};
     pub use cisgraph_datasets::{registry, Dataset, StreamConfig, StreamingWorkload};
     pub use cisgraph_engines::{
-        BatchReport, CisGraphO, ColdStart, MultiQuery, QueryServer, ReportCore, SGraph,
-        SGraphConfig, ServeConfig, ServeReport, StreamingEngine,
+        BatchReport, CisGraphO, ColdStart, MultiQuery, QueryServer, SGraph, SGraphConfig,
+        ServeConfig, ServeReport, StreamingEngine,
     };
     pub use cisgraph_graph::{
         Csr, DynamicGraph, Edge, GraphView, ReversedView, SharedGraph, Snapshot,
