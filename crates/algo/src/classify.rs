@@ -11,13 +11,13 @@
 //!   preemptively, line 13), the rest are delayed and appended (line 15);
 //!   non-supporting deletions are dropped.
 //!
-//! The output preserves the paper's scheduling order: additions first (the
-//! fairness rule of §IV-A), then deletions with non-delayed ones at the
-//! front of the deque.
+//! This module only labels updates. Acting on the labels in the paper's
+//! order (additions first, the fairness rule of §IV-A, then non-delayed
+//! deletions ahead of delayed ones) is the engines' job: CISGraph-O's
+//! workflow and the accelerator model schedule from these labels.
 
 use crate::{ConvergedResult, KeyPath, MonotonicAlgorithm};
 use cisgraph_types::{Contribution, EdgeUpdate, UpdateKind, VertexId};
-use std::collections::VecDeque;
 
 /// Classifies a single edge addition against the converged states.
 ///
@@ -98,22 +98,6 @@ pub fn classify_deletion_dependence<A: MonotonicAlgorithm>(
     }
 }
 
-/// A batch after Algorithm 1: what to propagate and in which order, plus the
-/// per-level counts used by the Fig. 2 instrumentation.
-#[derive(Debug, Clone, Default)]
-pub struct ClassifiedBatch {
-    /// Valuable additions, in arrival order.
-    pub additions: Vec<EdgeUpdate>,
-    /// Valuable + delayed deletions: non-delayed at the front (highest
-    /// priority), delayed appended at the back, as the scheduling buffer of
-    /// §III-B does.
-    pub deletions: VecDeque<EdgeUpdate>,
-    /// How many deletions at the front of `deletions` are non-delayed.
-    pub non_delayed_deletions: usize,
-    /// Per-level counts.
-    pub summary: ClassificationSummary,
-}
-
 /// Counts of the classification outcome, split by update kind.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize)]
 pub struct ClassificationSummary {
@@ -163,81 +147,6 @@ impl ClassificationSummary {
             self.useless() as f64 / total as f64
         }
     }
-}
-
-/// Runs Algorithm 1 over a whole batch.
-///
-/// `result` is the converged state array of the previous snapshot and
-/// `key_path` its global key path — both *pre-batch*, exactly as the
-/// accelerator's identification phase sees them.
-///
-/// # Panics
-///
-/// Panics if an update references a vertex outside `result`.
-///
-/// # Examples
-///
-/// ```
-/// use cisgraph_algo::{classify::classify_batch, solver, Counters, KeyPath, Ppsp};
-/// use cisgraph_graph::DynamicGraph;
-/// use cisgraph_types::{EdgeUpdate, PairQuery, VertexId, Weight};
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let mut g = DynamicGraph::new(3);
-/// g.apply(EdgeUpdate::insert(VertexId::new(0), VertexId::new(1), Weight::new(5.0)?))?;
-/// let r = solver::best_first::<Ppsp, _>(&g, VertexId::new(0), &mut Counters::new());
-/// let q = PairQuery::new(VertexId::new(0), VertexId::new(1))?;
-/// let kp = KeyPath::extract(&r, q);
-/// let batch = vec![
-///     EdgeUpdate::insert(VertexId::new(0), VertexId::new(1), Weight::new(2.0)?), // valuable
-///     EdgeUpdate::insert(VertexId::new(0), VertexId::new(1), Weight::new(9.0)?), // useless
-/// ];
-/// let classified = classify_batch(&r, &kp, &batch);
-/// assert_eq!(classified.summary.valuable_additions, 1);
-/// assert_eq!(classified.summary.useless_additions, 1);
-/// # Ok(())
-/// # }
-/// ```
-pub fn classify_batch<A: MonotonicAlgorithm>(
-    result: &ConvergedResult<A>,
-    key_path: &KeyPath,
-    batch: &[EdgeUpdate],
-) -> ClassifiedBatch {
-    let mut out = ClassifiedBatch::default();
-    for &update in batch {
-        match update.kind() {
-            UpdateKind::Insert => match classify_addition(result, update) {
-                Contribution::Valuable => {
-                    out.additions.push(update);
-                    out.summary.valuable_additions += 1;
-                }
-                _ => out.summary.useless_additions += 1,
-            },
-            UpdateKind::Delete => match classify_deletion(result, key_path, update) {
-                Contribution::Valuable => {
-                    out.deletions.push_front(update);
-                    out.non_delayed_deletions += 1;
-                    out.summary.valuable_deletions += 1;
-                }
-                Contribution::Delayed => {
-                    out.deletions.push_back(update);
-                    out.summary.delayed_deletions += 1;
-                }
-                Contribution::Useless => out.summary.useless_deletions += 1,
-            },
-        }
-    }
-    out
-}
-
-/// Convenience: extracts the key path and classifies in one call.
-pub fn classify_batch_for_query<A: MonotonicAlgorithm>(
-    result: &ConvergedResult<A>,
-    query: cisgraph_types::PairQuery,
-    batch: &[EdgeUpdate],
-) -> ClassifiedBatch {
-    let key_path = KeyPath::extract(result, query);
-    classify_batch(result, &key_path, batch)
 }
 
 #[cfg(test)]
@@ -340,35 +249,16 @@ mod tests {
     }
 
     #[test]
-    fn batch_ordering_non_delayed_first() {
-        let mut g = DynamicGraph::new(5);
-        g.insert_edge(v(0), v(1), w(1.0)).unwrap(); // key path edge
-        g.insert_edge(v(0), v(2), w(1.0)).unwrap(); // side edge
-        g.insert_edge(v(2), v(3), w(1.0)).unwrap(); // side chain
-        let r = best_first::<Ppsp, _>(&g, v(0), &mut Counters::new());
-        let kp = KeyPath::extract(&r, PairQuery::new(v(0), v(1)).unwrap());
-        let batch = vec![
-            EdgeUpdate::delete(v(2), v(3), w(1.0)), // delayed (v2 off path)
-            EdgeUpdate::delete(v(0), v(1), w(1.0)), // non-delayed
-            EdgeUpdate::insert(v(0), v(4), w(1.0)), // valuable addition
-            EdgeUpdate::insert(v(0), v(2), w(9.0)), // useless addition
-        ];
-        let c = classify_batch(&r, &kp, &batch);
-        assert_eq!(c.additions.len(), 1);
-        assert_eq!(c.deletions.len(), 2);
-        assert_eq!(c.non_delayed_deletions, 1);
-        // Non-delayed deletion sits at the front.
-        assert_eq!(c.deletions[0].src(), v(0));
-        assert_eq!(c.deletions[1].src(), v(2));
-        assert_eq!(c.summary.total(), 4);
-        assert_eq!(c.summary.useless(), 1);
-        assert!((c.summary.useless_fraction() - 0.25).abs() < 1e-12);
-    }
-
-    #[test]
-    fn empty_batch_summary() {
-        let s = ClassificationSummary::default();
-        assert_eq!(s.total(), 0);
-        assert_eq!(s.useless_fraction(), 0.0);
+    fn summary_shares_count_useless_updates() {
+        let s = ClassificationSummary {
+            valuable_additions: 1,
+            useless_additions: 1,
+            valuable_deletions: 1,
+            delayed_deletions: 1,
+            useless_deletions: 0,
+        };
+        assert_eq!((s.total(), s.useless()), (4, 1));
+        assert!((s.useless_fraction() - 0.25).abs() < 1e-12);
+        assert_eq!(ClassificationSummary::default().useless_fraction(), 0.0);
     }
 }

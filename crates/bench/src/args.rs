@@ -9,6 +9,7 @@
 //! --batches <usize>      number of batches to stream
 //! --queries <usize>      number of random pairwise queries to average over
 //! --seed <u64>           RNG seed
+//! --dataset <name>       dataset stand-in, or|lj|uk (fig2, fig5a, fig5b)
 //! --full                 paper-scale batches (50K + 50K)
 //! --metrics-out <path>   write a cisgraph-obs metrics snapshot (JSON)
 //! --trace-out <path>     write a Chrome trace_event file (implies metrics)
@@ -90,6 +91,26 @@ impl Args {
     }
 }
 
+/// Picks the dataset stand-in from `--dataset or|lj|uk` (default OR; the
+/// long names `orkut`, `livejournal` and `uk2002` and any letter case are
+/// accepted too). Exits with status 2 on any other name.
+pub fn pick_dataset(args: &Args) -> cisgraph_datasets::Dataset {
+    use cisgraph_datasets::registry;
+    match args
+        .get_str("dataset")
+        .map(str::to_ascii_lowercase)
+        .as_deref()
+    {
+        None | Some("or") | Some("orkut") => registry::orkut_like(),
+        Some("lj") | Some("livejournal") => registry::livejournal_like(),
+        Some("uk") | Some("uk2002") => registry::uk2002_like(),
+        Some(other) => {
+            cisgraph_obs::log!(error, "unknown --dataset `{other}` (or|lj|uk)");
+            std::process::exit(2);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -117,6 +138,14 @@ mod tests {
     fn trailing_flag() {
         let a = parse(&["--full"]);
         assert!(a.flag("full"));
+    }
+
+    #[test]
+    fn datasets_by_short_and_long_name() {
+        for (name, expected) in [("OR", "orkut_like"), ("livejournal", "livejournal_like")] {
+            assert_eq!(pick_dataset(&parse(&["--dataset", name])).name, expected);
+        }
+        assert_eq!(pick_dataset(&parse(&[])).name, "orkut_like");
     }
 
     #[test]

@@ -12,16 +12,16 @@
 //! cargo run -p cisgraph-bench --release --bin fig2 -- --scale 0.01
 //! ```
 
-use cisgraph_algo::classify::classify_batch_for_query;
-use cisgraph_algo::{solver, Counters, MonotonicAlgorithm, Ppnp, Ppsp, Ppwp, Reach, Viterbi};
-use cisgraph_bench::args::Args;
+use cisgraph_algo::classify::{classify_addition, classify_deletion};
+use cisgraph_algo::{
+    solver, Counters, KeyPath, MonotonicAlgorithm, Ppnp, Ppsp, Ppwp, Reach, Viterbi,
+};
+use cisgraph_bench::args::{pick_dataset, Args};
 use cisgraph_bench::naive::{DeletionPolicy, NaiveIncremental};
 use cisgraph_bench::obsout::ObsSession;
 use cisgraph_bench::{build_workload, RunConfig, Table};
-use cisgraph_datasets::registry;
 use cisgraph_obs as obs;
-use cisgraph_types::{Contribution, UpdateKind};
-use std::collections::HashMap;
+use cisgraph_types::{Contribution, EdgeUpdate, UpdateKind};
 
 fn main() {
     let args = Args::parse();
@@ -93,24 +93,13 @@ fn run<A: MonotonicAlgorithm>(args: &Args) {
         // pre-batch converged state.
         let mut graph = bundle.initial.clone();
         let converged = solver::best_first::<A, _>(&graph, query.source(), &mut Counters::new());
-        let labels: HashMap<_, _> = {
-            let classified = classify_batch_for_query(&converged, query, batch);
-            let mut m = HashMap::new();
-            for &u in batch {
-                m.insert(u, Contribution::Useless);
-            }
-            for &u in &classified.additions {
-                m.insert(u, Contribution::Valuable);
-            }
-            for (i, &u) in classified.deletions.iter().enumerate() {
-                let c = if i < classified.non_delayed_deletions {
-                    Contribution::Valuable
-                } else {
-                    Contribution::Delayed
-                };
-                m.insert(u, c);
-            }
-            m
+        let key_path = KeyPath::extract(&converged, query);
+        let is_useless = |u: EdgeUpdate| {
+            let label = match u.kind() {
+                UpdateKind::Insert => classify_addition(&converged, u),
+                UpdateKind::Delete => classify_deletion(&converged, &key_path, u),
+            };
+            label == Contribution::Useless
         };
 
         // Replay the batch through the contribution-unaware engine,
@@ -128,7 +117,7 @@ fn run<A: MonotonicAlgorithm>(args: &Args) {
         let mut useless_comp = 0u64;
         let mut useless_time = 0.0f64;
         for c in &costs {
-            if labels.get(&c.update) == Some(&Contribution::Useless) {
+            if is_useless(c.update) {
                 useless += 1;
                 match c.update.kind() {
                     UpdateKind::Insert => useless_adds += 1,
@@ -181,21 +170,4 @@ fn run<A: MonotonicAlgorithm>(args: &Args) {
     println!(
         "Paper (Orkut, full scale): 85% useless, 87% redundant computations, 84% wasteful time."
     );
-}
-
-/// Picks the dataset stand-in from `--dataset or|lj|uk` (default OR).
-fn pick_dataset(args: &Args) -> cisgraph_datasets::Dataset {
-    match args
-        .get_str("dataset")
-        .map(str::to_ascii_lowercase)
-        .as_deref()
-    {
-        None | Some("or") | Some("orkut") => registry::orkut_like(),
-        Some("lj") | Some("livejournal") => registry::livejournal_like(),
-        Some("uk") | Some("uk2002") => registry::uk2002_like(),
-        Some(other) => {
-            obs::log!(error, "unknown --dataset `{other}` (or|lj|uk)");
-            std::process::exit(2);
-        }
-    }
 }

@@ -18,10 +18,9 @@
 //! ```
 
 use cisgraph_algo::{MonotonicAlgorithm, Ppnp, Ppsp, Ppwp, Reach, Viterbi};
-use cisgraph_bench::args::Args;
+use cisgraph_bench::args::{pick_dataset, Args};
 use cisgraph_bench::obsout::ObsSession;
 use cisgraph_bench::{build_workload, run_engines, EngineSel, RunConfig, Table};
-use cisgraph_datasets::registry;
 use cisgraph_obs as obs;
 
 fn main() {
@@ -137,21 +136,4 @@ fn main() {
          gathering in real hardware."
     );
     obs_session.finish();
-}
-
-/// Picks the dataset stand-in from `--dataset or|lj|uk` (default OR).
-fn pick_dataset(args: &Args) -> cisgraph_datasets::Dataset {
-    match args
-        .get_str("dataset")
-        .map(str::to_ascii_lowercase)
-        .as_deref()
-    {
-        None | Some("or") | Some("orkut") => registry::orkut_like(),
-        Some("lj") | Some("livejournal") => registry::livejournal_like(),
-        Some("uk") | Some("uk2002") => registry::uk2002_like(),
-        Some(other) => {
-            obs::log!(error, "unknown --dataset `{other}` (or|lj|uk)");
-            std::process::exit(2);
-        }
-    }
 }

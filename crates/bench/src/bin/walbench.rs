@@ -120,7 +120,7 @@ fn plain_ingest(bundle: &WorkloadBundle) -> (DynamicGraph, u64) {
     let mut graph = bundle.initial.clone();
     let start = Instant::now();
     for batch in &bundle.batches {
-        let _ = graph.apply_batch(batch);
+        graph.apply_batch(batch).expect("consistent workload");
     }
     let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
     (graph, ns)
@@ -172,8 +172,8 @@ fn checkpoint_amplification(bundle: &WorkloadBundle, mode: CheckpointMode) -> Am
     let bootstrap_bytes: u64 = checkpoint_sizes(&dir).iter().map(|(_, b)| b).sum();
     let mut graph = recovered.graph;
     for batch in &bundle.batches {
+        graph.apply_batch(batch).expect("consistent workload");
         store.log_batch(batch).expect("log");
-        let _ = graph.apply_batch(batch);
         store.maybe_checkpoint(&mut graph).expect("checkpoint");
     }
     drop(store);
@@ -225,7 +225,7 @@ fn ingest_stall(bundle: &WorkloadBundle, repeats: usize) -> (StallRow, StallRow)
         let mut plain_graph = bundle.initial.clone();
         for batch in &bundle.batches {
             let start = Instant::now();
-            let _ = plain_graph.apply_batch(batch);
+            plain_graph.apply_batch(batch).expect("consistent workload");
             plain_ns.push(u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX));
         }
 
@@ -241,8 +241,8 @@ fn ingest_stall(bundle: &WorkloadBundle, repeats: usize) -> (StallRow, StallRow)
         let mut graph = recovered.graph;
         for batch in &bundle.batches {
             let start = Instant::now();
+            graph.apply_batch(batch).expect("consistent workload");
             store.log_batch(batch).expect("log");
-            let _ = graph.apply_batch(batch);
             store.maybe_checkpoint(&mut graph).expect("checkpoint");
             durable_ns.push(u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX));
         }
@@ -284,7 +284,7 @@ fn bench(args: &Args, bundle: &WorkloadBundle) {
 
     // --- End-to-end ingest: plain vs durable (fsync off) ----------------
     // The two variants interleave at *batch* granularity: each batch is
-    // applied plain, then logged-and-applied durable, and the two running
+    // applied plain, then applied-and-logged durable, and the two running
     // sums are compared. Scheduler and writeback noise lands on both sides
     // of the pair almost equally, where phase-level timing would charge an
     // unlucky interval to one variant. The gate reads the median ratio
@@ -313,12 +313,14 @@ fn bench(args: &Args, bundle: &WorkloadBundle) {
         let mut durable_r = 0u64;
         for batch in &bundle.batches {
             let start = Instant::now();
-            let _ = plain_graph.apply_batch(batch);
+            plain_graph.apply_batch(batch).expect("consistent workload");
             plain_r += u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
 
             let start = Instant::now();
+            durable_graph
+                .apply_batch(batch)
+                .expect("consistent workload");
             store.log_batch(batch).expect("log");
-            let _ = durable_graph.apply_batch(batch);
             durable_r += u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
         }
         plain_ns = plain_ns.min(plain_r);
@@ -444,8 +446,8 @@ fn crash(args: &Args, bundle: &WorkloadBundle, dir: &Path) {
     let (mut store, recovered) = DurableStore::open(cfg, move || initial).expect("open store");
     let mut graph = recovered.graph;
     for batch in &bundle.batches {
+        graph.apply_batch(batch).expect("consistent workload");
         store.log_batch(batch).expect("log");
-        let _ = graph.apply_batch(batch);
         store.maybe_checkpoint(&mut graph).expect("checkpoint");
     }
     store.sync().expect("sync");

@@ -1,8 +1,8 @@
 //! Smoke tests of the fast experiment binaries: they run to completion and
 //! print the rows the paper's tables contain. The heavy bins run their
 //! experiments through the library, which its unit tests cover at small
-//! scale; CI's experiment smoke runs `table4`, `fig5b` and `sweep` at
-//! scale 0.002.
+//! scale; CI's experiment smoke runs `table4`, `fig2`, `fig5a`, `fig5b`,
+//! `sweep` and `variance` at scale 0.002.
 
 use std::process::Command;
 
@@ -64,6 +64,16 @@ fn fig2_rejects_an_unknown_policy() {
         assert_eq!(out.status.code(), Some(2), "--policy {policy}");
         assert!(String::from_utf8_lossy(&out.stderr).contains("unknown --policy"));
     }
+}
+
+#[test]
+fn fig5a_rejects_an_unknown_dataset() {
+    let out = Command::new(env!("CARGO_BIN_EXE_fig5a"))
+        .args(["--dataset", "bogus"])
+        .output()
+        .expect("fig5a launches");
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown --dataset `bogus`"));
 }
 
 #[test]

@@ -272,24 +272,11 @@ fn simulate_batch<A: MonotonicAlgorithm, G: CsrImage>(
             .count() as u64;
         let total_cycles = t_cursor.max(ident_done);
 
-        let mut mem_delta = mem.stats();
-        let b = mem_before;
-        mem_delta.dram_reads -= b.dram_reads;
-        mem_delta.dram_writes -= b.dram_writes;
-        mem_delta.dram_read_bytes -= b.dram_read_bytes;
-        mem_delta.dram_write_bytes -= b.dram_write_bytes;
-        mem_delta.row_hits -= b.row_hits;
-        mem_delta.row_misses -= b.row_misses;
-        mem_delta.spm_hits -= b.spm_hits;
-        mem_delta.spm_misses -= b.spm_misses;
-        mem_delta.spm_writebacks -= b.spm_writebacks;
-        mem_delta.bus_busy_cycles -= b.bus_busy_cycles;
-
         let mut report = AccelReport::new(answer);
         report.response_cycles = response_cycles;
         report.total_cycles = total_cycles;
         report.counters = counters;
-        report.mem = mem_delta;
+        report.mem = mem.stats() - mem_before;
         report.classification = summary;
         report.addition_activations = addition_activations;
         report.deletion_activations = deletion_activations;

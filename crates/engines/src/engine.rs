@@ -3,6 +3,7 @@
 use cisgraph_algo::classify::ClassificationSummary;
 use cisgraph_algo::{Counters, MonotonicAlgorithm};
 use cisgraph_graph::DynamicGraph;
+use cisgraph_obs::{Counter, Histogram};
 use cisgraph_types::{EdgeUpdate, State};
 use serde::Serialize;
 use std::time::Duration;
@@ -85,36 +86,76 @@ impl BatchReport {
     }
 }
 
+/// One engine's metric handles in the global [`cisgraph_obs`] sink
+/// (`engine.<name>.*`), resolved once so recording a batch formats no
+/// name and looks none up.
+#[derive(Debug)]
+pub(crate) struct EngineObs {
+    batches: &'static Counter,
+    computations: &'static Counter,
+    updates_dropped: &'static Counter,
+    response: &'static Histogram,
+    total: &'static Histogram,
+    /// `class.<outcome>`, in [`ClassificationSummary`] field order.
+    class: [&'static Counter; 5],
+}
+
+impl EngineObs {
+    /// Resolves (registering on first use) the handles of engine `name`.
+    pub(crate) fn new(name: &str) -> Self {
+        let counter = |metric: &str| cisgraph_obs::counter(&format!("engine.{name}.{metric}"));
+        let histogram = |metric: &str| cisgraph_obs::histogram(&format!("engine.{name}.{metric}"));
+        Self {
+            batches: counter("batches"),
+            computations: counter("computations"),
+            updates_dropped: counter("updates_dropped"),
+            response: histogram("response_ns"),
+            total: histogram("total_ns"),
+            class: [
+                "valuable_additions",
+                "useless_additions",
+                "valuable_deletions",
+                "delayed_deletions",
+                "useless_deletions",
+            ]
+            .map(|outcome| counter(&format!("class.{outcome}"))),
+        }
+    }
+
+    /// Records one batch: the batch/computation/drop counters, the
+    /// response and total-time histograms, and — for classifying engines —
+    /// the Algorithm 1 outcome counters. Every handle is a no-op while the
+    /// sink is disabled.
+    pub(crate) fn record(&self, report: &BatchReport) {
+        self.batches.inc();
+        self.computations.add(report.counters.computations);
+        self.updates_dropped.add(report.counters.updates_dropped);
+        self.response.record_duration(report.response_time);
+        self.total.record_duration(report.total_time);
+        if let Some(c) = &report.classification {
+            let counts = [
+                c.valuable_additions,
+                c.useless_additions,
+                c.valuable_deletions,
+                c.delayed_deletions,
+                c.useless_deletions,
+            ];
+            for (counter, n) in self.class.iter().zip(counts) {
+                counter.add(n as u64);
+            }
+        }
+    }
+}
+
 /// Records one engine's per-batch outcome into the global
-/// [`cisgraph_obs`] sink: batch/computation/drop counters, response and
-/// total-time histograms, and — for classifying engines — the Algorithm 1
-/// outcome counters (`engine.<name>.class.*`). One relaxed load when the
+/// [`cisgraph_obs`] sink through [`EngineObs`]. One relaxed load when the
 /// sink is disabled.
 ///
 /// Every [`StreamingEngine::process_batch`] implementation calls this on
 /// its way out, so the whole engine zoo is attributable with one switch.
 pub(crate) fn obs_record_batch(name: &str, report: &BatchReport) {
-    if !cisgraph_obs::enabled() {
-        return;
-    }
-    let prefix = format!("engine.{name}");
-    cisgraph_obs::counter(&format!("{prefix}.batches")).inc();
-    cisgraph_obs::counter(&format!("{prefix}.computations")).add(report.counters.computations);
-    cisgraph_obs::counter(&format!("{prefix}.updates_dropped"))
-        .add(report.counters.updates_dropped);
-    cisgraph_obs::histogram(&format!("{prefix}.response_ns")).record_duration(report.response_time);
-    cisgraph_obs::histogram(&format!("{prefix}.total_ns")).record_duration(report.total_time);
-    if let Some(c) = &report.classification {
-        cisgraph_obs::counter(&format!("{prefix}.class.valuable_additions"))
-            .add(c.valuable_additions as u64);
-        cisgraph_obs::counter(&format!("{prefix}.class.useless_additions"))
-            .add(c.useless_additions as u64);
-        cisgraph_obs::counter(&format!("{prefix}.class.valuable_deletions"))
-            .add(c.valuable_deletions as u64);
-        cisgraph_obs::counter(&format!("{prefix}.class.delayed_deletions"))
-            .add(c.delayed_deletions as u64);
-        cisgraph_obs::counter(&format!("{prefix}.class.useless_deletions"))
-            .add(c.useless_deletions as u64);
+    if cisgraph_obs::enabled() {
+        EngineObs::new(name).record(report);
     }
 }
 

@@ -246,7 +246,8 @@ impl<A: MonotonicAlgorithm> MultiQuery<A> {
     /// Processes one batch, returning one [`BatchReport`] per source group
     /// in source order. This is the serving layer's unit of work: each
     /// group's times are measured in isolation, so a parallel harness can
-    /// build a response-time distribution across groups.
+    /// build a response-time distribution across groups. Nothing is
+    /// recorded in `engine.MultiQuery.*`; the caller records the batch.
     pub fn process_batch_per_group(
         &mut self,
         graph: &DynamicGraph,
@@ -281,7 +282,7 @@ impl<A: MonotonicAlgorithm> MultiQuery<A> {
                 // Timed in isolation: `response_time` covers classification,
                 // valuable propagation, key-path repairs and the promotion
                 // loop; `total_time` adds the drain.
-                let report = run_workflow(
+                run_workflow(
                     &mut group.result,
                     &group.queries,
                     graph,
@@ -289,28 +290,33 @@ impl<A: MonotonicAlgorithm> MultiQuery<A> {
                     Some(&pending),
                     scratch,
                     |_| Duration::ZERO,
-                );
-                crate::engine::obs_record_batch("MultiQuery", &report);
-                report
+                )
             },
         )
+    }
+
+    /// The first registered query's answer — the smallest (source,
+    /// destination) pair — or `A::unreached()` with no query at all. The
+    /// answer slot of an aggregate report carries it.
+    pub(crate) fn first_answer(&self) -> State {
+        self.groups
+            .first()
+            .and_then(|g| g.queries.first().map(|q| g.result.state(q.destination())))
+            .unwrap_or_else(A::unreached)
     }
 
     /// Processes one batch for every source group; the report aggregates
     /// across groups (counters, times, and classification summed; the
     /// answer slot carries the first registered query's answer — use
-    /// [`MultiQuery::answers`] for the full set).
+    /// [`MultiQuery::answers`] for the full set). The aggregate is recorded
+    /// once as `engine.MultiQuery.*`.
     pub fn process_batch(&mut self, graph: &DynamicGraph, batch: &[EdgeUpdate]) -> BatchReport {
         let per_group = self.process_batch_per_group(graph, batch);
-        let answer = self
-            .groups
-            .first()
-            .and_then(|g| g.queries.first().map(|q| g.result.state(q.destination())))
-            .unwrap_or_else(A::unreached);
-        let mut report = BatchReport::new(answer);
+        let mut report = BatchReport::new(self.first_answer());
         for group_report in &per_group {
             report.accumulate(group_report);
         }
+        crate::engine::obs_record_batch("MultiQuery", &report);
         report
     }
 }

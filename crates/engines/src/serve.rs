@@ -2,10 +2,10 @@
 //!
 //! The paper scopes itself to single queries; [`MultiQuery`] generalizes to
 //! a standing query *set*. This module adds the serving layer on top: a
-//! [`QueryServer`] owns the shared graph and one [`MultiQuery`] (same-source
+//! [`QueryServer`] owns the graph and one [`MultiQuery`] (same-source
 //! queries share one converged state array), and fans each update batch out
 //! over up to [`ServeConfig::threads`] scoped workers, every worker reading
-//! the same immutable post-batch topology through a [`SharedGraph`] handle.
+//! the same post-batch [`DynamicGraph`] through a shared borrow.
 //!
 //! Work claiming: workers take source groups one at a time from a shared
 //! atomic cursor, so a group with a heavy repair never holds light groups
@@ -16,28 +16,30 @@
 //!
 //! Per-group [`BatchReport`]s are merged into one [`ServeReport`]: summed
 //! ⊕/⊗ work and classification, a response-time distribution (p50 / p95 /
-//! p99 / max across source groups), the batch wall-clock, and every
-//! standing query's answer.
+//! p99 / max across source groups), and the batch wall-clock. The answers
+//! stay in the server ([`QueryServer::answers`], [`QueryServer::answer`]).
 //!
 //! When [`cisgraph_obs`] instrumentation is enabled, each served batch also
 //! publishes fan-out latency, per-group response-time histograms, per-worker
-//! claimed-group gauges and busy-time histograms, and a `serve.worker.<i>`
-//! span per worker inside the fan-out (see `docs/observability.md`). Every
-//! handle and span name is resolved when the server is built.
+//! claimed-group gauges and busy-time histograms, the merged work as one
+//! `engine.MultiQuery.*` record, and a `serve.worker.<i>` span per worker
+//! inside the fan-out (see `docs/observability.md`). Every handle and span
+//! name is resolved when the server is built.
 //!
 //! With a [`DurableStore`] attached ([`QueryServer::attach_durability`]),
 //! every batch is applied, appended to the write-ahead log, and only then
-//! served. [`SharedGraph::apply_batch_undoable`] is atomic, so a batch the
+//! served. [`DynamicGraph::apply_batch_undoable`] is atomic, so a batch the
 //! graph rejects leaves it untouched and never reaches the WAL; a batch the
 //! WAL refuses is undone before anything reads it. The graph is
 //! checkpointed on the store's cadence (full or delta, inline or on a
 //! background worker), so a crashed server recovers to a consistent prefix
 //! of the acknowledged stream (see `docs/persistence.md`).
 
+use crate::engine::EngineObs;
 use crate::multi::WorkerLoad;
 use crate::{BatchReport, MultiQuery};
 use cisgraph_algo::MonotonicAlgorithm;
-use cisgraph_graph::{DynamicGraph, GraphError, SharedGraph};
+use cisgraph_graph::{DynamicGraph, GraphError};
 use cisgraph_obs::{Counter, Gauge, Histogram};
 use cisgraph_persist::{CheckpointMode, DurableStore};
 use cisgraph_types::{EdgeUpdate, PairQuery, State};
@@ -86,7 +88,7 @@ impl Default for ServeConfig {
 /// `wall_time` is the parallel wall-clock of the fan-out; the times inside
 /// [`work`](ServeReport::work) are summed across groups and therefore
 /// measure *sequential-equivalent* work — their ratio is the observed
-/// speedup.
+/// speedup. Read the answers from the server ([`QueryServer::answers`]).
 #[derive(Debug, Clone, Serialize)]
 pub struct ServeReport {
     /// Standing queries served.
@@ -111,45 +113,19 @@ pub struct ServeReport {
     /// Algorithm 1 classification, and sequential-equivalent times. The
     /// answer slot carries the first standing query's answer.
     pub work: BatchReport,
-    /// Every standing query's post-batch answer, sorted by
-    /// (source, destination).
-    pub answers: Vec<(PairQuery, State)>,
     /// Why the checkpoint this batch triggered failed, if it did. The
     /// batch itself is logged, applied, and served either way; the next
     /// checkpoint is written full so the chain heals.
     pub checkpoint_error: Option<String>,
 }
 
-impl ServeReport {
-    /// Queries served per second of wall-clock for this batch.
-    pub fn throughput(&self) -> f64 {
-        let secs = self.wall_time.as_secs_f64();
-        if secs > 0.0 {
-            self.queries as f64 / secs
-        } else {
-            f64::INFINITY
-        }
-    }
-
-    /// Speedup of the parallel fan-out over sequential-equivalent work
-    /// (summed per-group total time ÷ wall-clock).
-    pub fn parallel_speedup(&self) -> f64 {
-        let wall = self.wall_time.as_secs_f64();
-        if wall > 0.0 {
-            self.work.total_time.as_secs_f64() / wall
-        } else {
-            1.0
-        }
-    }
-}
-
 /// A server answering a registry of standing pairwise queries over one
 /// update stream, fanning per-batch work across threads.
 ///
 /// The server owns the graph: [`QueryServer::process_batch`] first applies
-/// the batch to the owned [`SharedGraph`] (copy-on-write if snapshot
-/// handles are still alive), then lets the workers process every source
-/// group against the immutable post-batch view.
+/// the batch to the owned [`DynamicGraph`], then lets the workers process
+/// every source group against the post-batch graph, which none of them
+/// mutates.
 ///
 /// # Examples
 ///
@@ -181,7 +157,7 @@ impl ServeReport {
 /// ```
 #[derive(Debug)]
 pub struct QueryServer<A: MonotonicAlgorithm> {
-    graph: SharedGraph,
+    graph: DynamicGraph,
     queries: MultiQuery<A>,
     obs: ServeObs,
     /// Write-ahead durability, when attached: every batch is logged here
@@ -198,6 +174,8 @@ struct ServeObs {
     checkpoint_failures: &'static Counter,
     fanout: &'static Histogram,
     response: &'static Histogram,
+    /// `engine.MultiQuery.*`, recorded once per batch from the merged work.
+    engine: EngineObs,
     /// `serve.worker.<i>`, one per worker slot.
     worker_spans: Vec<String>,
     /// `serve.worker.<i>.groups` and `serve.worker.<i>.busy_ns`.
@@ -212,6 +190,7 @@ impl ServeObs {
             checkpoint_failures: cisgraph_obs::counter("serve.checkpoint_failures"),
             fanout: cisgraph_obs::histogram("serve.fanout_ns"),
             response: cisgraph_obs::histogram("serve.response_ns"),
+            engine: EngineObs::new("MultiQuery"),
             worker_spans: (0..workers).map(|i| format!("serve.worker.{i}")).collect(),
             workers: (0..workers)
                 .map(|i| {
@@ -234,8 +213,7 @@ impl<A: MonotonicAlgorithm> QueryServer<A> {
     /// Panics if any query endpoint is outside `graph` (same contract as
     /// [`MultiQuery::new`]).
     pub fn new(graph: DynamicGraph, queries: &[PairQuery], config: &ServeConfig) -> Self {
-        let graph = SharedGraph::new(graph);
-        let queries = MultiQuery::with_workers(graph.graph(), queries, config.threads);
+        let queries = MultiQuery::with_workers(&graph, queries, config.threads);
         let obs = ServeObs::new(queries.num_workers());
         Self {
             graph,
@@ -259,7 +237,7 @@ impl<A: MonotonicAlgorithm> QueryServer<A> {
     /// on).
     pub fn attach_durability(&mut self, store: DurableStore) {
         if store.mode() == CheckpointMode::Delta {
-            self.graph.graph_mut().enable_dirty_rows();
+            self.graph.enable_dirty_rows();
         }
         self.persist = Some(store);
     }
@@ -273,7 +251,7 @@ impl<A: MonotonicAlgorithm> QueryServer<A> {
     pub fn checkpoint_now(&mut self) -> Result<(), GraphError> {
         if let Some(store) = &mut self.persist {
             store
-                .checkpoint(self.graph.graph_mut())
+                .checkpoint(&mut self.graph)
                 .map_err(|e| GraphError::Io(e.into()))?;
         }
         Ok(())
@@ -291,14 +269,7 @@ impl<A: MonotonicAlgorithm> QueryServer<A> {
 
     /// The current (post-batch) topology.
     pub fn graph(&self) -> &DynamicGraph {
-        self.graph.graph()
-    }
-
-    /// A cheap handle to the current topology snapshot. The handle keeps
-    /// observing this snapshot even as further batches are served
-    /// (copy-on-write on the server's side).
-    pub fn snapshot_handle(&self) -> SharedGraph {
-        self.graph.clone()
+        &self.graph
     }
 
     /// All standing queries with their current answers, sorted by
@@ -357,12 +328,12 @@ impl<A: MonotonicAlgorithm> QueryServer<A> {
         let start = Instant::now();
         let (reports, loads) =
             self.queries
-                .process_batch_claimed(self.graph.graph(), batch, &self.obs.worker_spans);
+                .process_batch_claimed(&self.graph, batch, &self.obs.worker_spans);
         let wall_time = start.elapsed();
         let mut report = self.merge(&reports, loads.len(), wall_time);
         self.record_obs(&reports, &loads, &report);
         if let Some(store) = &mut self.persist {
-            if let Err(e) = store.maybe_checkpoint(self.graph.graph_mut()) {
+            if let Err(e) = store.maybe_checkpoint(&mut self.graph) {
                 self.obs.checkpoint_failures.inc();
                 cisgraph_obs::log!(warn, "checkpoint failed; the batch stands: {e}");
                 report.checkpoint_error = Some(e.to_string());
@@ -372,8 +343,9 @@ impl<A: MonotonicAlgorithm> QueryServer<A> {
     }
 
     /// Publishes serving metrics to the [`cisgraph_obs`] registry: the
-    /// fan-out latency and per-group response-time histograms, plus each
-    /// worker's claimed-group gauge and busy-time histogram. No-op unless
+    /// fan-out latency and per-group response-time histograms, the merged
+    /// work as one `engine.MultiQuery.*` record, plus each worker's
+    /// claimed-group gauge and busy-time histogram. No-op unless
     /// instrumentation is enabled.
     fn record_obs(&self, reports: &[BatchReport], loads: &[WorkerLoad], report: &ServeReport) {
         if !cisgraph_obs::enabled() {
@@ -386,6 +358,7 @@ impl<A: MonotonicAlgorithm> QueryServer<A> {
         for r in reports {
             obs.response.record_duration(r.response_time);
         }
+        obs.engine.record(&report.work);
         for (load, (groups, busy)) in loads.iter().zip(&obs.workers) {
             groups.set(load.groups as u64);
             busy.record_duration(load.busy);
@@ -393,12 +366,7 @@ impl<A: MonotonicAlgorithm> QueryServer<A> {
     }
 
     fn merge(&self, reports: &[BatchReport], workers: usize, wall_time: Duration) -> ServeReport {
-        let answers = self.answers();
-        let first = answers
-            .first()
-            .map(|&(_, s)| s)
-            .unwrap_or_else(A::unreached);
-        let mut work = BatchReport::new(first);
+        let mut work = BatchReport::new(self.queries.first_answer());
         // Per-group response times go into an owned log2 histogram — the
         // same distribution `record_obs` publishes — instead of a sorted
         // vector. Quantiles are bucket-resolution (each reported value is
@@ -413,7 +381,7 @@ impl<A: MonotonicAlgorithm> QueryServer<A> {
             response_max = response_max.max(report.response_time);
         }
         ServeReport {
-            queries: answers.len(),
+            queries: self.num_queries(),
             workers,
             groups: responses.count as usize,
             wall_time,
@@ -422,7 +390,6 @@ impl<A: MonotonicAlgorithm> QueryServer<A> {
             response_p99: Duration::from_nanos(responses.quantile(0.99)),
             response_max,
             work,
-            answers,
             checkpoint_error: None,
         }
     }
@@ -437,10 +404,9 @@ fn duration_to_nanos(d: Duration) -> u64 {
 mod tests {
     use super::*;
     use crate::{ColdStart, StreamingEngine};
-    use cisgraph_algo::{Ppsp, Reach};
+    use cisgraph_algo::Ppsp;
     use cisgraph_datasets::erdos_renyi;
     use cisgraph_datasets::weights::WeightDistribution;
-    use cisgraph_graph::GraphView;
     use cisgraph_types::{VertexId, Weight};
 
     fn v(x: u32) -> VertexId {
@@ -608,7 +574,9 @@ mod tests {
 
     #[test]
     fn report_shape_is_sane() {
-        let (_, reports) = serve_all(4);
+        let (answers, reports) = serve_all(4);
+        let last = reports.last().expect("three batches");
+        assert_eq!(last.work.answer, answers[0].1, "first registered query");
         for r in &reports {
             assert_eq!(r.queries, 16);
             assert!(r.workers >= 1 && r.workers <= 4);
@@ -617,25 +585,7 @@ mod tests {
             assert!(r.response_p95 <= r.response_p99);
             assert!(r.response_p99 <= r.response_max);
             assert!(r.work.total_time >= r.work.response_time);
-            assert!(r.throughput() > 0.0);
-            assert!(r.parallel_speedup() > 0.0);
-            assert_eq!(r.answers.len(), r.queries);
         }
-    }
-
-    #[test]
-    fn snapshot_handles_pin_their_batch() {
-        let mut g = DynamicGraph::new(3);
-        g.insert_edge(v(0), v(1), Weight::ONE).unwrap();
-        let queries = vec![PairQuery::new(v(0), v(1)).unwrap()];
-        let mut server = QueryServer::<Reach>::new(g, &queries, &ServeConfig::with_threads(2));
-        let before = server.snapshot_handle();
-        server
-            .process_batch(&[EdgeUpdate::delete(v(0), v(1), Weight::ONE)])
-            .unwrap();
-        assert_eq!(before.graph().num_edges(), 1);
-        assert_eq!(server.graph().num_edges(), 0);
-        assert_eq!(server.answer(queries[0]).unwrap(), State::ZERO);
     }
 
     #[test]
@@ -706,6 +656,6 @@ mod tests {
         let (_, reports) = serve_all(2);
         let json = serde_json::to_string(&reports[0]).unwrap();
         assert!(json.contains("wall_time"));
-        assert!(json.contains("answers"));
+        assert!(json.contains("\"work\""));
     }
 }

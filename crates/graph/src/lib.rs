@@ -9,12 +9,12 @@
 //!   paper: "CSR stores neighbor IDs and weights continuously in memory").
 //!   A [`Snapshot`] couples a forward CSR with its transpose so deletion
 //!   repair can enumerate in-neighbors.
-//! * [`SharedGraph`] — a cheap cloneable handle ([`std::sync::Arc`] +
-//!   copy-on-write) used by the multi-query serving layer to hand the same
-//!   post-batch topology to many reader threads.
 //!
 //! Both implement [`GraphView`], the read interface every algorithm is
-//! written against.
+//! written against. The serving layer hands one post-batch
+//! [`DynamicGraph`] to its reader threads as a shared borrow.
+//! [`SharedGraph`], a copy-on-write [`std::sync::Arc`] handle, is kept only
+//! for the benchmark's hand-built replica of that path.
 //!
 //! # Examples
 //!

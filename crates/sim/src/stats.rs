@@ -1,7 +1,7 @@
 //! Memory-system statistics.
 
 use serde::Serialize;
-use std::ops::AddAssign;
+use std::ops::{AddAssign, Sub};
 
 /// Counters for the simulated memory hierarchy.
 ///
@@ -82,6 +82,27 @@ impl AddAssign for MemStats {
     }
 }
 
+impl Sub for MemStats {
+    type Output = Self;
+
+    /// Field-wise difference: the activity between two snapshots of the
+    /// same monotone counters (`later - earlier`).
+    fn sub(self, rhs: Self) -> Self {
+        Self {
+            dram_reads: self.dram_reads - rhs.dram_reads,
+            dram_writes: self.dram_writes - rhs.dram_writes,
+            dram_read_bytes: self.dram_read_bytes - rhs.dram_read_bytes,
+            dram_write_bytes: self.dram_write_bytes - rhs.dram_write_bytes,
+            row_hits: self.row_hits - rhs.row_hits,
+            row_misses: self.row_misses - rhs.row_misses,
+            spm_hits: self.spm_hits - rhs.spm_hits,
+            spm_misses: self.spm_misses - rhs.spm_misses,
+            spm_writebacks: self.spm_writebacks - rhs.spm_writebacks,
+            bus_busy_cycles: self.bus_busy_cycles - rhs.bus_busy_cycles,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -110,5 +131,27 @@ mod tests {
         assert_eq!(a.dram_reads, 4);
         assert_eq!(a.spm_hits, 2);
         assert_eq!(a.spm_misses, 4);
+    }
+
+    /// Stats whose `i`-th field (1-based, declaration order) is `f(i)`.
+    fn numbered(f: impl Fn(u64) -> u64) -> MemStats {
+        MemStats {
+            dram_reads: f(1),
+            dram_writes: f(2),
+            dram_read_bytes: f(3),
+            dram_write_bytes: f(4),
+            row_hits: f(5),
+            row_misses: f(6),
+            spm_hits: f(7),
+            spm_misses: f(8),
+            spm_writebacks: f(9),
+            bus_busy_cycles: f(10),
+        }
+    }
+
+    #[test]
+    fn sub_is_the_field_wise_delta() {
+        let (later, earlier) = (numbered(|i| 100 * i), numbered(|i| i));
+        assert_eq!(later - earlier, numbered(|i| 99 * i));
     }
 }

@@ -72,8 +72,8 @@ fn parse_cli() -> Cli {
         match arg.as_str() {
             "--graph" => graph = Some(value("--graph")),
             "--updates" => updates = Some(value("--updates")),
-            "--source" => source = value("--source").parse().ok(),
-            "--dest" => dest = value("--dest").parse().ok(),
+            "--source" => source = Some(vertex_id("--source", value("--source"))),
+            "--dest" => dest = Some(vertex_id("--dest", value("--dest"))),
             "--algo" => algo = value("--algo"),
             "--engine" => {
                 engine = match value("--engine").as_str() {
@@ -115,6 +115,15 @@ fn parse_cli() -> Cli {
         batch,
         verify,
     }
+}
+
+/// A `--source`/`--dest` value as a vertex id; anything else is a usage
+/// error that names the flag and the value.
+fn vertex_id(flag: &str, raw: String) -> u32 {
+    raw.parse().unwrap_or_else(|_| {
+        eprintln!("{flag} expects a vertex id, got `{raw}`");
+        usage()
+    })
 }
 
 fn run<A: MonotonicAlgorithm>(cli: &Cli) -> Result<(), Box<dyn std::error::Error>> {

@@ -126,9 +126,7 @@ pub mod prelude {
         BatchReport, CisGraphO, ColdStart, MultiQuery, QueryServer, SGraph, SGraphConfig,
         ServeConfig, ServeReport, StreamingEngine,
     };
-    pub use cisgraph_graph::{
-        Csr, DynamicGraph, Edge, GraphView, ReversedView, SharedGraph, Snapshot,
-    };
+    pub use cisgraph_graph::{Csr, DynamicGraph, Edge, GraphView, ReversedView, Snapshot};
     pub use cisgraph_types::{
         Contribution, EdgeUpdate, PairQuery, State, UpdateKind, VertexId, Weight,
     };

@@ -114,6 +114,22 @@ fn usage_errors_exit_2() {
         "missing --source/--dest is a usage error"
     );
 
+    // A value that is not a vertex id is reported as such, not as missing.
+    let out = bin()
+        .args(["--graph", "nope.txt", "--source", "abc", "--dest", "1"])
+        .output()
+        .expect("binary runs");
+    assert_eq!(
+        out.status.code(),
+        Some(2),
+        "a bad --source is a usage error"
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("--source expects a vertex id, got `abc`"),
+        "stderr names the bad flag and value: {stderr}"
+    );
+
     let out = bin()
         .args([
             "--graph", "x", "--source", "0", "--dest", "1", "--algo", "bogus",

@@ -218,7 +218,8 @@ impl Harness {
                 self.acked.push(batch.to_vec());
                 self.digests.push(digest(&self.model));
                 assert_eq!(digest(self.server().graph()), digest(&self.model));
-                self.check_answers(&report.answers);
+                let answers = self.server().answers();
+                self.check_answers(&answers);
                 self.tally.checkpoint_errors += usize::from(report.checkpoint_error.is_some());
                 Some(report)
             }
