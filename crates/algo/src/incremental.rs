@@ -8,13 +8,19 @@
 //! on it, or the monotone ⊗ would never let states get worse. The repair
 //! here follows the KickStarter/GraphFly recipe: tag the dependence subtree
 //! via parent pointers, reset it, then re-relax from the untouched frontier.
+//!
+//! All propagation here is best-first through one [`Frontier`], which pops
+//! in ascending `(rank, vertex id)` order and requires every push made
+//! while propagating to rank at or above the last pop (see
+//! [`crate::frontier`]).
 
-use crate::{Counters, MonotonicAlgorithm};
+use crate::{Counters, Frontier, MonotonicAlgorithm};
 use cisgraph_graph::GraphView;
 use cisgraph_types::{EdgeUpdate, State, VertexId};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::marker::PhantomData;
+
+/// The parent slot of a vertex with no witnessing parent.
+const NO_PARENT: u32 = u32::MAX;
 
 /// A converged one-source result: per-vertex states plus the parent pointers
 /// that witnessed them.
@@ -22,7 +28,8 @@ use std::marker::PhantomData;
 /// Parent pointers serve two roles: they let [`crate::keypath::KeyPath`]
 /// extract the global key path for Algorithm 1's delayed/non-delayed split,
 /// and they drive deletion repair (the dependence tree is exactly the
-/// parent forest).
+/// parent forest). A parent is stored as a 4-byte vertex id, as in the
+/// accelerator's memory layout, with `u32::MAX` meaning "no parent".
 ///
 /// # Examples
 ///
@@ -43,7 +50,7 @@ use std::marker::PhantomData;
 #[derive(Debug, Clone, PartialEq)]
 pub struct ConvergedResult<A> {
     states: Vec<State>,
-    parents: Vec<Option<VertexId>>,
+    parents: Vec<u32>,
     source: VertexId,
     _algorithm: PhantomData<A>,
 }
@@ -64,7 +71,7 @@ impl<A: MonotonicAlgorithm> ConvergedResult<A> {
         states[source.index()] = A::source_state();
         Self {
             states,
-            parents: vec![None; num_vertices],
+            parents: vec![NO_PARENT; num_vertices],
             source,
             _algorithm: PhantomData,
         }
@@ -99,7 +106,8 @@ impl<A: MonotonicAlgorithm> ConvergedResult<A> {
     /// Panics if `v` is out of bounds.
     #[inline]
     pub fn parent(&self, v: VertexId) -> Option<VertexId> {
-        self.parents[v.index()]
+        let raw = self.parents[v.index()];
+        (raw != NO_PARENT).then(|| VertexId::new(raw))
     }
 
     /// Whether `v` has been reached from the source.
@@ -116,8 +124,9 @@ impl<A: MonotonicAlgorithm> ConvergedResult<A> {
     }
 
     pub(crate) fn set(&mut self, v: VertexId, state: State, parent: Option<VertexId>) {
+        debug_assert_ne!(parent, Some(VertexId::new(NO_PARENT)), "reserved id");
         self.states[v.index()] = state;
-        self.parents[v.index()] = parent;
+        self.parents[v.index()] = parent.map_or(NO_PARENT, VertexId::raw);
     }
 
     /// Installs a state and its witnessing parent directly.
@@ -140,32 +149,15 @@ impl<A: MonotonicAlgorithm> ConvergedResult<A> {
     pub fn grow(&mut self, num_vertices: usize) {
         if num_vertices > self.states.len() {
             self.states.resize(num_vertices, A::unreached());
-            self.parents.resize(num_vertices, None);
+            self.parents.resize(num_vertices, NO_PARENT);
         }
-    }
-}
-
-/// Internal priority queue keyed by algorithm rank (lower rank pops first).
-#[derive(Debug, Clone, Default)]
-pub(crate) struct Frontier {
-    heap: BinaryHeap<Reverse<(State, u32)>>,
-}
-
-impl Frontier {
-    pub(crate) fn push(&mut self, rank: State, v: VertexId) {
-        self.heap.push(Reverse((rank, v.raw())));
-    }
-
-    pub(crate) fn pop(&mut self) -> Option<(State, VertexId)> {
-        self.heap
-            .pop()
-            .map(|Reverse((rank, raw))| (rank, VertexId::new(raw)))
     }
 }
 
 /// Best-first propagation from whatever is already on `frontier`, relaxing
 /// out-edges until the frontier drains. Shared by the static solver and the
-/// incremental paths.
+/// incremental paths. Each push ranks at or above the pop that caused it
+/// ([`MonotonicAlgorithm`] property 1), as the frontier requires.
 pub(crate) fn propagate<A: MonotonicAlgorithm, G: GraphView>(
     graph: &G,
     result: &mut ConvergedResult<A>,
@@ -210,7 +202,29 @@ pub fn apply_additions<A: MonotonicAlgorithm, G: GraphView>(
     additions: &[EdgeUpdate],
     counters: &mut Counters,
 ) -> usize {
-    let mut frontier = Frontier::default();
+    apply_additions_with(
+        graph,
+        result,
+        additions,
+        &mut RepairScratch::new(),
+        counters,
+    )
+}
+
+/// [`apply_additions`] propagating through `scratch`'s frontier; reuse one
+/// scratch across calls to keep propagation allocation-free.
+///
+/// # Panics
+///
+/// Panics if an update references a vertex outside `result`.
+pub fn apply_additions_with<A: MonotonicAlgorithm, G: GraphView>(
+    graph: &G,
+    result: &mut ConvergedResult<A>,
+    additions: &[EdgeUpdate],
+    scratch: &mut RepairScratch,
+    counters: &mut Counters,
+) -> usize {
+    let frontier = &mut scratch.frontier;
     let mut valuable = 0;
     for add in additions {
         debug_assert!(add.kind().is_insert());
@@ -226,7 +240,7 @@ pub fn apply_additions<A: MonotonicAlgorithm, G: GraphView>(
             counters.updates_dropped += 1;
         }
     }
-    propagate(graph, result, &mut frontier, counters);
+    propagate(graph, result, frontier, counters);
     valuable
 }
 
@@ -295,13 +309,13 @@ impl PendingDeletions {
     }
 }
 
-/// Reusable working memory for deletion repair: tag marks, the tagged list,
-/// and the reseed frontier. Callers own one per worker (or engine) and
-/// reuse it across repairs and batches, so repair allocates nothing. Marks
-/// are epoch-stamped (`marks[v] == epoch` means tagged in the current
-/// repair), so starting a repair bumps the epoch instead of clearing. A
-/// reused scratch gives the same states, parents, and [`Counters`] as a
-/// fresh one (property-tested).
+/// Reusable working memory for deletion repair and addition propagation:
+/// tag marks, the tagged list, and the frontier. Callers own one per worker
+/// (or engine) and reuse it across updates and batches, so propagation
+/// allocates nothing once the buffers have grown. Marks are epoch-stamped
+/// (`marks[v] == epoch` means tagged in the current repair), so starting a
+/// repair bumps the epoch instead of clearing. A reused scratch gives the
+/// same states, parents, and [`Counters`] as a fresh one (property-tested).
 ///
 /// Workers keep their scratches side by side in one array and push and pop
 /// the `Vec` headers inside constantly, so each scratch gets cache lines of
@@ -517,9 +531,9 @@ pub fn apply_batch<A: MonotonicAlgorithm, G: GraphView>(
         .copied()
         .filter(|u| u.kind().is_insert())
         .collect();
-    apply_additions(graph, result, &additions, counters);
-    let pending = PendingDeletions::from_batch(batch.iter().copied());
     let mut scratch = RepairScratch::new();
+    apply_additions_with(graph, result, &additions, &mut scratch, counters);
+    let pending = PendingDeletions::from_batch(batch.iter().copied());
     for update in batch.iter().filter(|u| u.kind().is_delete()) {
         apply_deletion_with(graph, result, *update, &pending, &mut scratch, counters);
     }

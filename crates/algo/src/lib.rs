@@ -8,6 +8,8 @@
 //!   [`Viterbi`],
 //! * [`solver`] — static (from-scratch) solvers: best-first (generalized
 //!   Dijkstra) and a worklist fixpoint used for cross-validation,
+//! * [`frontier`] — the monotone radix-heap priority queue every
+//!   best-first loop pops from,
 //! * [`incremental`] — the incremental computation model of §II-A:
 //!   delta propagation for edge additions and dependence-tagged repair for
 //!   edge deletions (the Fig. 1(b) correctness hazard),
@@ -45,6 +47,7 @@ mod algorithm;
 mod algorithms;
 pub mod classify;
 mod counters;
+pub mod frontier;
 pub mod incremental;
 pub mod keypath;
 pub mod solver;
@@ -52,5 +55,6 @@ pub mod solver;
 pub use algorithm::{AlgorithmKind, MonotonicAlgorithm};
 pub use algorithms::{Ppnp, Ppsp, Ppwp, Reach, Viterbi};
 pub use counters::Counters;
+pub use frontier::Frontier;
 pub use incremental::ConvergedResult;
 pub use keypath::KeyPath;

@@ -2,12 +2,15 @@
 //!
 //! * [`best_first`] — generalized Dijkstra over the algorithm's rank order.
 //!   Valid for every [`MonotonicAlgorithm`] whose ⊕ never improves on its
-//!   input state (property-tested in `algorithms.rs`).
+//!   input state (property-tested in `algorithms.rs`). It pops vertices in
+//!   ascending `(rank, vertex id)` order from a [`crate::Frontier`], a radix
+//!   heap that relies on that same property: no push ranks below the last
+//!   pop.
 //! * [`worklist`] — Bellman-Ford-style fixpoint, slower but assumption-free;
 //!   used to cross-validate the best-first solver.
 
-use crate::incremental::{ConvergedResult, Frontier};
-use crate::{Counters, MonotonicAlgorithm};
+use crate::incremental::ConvergedResult;
+use crate::{Counters, Frontier, MonotonicAlgorithm};
 use cisgraph_graph::GraphView;
 use cisgraph_types::VertexId;
 use std::collections::VecDeque;
@@ -42,7 +45,9 @@ pub fn best_first<A: MonotonicAlgorithm, G: GraphView>(
     counters: &mut Counters,
 ) -> ConvergedResult<A> {
     let mut result = ConvergedResult::fresh(graph.num_vertices(), source);
-    let mut frontier = Frontier::default();
+    // A solve owns its frontier, so the buckets a full solve grows are
+    // freed with it rather than kept by the thread.
+    let mut frontier = Frontier::new();
     frontier.push(A::rank(result.state(source)), source);
     crate::incremental::propagate(graph, &mut result, &mut frontier, counters);
     result

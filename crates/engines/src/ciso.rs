@@ -1,5 +1,6 @@
 //! CISGraph-O: the contribution-aware software workflow (§III-A).
 
+use crate::engine::EngineObs;
 use crate::{BatchReport, StreamingEngine};
 use cisgraph_algo::classify::{
     classify_addition, classify_deletion_dependence, ClassificationSummary,
@@ -86,7 +87,7 @@ pub(crate) fn run_workflow<A: MonotonicAlgorithm>(
             counters.updates_dropped += 1;
         }
     }
-    incremental::apply_additions(graph, result, &valuable_additions, &mut counters);
+    incremental::apply_additions_with(graph, result, &valuable_additions, scratch, &mut counters);
     excluded += boundary(result);
 
     // Dependence links of every deletion in the batch: required by repair
@@ -239,6 +240,8 @@ impl<A: MonotonicAlgorithm> CisGraphO<A> {
     }
 }
 
+static OBS: EngineObs = EngineObs::new("CISGraph-O");
+
 impl<A: MonotonicAlgorithm> StreamingEngine<A> for CisGraphO<A> {
     fn name(&self) -> &'static str {
         "CISGraph-O"
@@ -271,7 +274,7 @@ impl<A: MonotonicAlgorithm> StreamingEngine<A> for CisGraphO<A> {
         report.addition_activations = changed(before_adds, after_adds);
         report.deletion_activations = changed(after_adds, at_response);
         report.drain_activations = changed(at_response, result.states());
-        crate::engine::obs_record_batch(self.name(), &report);
+        OBS.record(&report);
         report
     }
 

@@ -1,5 +1,6 @@
 //! The Cold-Start (CS) baseline.
 
+use crate::engine::EngineObs;
 use crate::{BatchReport, StreamingEngine};
 use cisgraph_algo::{solver, Counters, MonotonicAlgorithm};
 use cisgraph_graph::DynamicGraph;
@@ -54,6 +55,8 @@ impl<A: MonotonicAlgorithm> ColdStart<A> {
     }
 }
 
+static OBS: EngineObs = EngineObs::new("CS");
+
 impl<A: MonotonicAlgorithm> StreamingEngine<A> for ColdStart<A> {
     fn name(&self) -> &'static str {
         "CS"
@@ -73,7 +76,7 @@ impl<A: MonotonicAlgorithm> StreamingEngine<A> for ColdStart<A> {
         report.response_time = elapsed;
         report.total_time = elapsed;
         report.counters = counters;
-        crate::engine::obs_record_batch(self.name(), &report);
+        OBS.record(&report);
         report
     }
 

@@ -6,6 +6,7 @@ use cisgraph_graph::DynamicGraph;
 use cisgraph_obs::{Counter, Histogram};
 use cisgraph_types::{EdgeUpdate, State};
 use serde::Serialize;
+use std::sync::OnceLock;
 use std::time::Duration;
 
 /// What one engine did for one batch: the paper's per-batch record.
@@ -87,10 +88,18 @@ impl BatchReport {
 }
 
 /// One engine's metric handles in the global [`cisgraph_obs`] sink
-/// (`engine.<name>.*`), resolved once so recording a batch formats no
-/// name and looks none up.
+/// (`engine.<name>.*`). Each engine keeps one in a `static`; the handles
+/// are resolved on the first batch recorded while the sink is enabled, so
+/// recording never formats or looks up a name after that, and a process
+/// that never enables the sink registers nothing.
 #[derive(Debug)]
 pub(crate) struct EngineObs {
+    name: &'static str,
+    handles: OnceLock<EngineHandles>,
+}
+
+#[derive(Debug)]
+struct EngineHandles {
     batches: &'static Counter,
     computations: &'static Counter,
     updates_dropped: &'static Counter,
@@ -100,9 +109,9 @@ pub(crate) struct EngineObs {
     class: [&'static Counter; 5],
 }
 
-impl EngineObs {
+impl EngineHandles {
     /// Resolves (registering on first use) the handles of engine `name`.
-    pub(crate) fn new(name: &str) -> Self {
+    fn resolve(name: &str) -> Self {
         let counter = |metric: &str| cisgraph_obs::counter(&format!("engine.{name}.{metric}"));
         let histogram = |metric: &str| cisgraph_obs::histogram(&format!("engine.{name}.{metric}"));
         Self {
@@ -121,17 +130,33 @@ impl EngineObs {
             .map(|outcome| counter(&format!("class.{outcome}"))),
         }
     }
+}
+
+impl EngineObs {
+    /// The handles of engine `name`, unresolved.
+    pub(crate) const fn new(name: &'static str) -> Self {
+        Self {
+            name,
+            handles: OnceLock::new(),
+        }
+    }
 
     /// Records one batch: the batch/computation/drop counters, the
     /// response and total-time histograms, and — for classifying engines —
-    /// the Algorithm 1 outcome counters. Every handle is a no-op while the
-    /// sink is disabled.
+    /// the Algorithm 1 outcome counters. One relaxed load while the sink is
+    /// disabled.
     pub(crate) fn record(&self, report: &BatchReport) {
-        self.batches.inc();
-        self.computations.add(report.counters.computations);
-        self.updates_dropped.add(report.counters.updates_dropped);
-        self.response.record_duration(report.response_time);
-        self.total.record_duration(report.total_time);
+        if !cisgraph_obs::enabled() {
+            return;
+        }
+        let h = self
+            .handles
+            .get_or_init(|| EngineHandles::resolve(self.name));
+        h.batches.inc();
+        h.computations.add(report.counters.computations);
+        h.updates_dropped.add(report.counters.updates_dropped);
+        h.response.record_duration(report.response_time);
+        h.total.record_duration(report.total_time);
         if let Some(c) = &report.classification {
             let counts = [
                 c.valuable_additions,
@@ -140,22 +165,10 @@ impl EngineObs {
                 c.delayed_deletions,
                 c.useless_deletions,
             ];
-            for (counter, n) in self.class.iter().zip(counts) {
+            for (counter, n) in h.class.iter().zip(counts) {
                 counter.add(n as u64);
             }
         }
-    }
-}
-
-/// Records one engine's per-batch outcome into the global
-/// [`cisgraph_obs`] sink through [`EngineObs`]. One relaxed load when the
-/// sink is disabled.
-///
-/// Every [`StreamingEngine::process_batch`] implementation calls this on
-/// its way out, so the whole engine zoo is attributable with one switch.
-pub(crate) fn obs_record_batch(name: &str, report: &BatchReport) {
-    if cisgraph_obs::enabled() {
-        EngineObs::new(name).record(report);
     }
 }
 

@@ -16,6 +16,7 @@
 //! claim groups one at a time (see [`MultiQuery::with_workers`]).
 
 use crate::ciso::run_workflow;
+use crate::engine::EngineObs;
 use crate::BatchReport;
 use cisgraph_algo::incremental::{PendingDeletions, RepairScratch};
 use cisgraph_algo::{solver, ConvergedResult, Counters, MonotonicAlgorithm};
@@ -110,6 +111,10 @@ fn claim<T: Send, W: Send, R: Send>(
     results.sort_unstable_by_key(|&(i, _)| i);
     (results.into_iter().map(|(_, r)| r).collect(), loads)
 }
+
+/// `engine.MultiQuery.*`: recorded once per [`MultiQuery::process_batch`]
+/// and once per served batch by [`crate::QueryServer`].
+pub(crate) static OBS: EngineObs = EngineObs::new("MultiQuery");
 
 /// A set of standing pairwise queries answered together over one update
 /// stream.
@@ -316,7 +321,7 @@ impl<A: MonotonicAlgorithm> MultiQuery<A> {
         for group_report in &per_group {
             report.accumulate(group_report);
         }
-        crate::engine::obs_record_batch("MultiQuery", &report);
+        OBS.record(&report);
         report
     }
 }

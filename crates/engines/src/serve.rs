@@ -35,7 +35,6 @@
 //! background worker), so a crashed server recovers to a consistent prefix
 //! of the acknowledged stream (see `docs/persistence.md`).
 
-use crate::engine::EngineObs;
 use crate::multi::WorkerLoad;
 use crate::{BatchReport, MultiQuery};
 use cisgraph_algo::MonotonicAlgorithm;
@@ -174,8 +173,6 @@ struct ServeObs {
     checkpoint_failures: &'static Counter,
     fanout: &'static Histogram,
     response: &'static Histogram,
-    /// `engine.MultiQuery.*`, recorded once per batch from the merged work.
-    engine: EngineObs,
     /// `serve.worker.<i>`, one per worker slot.
     worker_spans: Vec<String>,
     /// `serve.worker.<i>.groups` and `serve.worker.<i>.busy_ns`.
@@ -190,7 +187,6 @@ impl ServeObs {
             checkpoint_failures: cisgraph_obs::counter("serve.checkpoint_failures"),
             fanout: cisgraph_obs::histogram("serve.fanout_ns"),
             response: cisgraph_obs::histogram("serve.response_ns"),
-            engine: EngineObs::new("MultiQuery"),
             worker_spans: (0..workers).map(|i| format!("serve.worker.{i}")).collect(),
             workers: (0..workers)
                 .map(|i| {
@@ -358,7 +354,7 @@ impl<A: MonotonicAlgorithm> QueryServer<A> {
         for r in reports {
             obs.response.record_duration(r.response_time);
         }
-        obs.engine.record(&report.work);
+        crate::multi::OBS.record(&report.work);
         for (load, (groups, busy)) in loads.iter().zip(&obs.workers) {
             groups.set(load.groups as u64);
             busy.record_duration(load.busy);

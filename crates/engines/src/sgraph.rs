@@ -21,14 +21,13 @@
 //!   `state(u) + LB(u, d) >= UB` with
 //!   `LB(u, d) = max_h max(to[h][u] - to[h][d], from[h][d] - from[h][u], 0)`.
 
+use crate::engine::EngineObs;
 use crate::{BatchReport, StreamingEngine};
 use cisgraph_algo::{
-    incremental, solver, AlgorithmKind, ConvergedResult, Counters, MonotonicAlgorithm,
+    incremental, solver, AlgorithmKind, ConvergedResult, Counters, Frontier, MonotonicAlgorithm,
 };
 use cisgraph_graph::{degree_stats, DynamicGraph, GraphView, ReversedView};
 use cisgraph_types::{EdgeUpdate, PairQuery, State, UpdateKind, VertexId};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::time::Instant;
 
 /// Configuration of the SGraph baseline.
@@ -148,14 +147,20 @@ impl<A: MonotonicAlgorithm> SGraph<A> {
         let scratch = &mut self.scratch;
         for result in &mut self.from {
             result.grow(graph.num_vertices());
-            incremental::apply_additions(graph, result, &additions, counters);
+            incremental::apply_additions_with(graph, result, &additions, scratch, counters);
             for &del in &deletions {
                 incremental::apply_deletion_with(graph, result, del, &pending, scratch, counters);
             }
         }
         for result in &mut self.to {
             result.grow(graph.num_vertices());
-            incremental::apply_additions(&reversed, result, &reversed_additions, counters);
+            incremental::apply_additions_with(
+                &reversed,
+                result,
+                &reversed_additions,
+                scratch,
+                counters,
+            );
             for &del in &reversed_deletions {
                 incremental::apply_deletion_with(
                     &reversed,
@@ -201,16 +206,17 @@ impl<A: MonotonicAlgorithm> SGraph<A> {
         lb
     }
 
-    /// Bound-pruned best-first query evaluation.
+    /// Bound-pruned best-first query evaluation. Pruning only drops
+    /// pushes, so every push still ranks at or above the pop that caused
+    /// it, as the frontier requires.
     fn pruned_query(&self, graph: &DynamicGraph, counters: &mut Counters) -> State {
         let (s, d) = (self.query.source(), self.query.destination());
         let mut result = ConvergedResult::<A>::fresh(graph.num_vertices(), s);
         let mut bound = self.hub_upper_bound();
         let use_lb = A::KIND == AlgorithmKind::Ppsp;
-        let mut heap: BinaryHeap<Reverse<(State, u32)>> = BinaryHeap::new();
-        heap.push(Reverse((A::rank(result.state(s)), s.raw())));
-        while let Some(Reverse((rank, raw))) = heap.pop() {
-            let u = VertexId::new(raw);
+        let mut frontier = Frontier::new();
+        frontier.push(A::rank(result.state(s)), s);
+        while let Some((rank, u)) = frontier.pop() {
             if rank != A::rank(result.state(u)) {
                 continue;
             }
@@ -244,13 +250,15 @@ impl<A: MonotonicAlgorithm> SGraph<A> {
                     if v == d {
                         bound = A::select(candidate, bound);
                     }
-                    heap.push(Reverse((A::rank(candidate), v.raw())));
+                    frontier.push(A::rank(candidate), v);
                 }
             }
         }
         result.state(d)
     }
 }
+
+static OBS: EngineObs = EngineObs::new("SGraph");
 
 impl<A: MonotonicAlgorithm> StreamingEngine<A> for SGraph<A> {
     fn name(&self) -> &'static str {
@@ -275,7 +283,7 @@ impl<A: MonotonicAlgorithm> StreamingEngine<A> for SGraph<A> {
         report.response_time = query_start.elapsed();
         report.total_time = start.elapsed();
         report.counters = counters;
-        crate::engine::obs_record_batch(self.name(), &report);
+        OBS.record(&report);
         report
     }
 
