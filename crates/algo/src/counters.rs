@@ -11,6 +11,9 @@ use std::ops::AddAssign;
 ///   activated several times). This is the metric of Fig. 2 / Fig. 5(b).
 /// * `updates_processed` / `updates_dropped` — how many batch updates were
 ///   propagated vs. discarded as useless.
+/// * `resets` / `fallback_solves` — vertices reset by deletion repair, and
+///   repairs whose dependence subtree grew so large that the result was
+///   re-solved from the source instead (see [`crate::incremental`]).
 ///
 /// # Examples
 ///
@@ -37,6 +40,8 @@ pub struct Counters {
     /// Vertices reset during deletion repair (the tagging overhead the
     /// paper attributes to prior work, §II-A).
     pub resets: u64,
+    /// Deletion repairs replaced by an in-place solve from the source.
+    pub fallback_solves: u64,
 }
 
 impl Counters {
@@ -58,6 +63,7 @@ impl AddAssign for Counters {
         self.updates_processed += rhs.updates_processed;
         self.updates_dropped += rhs.updates_dropped;
         self.resets += rhs.resets;
+        self.fallback_solves += rhs.fallback_solves;
     }
 }
 
@@ -73,6 +79,7 @@ mod tests {
             updates_processed: 3,
             updates_dropped: 4,
             resets: 5,
+            fallback_solves: 6,
         };
         a += a;
         assert_eq!(a.computations, 2);
@@ -80,6 +87,7 @@ mod tests {
         assert_eq!(a.updates_processed, 6);
         assert_eq!(a.updates_dropped, 8);
         assert_eq!(a.resets, 10);
+        assert_eq!(a.fallback_solves, 12);
     }
 
     #[test]

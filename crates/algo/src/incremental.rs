@@ -9,6 +9,30 @@
 //! here follows the KickStarter/GraphFly recipe: tag the dependence subtree
 //! via parent pointers, reset it, then re-relax from the untouched frontier.
 //!
+//! # Cost-bounded repair
+//!
+//! Repair work grows with the tagged subtree: every tagged vertex rescans its
+//! in-edges and then propagates. A subtree holding most of the graph costs
+//! about twice a solve from scratch. So the tag walk stops once more than a
+//! quarter of the result's vertices are tagged (`FALLBACK_DIVISOR`), and the
+//! result is re-solved in place instead: every state reset to unreached, the
+//! source seeded, and best-first propagation over `graph`. That solve reuses
+//! the result's buffers and the scratch's frontier. [`Counters`] counts it in
+//! `fallback_solves`, its relaxations and activations, and one reset per
+//! vertex.
+//!
+//! *Soundness.* `graph` is the post-batch topology, so the solve leaves the
+//! batch's final states, with every parent riding an edge that survives the
+//! batch. A deletion `u -> v` of the same batch processed later (preempted
+//! or drained) then fails the `parent(v) == u` test, unless a parallel
+//! `u -> v` edge survives, which the witness search or a further repair
+//! handles. Early answers therefore stay exact.
+//!
+//! *Ties.* A fresh solve breaks ties between equal candidates by pop order,
+//! which a repair need not match, so its parents (and with them key paths,
+//! later classifications and work counts) can differ from a pure repair's.
+//! States cannot.
+//!
 //! All propagation here is best-first through one [`Frontier`], which pops
 //! in ascending `(rank, vertex id)` order and requires every push made
 //! while propagating to rank at or above the last pop (see
@@ -21,6 +45,10 @@ use std::marker::PhantomData;
 
 /// The parent slot of a vertex with no witnessing parent.
 const NO_PARENT: u32 = u32::MAX;
+
+/// A deletion repair that tags more than `num_vertices / FALLBACK_DIVISOR`
+/// vertices re-solves the result instead (see the module docs).
+const FALLBACK_DIVISOR: usize = 4;
 
 /// A converged one-source result: per-vertex states plus the parent pointers
 /// that witnessed them.
@@ -359,12 +387,15 @@ impl RepairScratch {
 
 /// The repair core of [`apply_deletion_with`]: closes the roots tagged in
 /// `scratch` over the dependence forest, resets the closure, reseeds each
-/// tagged vertex from its in-neighbors, and re-converges.
+/// tagged vertex from its in-neighbors, and re-converges. Once more than
+/// `limit` vertices are tagged, the walk stops and the result is re-solved
+/// in place instead (see the [module docs](self)).
 fn repair_tagged<A: MonotonicAlgorithm, G: GraphView>(
     graph: &G,
     result: &mut ConvergedResult<A>,
     pending: &PendingDeletions,
     scratch: &mut RepairScratch,
+    limit: usize,
     counters: &mut Counters,
 ) {
     // Tag every vertex whose parent chain reaches a root. Parent pointers
@@ -372,6 +403,10 @@ fn repair_tagged<A: MonotonicAlgorithm, G: GraphView>(
     // pending deleted-edge links.
     let mut cursor = 0;
     while let Some(&x) = scratch.tagged.get(cursor) {
+        if scratch.tagged.len() > limit {
+            solve_in_place(graph, result, &mut scratch.frontier, counters);
+            return;
+        }
         cursor += 1;
         let out = graph.out_edges(x).iter().map(|e| e.to());
         for y in out.chain(pending.children_of(x).iter().copied()) {
@@ -408,6 +443,25 @@ fn repair_tagged<A: MonotonicAlgorithm, G: GraphView>(
     propagate(graph, result, &mut scratch.frontier, counters);
 }
 
+/// Re-solves `result` from its source over `graph`, reusing its buffers and
+/// `frontier`: the repair fallback. Pops in the same order as
+/// [`crate::solver::best_first`], so it leaves the same states and parents.
+fn solve_in_place<A: MonotonicAlgorithm, G: GraphView>(
+    graph: &G,
+    result: &mut ConvergedResult<A>,
+    frontier: &mut Frontier,
+    counters: &mut Counters,
+) {
+    result.states.fill(A::unreached());
+    result.parents.fill(NO_PARENT);
+    let source = result.source;
+    result.states[source.index()] = A::source_state();
+    counters.resets += result.num_vertices() as u64;
+    counters.fallback_solves += 1;
+    frontier.push(A::rank(A::source_state()), source);
+    propagate(graph, result, frontier, counters);
+}
+
 /// Applies one edge *deletion* incrementally, with the batch's pending
 /// dependence links.
 ///
@@ -420,6 +474,10 @@ fn repair_tagged<A: MonotonicAlgorithm, G: GraphView>(
 /// still uses the paper's state test, which provably flags every deletion
 /// whose parent check can fire, because parents only ever change through
 /// edges present in the post-batch topology.
+///
+/// A repair that would reset more than a quarter of `result` re-solves it
+/// from the source instead; the [module docs](self) give the bound and why
+/// it keeps answers exact.
 ///
 /// `scratch` is working memory only; reuse one across calls to keep repair
 /// allocation-free.
@@ -440,6 +498,21 @@ pub fn apply_deletion_with<A: MonotonicAlgorithm, G: GraphView>(
     scratch: &mut RepairScratch,
     counters: &mut Counters,
 ) -> bool {
+    let limit = result.num_vertices() / FALLBACK_DIVISOR;
+    apply_deletion_limited(graph, result, deletion, pending, scratch, limit, counters)
+}
+
+/// [`apply_deletion_with`] with the repair's tag `limit` given: past it the
+/// result is re-solved in place. Tests drive both extremes through it.
+fn apply_deletion_limited<A: MonotonicAlgorithm, G: GraphView>(
+    graph: &G,
+    result: &mut ConvergedResult<A>,
+    deletion: EdgeUpdate,
+    pending: &PendingDeletions,
+    scratch: &mut RepairScratch,
+    limit: usize,
+    counters: &mut Counters,
+) -> bool {
     debug_assert!(deletion.kind().is_delete());
     let (u, v) = (deletion.src(), deletion.dst());
     counters.computations += 1;
@@ -458,7 +531,7 @@ pub fn apply_deletion_with<A: MonotonicAlgorithm, G: GraphView>(
 
     scratch.begin(result.num_vertices());
     scratch.tag(v);
-    repair_tagged(graph, result, pending, scratch, counters);
+    repair_tagged(graph, result, pending, scratch, limit, counters);
     true
 }
 
@@ -543,9 +616,11 @@ pub fn apply_batch<A: MonotonicAlgorithm, G: GraphView>(
 mod tests {
     use super::*;
     use crate::solver::best_first;
-    use crate::{Ppsp, Reach};
+    use crate::{Ppnp, Ppsp, Ppwp, Reach, Viterbi};
+    use cisgraph_datasets::{erdos_renyi, weights::WeightDistribution, StreamConfig};
     use cisgraph_graph::DynamicGraph;
     use cisgraph_types::Weight;
+    use proptest::prelude::*;
 
     fn w(x: f64) -> Weight {
         Weight::new(x).unwrap()
@@ -780,6 +855,103 @@ mod tests {
         assert!(!r.is_reached(v(2)));
         assert!(!r.is_reached(v(3)));
         assert!(c.resets >= 3);
+    }
+
+    /// Streams random batches (additions, then deletions of live edges)
+    /// through [`apply_additions_with`] and [`apply_deletion_limited`] at
+    /// tag `limit`, one scratch throughout. After every batch the states
+    /// must equal a cold solve, and every parent must be a genuine witness:
+    /// only reached vertices have one, it witnesses the state over a
+    /// surviving edge, and the parent chain leads to the source. Returns
+    /// the stream's summed counters.
+    fn stream_at_limit<A: MonotonicAlgorithm>(
+        seed: u64,
+        n: usize,
+        limit: usize,
+    ) -> Result<Counters, TestCaseError> {
+        let edges = erdos_renyi::generate(n, 4 * n, WeightDistribution::paper_default(), seed);
+        let mut stream = StreamConfig::paper_default()
+            .with_batch_size(n / 4, n / 2)
+            .build(edges, seed + 1);
+        let mut g = DynamicGraph::from_edges(n, stream.initial_edges().iter().copied());
+        let source = VertexId::from_index(seed as usize % n);
+        let mut r = best_first::<A, _>(&g, source, &mut Counters::new());
+        let mut scratch = RepairScratch::new();
+        let mut total = Counters::new();
+        for round in 0.. {
+            let Some(batch) = stream.next_batch() else {
+                break;
+            };
+            g.apply_batch(&batch).unwrap();
+            let (adds, dels): (Vec<_>, Vec<_>) = batch.iter().partition(|u| u.kind().is_insert());
+            apply_additions_with(&g, &mut r, &adds, &mut scratch, &mut total);
+            let pending = PendingDeletions::from_batch(dels.iter().copied());
+            for &del in &dels {
+                apply_deletion_limited(&g, &mut r, del, &pending, &mut scratch, limit, &mut total);
+            }
+            let cold = best_first::<A, _>(&g, source, &mut Counters::new());
+            let context = format!("{} seed {seed} n {n} limit {limit} round {round}", A::NAME);
+            prop_assert_eq!(r.states(), cold.states(), "{}", context);
+            for i in 0..n {
+                let x = VertexId::from_index(i);
+                let genuine = match r.parent(x) {
+                    None => x == source || !r.is_reached(x),
+                    Some(p) => {
+                        let chain = std::iter::successors(Some(x), |&y| r.parent(y));
+                        r.is_reached(x)
+                            && g.out_edges(p).iter().any(|e| {
+                                e.to() == x && A::combine(r.state(p), e.weight()) == r.state(x)
+                            })
+                            && chain.take(n + 1).last() == Some(source)
+                    }
+                };
+                prop_assert!(genuine, "v{} has no genuine witness, {}", i, context);
+            }
+        }
+        Ok(total)
+    }
+
+    /// [`stream_at_limit`] for all five algorithms.
+    fn streams_at_limit(seed: u64, n: usize, limit: usize) -> Result<[Counters; 5], TestCaseError> {
+        Ok([
+            stream_at_limit::<Ppsp>(seed, n, limit)?,
+            stream_at_limit::<Ppwp>(seed, n, limit)?,
+            stream_at_limit::<Ppnp>(seed, n, limit)?,
+            stream_at_limit::<Viterbi>(seed, n, limit)?,
+            stream_at_limit::<Reach>(seed, n, limit)?,
+        ])
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Limit 0: every repair that reaches the tag walk re-solves in
+        /// place, so each reset is one whole solve's.
+        #[test]
+        fn every_repair_falling_back_stays_exact(seed in 0u64..1 << 32, n in 8usize..48) {
+            for c in streams_at_limit(seed, n, 0)? {
+                prop_assert_eq!(c.resets, c.fallback_solves * n as u64);
+            }
+        }
+
+        /// No limit: the pure dependence-tagged repair never falls back.
+        #[test]
+        fn unbounded_repair_stays_exact(seed in 0u64..1 << 32, n in 8usize..48) {
+            for c in streams_at_limit(seed, n, usize::MAX)? {
+                prop_assert_eq!(c.fallback_solves, 0);
+            }
+        }
+    }
+
+    /// Streams at limit 0 do fall back, so the property above is not
+    /// vacuous.
+    #[test]
+    fn limit_zero_falls_back() {
+        let fallbacks: u64 = (0..4)
+            .flat_map(|seed| streams_at_limit(seed, 32, 0).unwrap())
+            .map(|c| c.fallback_solves)
+            .sum();
+        assert!(fallbacks > 0);
     }
 
     #[test]

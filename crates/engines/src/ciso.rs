@@ -397,30 +397,33 @@ mod tests {
     }
 
     /// Runs the workflow for one group and returns every destination's
-    /// state as the `boundary` callback sees it at the response.
+    /// state as the `boundary` callback sees it at the response, with the
+    /// batch's count of repairs that fell back to a solve.
     fn states_at_response<A: MonotonicAlgorithm>(
         result: &mut ConvergedResult<A>,
         queries: &[PairQuery],
         graph: &DynamicGraph,
         batch: &[EdgeUpdate],
-    ) -> Vec<State> {
+    ) -> (Vec<State>, u64) {
         let mut boundaries = 0;
         let mut early = Vec::new();
         let mut scratch = RepairScratch::new();
-        run_workflow(result, queries, graph, batch, None, &mut scratch, |r| {
+        let report = run_workflow(result, queries, graph, batch, None, &mut scratch, |r| {
             boundaries += 1;
             if boundaries == 2 {
                 early = queries.iter().map(|q| r.state(q.destination())).collect();
             }
             Duration::ZERO
         });
-        early
+        (early, report.counters.fallback_solves)
     }
 
     /// Groups of 2-4 destinations over random mixed streams: at the
     /// response, every destination already holds its cold-solve state.
-    fn check_early_response_per_destination<A: MonotonicAlgorithm>() {
+    /// Returns how many repairs fell back to a solve.
+    fn check_early_response_per_destination<A: MonotonicAlgorithm>() -> u64 {
         use cisgraph_datasets::{erdos_renyi, weights::WeightDistribution, StreamConfig};
+        let mut fallbacks = 0;
         for seed in 0..6u64 {
             let edges = erdos_renyi::generate(80, 560, WeightDistribution::paper_default(), seed);
             let mut workload = StreamConfig::paper_default()
@@ -441,7 +444,8 @@ mod tests {
                     break;
                 };
                 g.apply_batch(&batch).unwrap();
-                let early = states_at_response(&mut result, &queries, &g, &batch);
+                let (early, fell_back) = states_at_response(&mut result, &queries, &g, &batch);
+                fallbacks += fell_back;
                 let cold = solver::best_first::<A, _>(&g, source, &mut Counters::new());
                 assert_eq!(early.len(), queries.len(), "no response boundary");
                 for (q, &state) in queries.iter().zip(&early) {
@@ -454,16 +458,18 @@ mod tests {
                 }
             }
         }
+        fallbacks
     }
 
     #[test]
     fn early_response_is_exact_for_every_destination() {
         use cisgraph_algo::{Ppnp, Ppwp, Viterbi};
-        check_early_response_per_destination::<Ppsp>();
-        check_early_response_per_destination::<Ppwp>();
-        check_early_response_per_destination::<Ppnp>();
-        check_early_response_per_destination::<Viterbi>();
-        check_early_response_per_destination::<Reach>();
+        let fallbacks = check_early_response_per_destination::<Ppsp>()
+            + check_early_response_per_destination::<Ppwp>()
+            + check_early_response_per_destination::<Ppnp>()
+            + check_early_response_per_destination::<Viterbi>()
+            + check_early_response_per_destination::<Reach>();
+        assert!(fallbacks > 0, "no repair fell back to a solve");
     }
 
     #[test]

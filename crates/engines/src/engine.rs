@@ -103,6 +103,7 @@ struct EngineHandles {
     batches: &'static Counter,
     computations: &'static Counter,
     updates_dropped: &'static Counter,
+    fallback_solves: &'static Counter,
     response: &'static Histogram,
     total: &'static Histogram,
     /// `class.<outcome>`, in [`ClassificationSummary`] field order.
@@ -118,6 +119,7 @@ impl EngineHandles {
             batches: counter("batches"),
             computations: counter("computations"),
             updates_dropped: counter("updates_dropped"),
+            fallback_solves: counter("fallback_solves"),
             response: histogram("response_ns"),
             total: histogram("total_ns"),
             class: [
@@ -141,7 +143,7 @@ impl EngineObs {
         }
     }
 
-    /// Records one batch: the batch/computation/drop counters, the
+    /// Records one batch: the batch/computation/drop/fallback counters, the
     /// response and total-time histograms, and — for classifying engines —
     /// the Algorithm 1 outcome counters. One relaxed load while the sink is
     /// disabled.
@@ -155,6 +157,7 @@ impl EngineObs {
         h.batches.inc();
         h.computations.add(report.counters.computations);
         h.updates_dropped.add(report.counters.updates_dropped);
+        h.fallback_solves.add(report.counters.fallback_solves);
         h.response.record_duration(report.response_time);
         h.total.record_duration(report.total_time);
         if let Some(c) = &report.classification {

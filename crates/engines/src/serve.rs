@@ -516,6 +516,14 @@ mod tests {
     fn work_counters_are_identical_across_thread_counts() {
         for (s, scenario) in SCENARIOS.into_iter().enumerate() {
             let (_, baseline) = serve_scenario(scenario, 1);
+            let fallbacks: u64 = baseline
+                .iter()
+                .map(|r| r.work.counters.fallback_solves)
+                .sum();
+            assert!(
+                fallbacks > 0,
+                "scenario {s}: no repair fell back to a solve"
+            );
             for threads in THREAD_COUNTS {
                 let (_, parallel) = serve_scenario(scenario, threads);
                 assert_eq!(baseline.len(), parallel.len());

@@ -105,15 +105,18 @@ fn engine_metrics_are_recorded_once_per_served_batch() {
 
     let mut server = QueryServer::<Ppsp>::new(graph, &queries, &ServeConfig::with_threads(3));
     let (batches_before, computations_before) = (counter("batches"), counter("computations"));
+    let fallbacks_before = counter("fallback_solves");
     let class_before = class_counters();
 
     let mut groups = 0;
     let mut computations = 0;
+    let mut fallbacks = 0;
     let mut class = ClassificationSummary::default();
     for batch in &batches {
         let report = server.process_batch(batch).expect("consistent workload");
         groups += report.groups;
         computations += report.work.counters.computations;
+        fallbacks += report.work.counters.fallback_solves;
         class += report.work.classification.expect("groups classify");
     }
 
@@ -124,6 +127,7 @@ fn engine_metrics_are_recorded_once_per_served_batch() {
         "one record per batch, not per group"
     );
     assert_eq!(counter("computations") - computations_before, computations);
+    assert_eq!(counter("fallback_solves") - fallbacks_before, fallbacks);
     let recorded: Vec<u64> = class_counters()
         .iter()
         .zip(class_before)
