@@ -14,6 +14,18 @@
 //! lowest non-empty bucket, so each entry moves down at most 64 times over
 //! its life instead of sifting through a binary heap on every push and pop.
 //!
+//! # Tie runs
+//!
+//! The entries that a refill lands on the new floor all share one rank. With
+//! integer weights (PPSP) such a run often holds hundreds of ids, so the
+//! refill collects them in a `Vec` and sorts it once, descending, and pops
+//! take its last element. Pushes made *at* the floor while propagating
+//! (Reach, where every push does; PPWP, PPNP and Viterbi ties) go to a
+//! small binary heap of ids instead: sending them into the sorted run would
+//! cost an insertion each, O(V²) for Reach. Both hold ids of the floor's
+//! rank only, so a pop takes the smaller of the run's last id and the heap's
+//! top, and the `(rank, id)` pop order is the single-heap order above.
+//!
 //! # Monotonicity precondition
 //!
 //! A radix heap can only accept keys at or above the last popped key. The
@@ -61,7 +73,10 @@ pub struct Frontier {
     /// Key of the last pop, reset to 0 by a push into an empty frontier;
     /// every queued key is at least this.
     floor: u64,
-    /// Ids queued with key == `floor`, smallest id first.
+    /// Ids a refill queued with key == `floor`, sorted descending (the next
+    /// pop is the last).
+    run: Vec<u32>,
+    /// Ids pushed with key == `floor` since the refill, smallest id first.
     ties: BinaryHeap<Reverse<u32>>,
     /// `buckets[b]` holds `(key, id)` entries whose key first differs from
     /// `floor` at bit `b` (counting from the least significant bit).
@@ -81,6 +96,7 @@ impl Frontier {
     pub fn new() -> Self {
         Self {
             floor: 0,
+            run: Vec::new(),
             ties: BinaryHeap::new(),
             buckets: std::array::from_fn(|_| Vec::new()),
             occupied: 0,
@@ -90,7 +106,7 @@ impl Frontier {
     /// Whether nothing is queued.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.ties.is_empty() && self.occupied == 0
+        self.run.is_empty() && self.ties.is_empty() && self.occupied == 0
     }
 
     /// Queues `v` at `rank`. Unless the frontier is empty, `rank` must be at
@@ -112,32 +128,43 @@ impl Frontier {
     /// Pops the entry of least rank, the lowest vertex id among equal ranks.
     #[inline]
     pub fn pop(&mut self) -> Option<(State, VertexId)> {
-        if self.ties.is_empty() {
-            if self.occupied == 0 {
-                return None;
+        let id = match (self.run.last(), self.ties.peek()) {
+            (Some(&r), Some(&Reverse(t))) if t < r => self.ties.pop().map(|Reverse(t)| t),
+            (Some(_), _) => self.run.pop(),
+            (None, Some(_)) => self.ties.pop().map(|Reverse(t)| t),
+            (None, None) => {
+                if self.occupied == 0 {
+                    return None;
+                }
+                self.refill();
+                self.run.pop()
             }
-            self.refill();
-        }
-        let Reverse(id) = self.ties.pop()?;
+        }?;
         Some((rank_of(self.floor), VertexId::new(id)))
     }
 
     #[inline]
     fn insert(&mut self, key: u64, id: u32) {
-        let diff = key ^ self.floor;
-        if diff == 0 {
+        if key == self.floor {
             self.ties.push(Reverse(id));
         } else {
-            let b = 63 - diff.leading_zeros() as usize;
-            self.buckets[b].push((key, id));
-            self.occupied |= 1 << b;
+            self.bucket_insert(key, id);
         }
+    }
+
+    /// Queues a key above the floor in the bucket of its highest differing
+    /// bit.
+    #[inline]
+    fn bucket_insert(&mut self, key: u64, id: u32) {
+        let b = 63 - (key ^ self.floor).leading_zeros() as usize;
+        self.buckets[b].push((key, id));
+        self.occupied |= 1 << b;
     }
 
     /// Raises the floor to the least key of the lowest non-empty bucket and
     /// redistributes that bucket: its entries agree with one another above
-    /// bit `b`, so relative to the new floor each lands in `ties` or in a
-    /// bucket below `b`.
+    /// bit `b`, so relative to the new floor each lands in the tie run or in
+    /// a bucket below `b`. Called only with the run and the heap empty.
     fn refill(&mut self) {
         let b = self.occupied.trailing_zeros() as usize;
         let mut bucket = std::mem::take(&mut self.buckets[b]);
@@ -148,8 +175,13 @@ impl Frontier {
             .expect("occupied buckets are non-empty");
         self.occupied &= !(1 << b);
         for &(key, id) in &bucket {
-            self.insert(key, id);
+            if key == self.floor {
+                self.run.push(id);
+            } else {
+                self.bucket_insert(key, id);
+            }
         }
+        self.run.sort_unstable_by(|a, b| b.cmp(a));
         // Hand the emptied buffer back so its capacity is reused.
         bucket.clear();
         self.buckets[b] = bucket;

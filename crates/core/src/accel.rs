@@ -2,7 +2,7 @@
 //! batch orchestration.
 
 use crate::image::LiveImage;
-use crate::prop::Propagator;
+use crate::prop::{PropBuffers, Propagator};
 use crate::{AccelReport, AcceleratorConfig, CsrImage, MemoryLayout};
 use cisgraph_algo::classify::{
     classify_addition, classify_deletion_dependence, ClassificationSummary,
@@ -25,6 +25,16 @@ pub struct CisGraphAccel<A: MonotonicAlgorithm> {
     query: PairQuery,
     result: ConvergedResult<A>,
     mem: MemorySystem,
+    buffers: BatchBuffers,
+}
+
+/// Host buffers one accelerator instance reuses from batch to batch.
+#[derive(Debug, Clone)]
+struct BatchBuffers {
+    prop: PropBuffers,
+    /// States at the Fig. 5(b) phase boundaries: before the additions,
+    /// after them, and at the response.
+    phase_states: [Vec<State>; 3],
 }
 
 impl<A: MonotonicAlgorithm> CisGraphAccel<A> {
@@ -38,11 +48,16 @@ impl<A: MonotonicAlgorithm> CisGraphAccel<A> {
         let mut counters = Counters::new();
         let result = solver::best_first::<A, _>(graph, query.source(), &mut counters);
         let mem = MemorySystem::new(config.spm, config.dram);
+        let buffers = BatchBuffers {
+            prop: PropBuffers::new(config.total_propagation_units()),
+            phase_states: Default::default(),
+        };
         Self {
             config,
             query,
             result,
             mem,
+            buffers,
         }
     }
 
@@ -101,6 +116,7 @@ impl<A: MonotonicAlgorithm> CisGraphAccel<A> {
             self.query,
             image,
             batch,
+            &mut self.buffers,
         )
     }
 }
@@ -115,6 +131,7 @@ fn simulate_batch<A: MonotonicAlgorithm, G: CsrImage>(
     query: PairQuery,
     image: &G,
     batch: &[EdgeUpdate],
+    buffers: &mut BatchBuffers,
 ) -> AccelReport {
     {
         let layout = MemoryLayout::for_image(image);
@@ -168,27 +185,24 @@ fn simulate_batch<A: MonotonicAlgorithm, G: CsrImage>(
         }
 
         // ---- Phase 2a: propagate valuable additions ----------------------
-        let units = config.total_propagation_units();
         let pending =
             cisgraph_algo::incremental::PendingDeletions::from_batch(batch.iter().copied());
+        let BatchBuffers { prop, phase_states } = buffers;
+        let [states_before_adds, states_after_adds, states_at_response] = phase_states;
         let mut propagator =
-            Propagator::new(image, layout, mem, result, &mut counters, units, pending);
+            Propagator::new(image, layout, mem, result, &mut counters, pending, prop);
         // Fig. 5(b) counts *net* state changes per phase (a repair that
         // resets and restores a vertex does not activate it for the
         // figure), so states are snapshotted at phase boundaries.
-        let states_before_adds: Vec<cisgraph_types::State> = propagator.result.states().to_vec();
+        copy_states(states_before_adds, propagator.result.states());
         let mut t_cursor: Cycle = 0;
         for (add, ready) in additions {
             t_cursor = t_cursor.max(propagator.seed_addition(add, ready));
         }
         t_cursor = propagator.drain(t_cursor);
         let additions_done = t_cursor;
-        let states_after_adds: Vec<cisgraph_types::State> = propagator.result.states().to_vec();
-        let addition_activations = states_before_adds
-            .iter()
-            .zip(&states_after_adds)
-            .filter(|(a, b)| a != b)
-            .count() as u64;
+        copy_states(states_after_adds, propagator.result.states());
+        let addition_activations = changed(states_before_adds, states_after_adds);
 
         // ---- Phase 1b: identify + schedule deletions ---------------------
         // Deletion identification reads the live SPM image, which now holds
@@ -253,23 +267,15 @@ fn simulate_batch<A: MonotonicAlgorithm, G: CsrImage>(
         // ---- Phase 3: early response -------------------------------------
         let response_cycles = t_cursor.max(ident_done);
         let answer = propagator.result.state(query.destination());
-        let states_at_response: Vec<cisgraph_types::State> = propagator.result.states().to_vec();
-        let deletion_activations = states_after_adds
-            .iter()
-            .zip(&states_at_response)
-            .filter(|(a, b)| a != b)
-            .count() as u64;
+        copy_states(states_at_response, propagator.result.states());
+        let deletion_activations = changed(states_after_adds, states_at_response);
 
         // ---- Phase 4: drain delayed deletions ----------------------------
         for (del, ready) in std::mem::take(&mut delayed) {
             let (_, done) = propagator.process_deletion(del, ready.max(t_cursor));
             t_cursor = t_cursor.max(done);
         }
-        let drain_activations = states_at_response
-            .iter()
-            .zip(propagator.result.states())
-            .filter(|(a, b)| *a != *b)
-            .count() as u64;
+        let drain_activations = changed(states_at_response, propagator.result.states());
         let total_cycles = t_cursor.max(ident_done);
 
         let mut report = AccelReport::new(answer);
@@ -290,6 +296,17 @@ fn simulate_batch<A: MonotonicAlgorithm, G: CsrImage>(
         obs_record_accel(&report, mem);
         report
     }
+}
+
+/// Overwrites `buf` with `states`, keeping its capacity.
+fn copy_states(buf: &mut Vec<State>, states: &[State]) {
+    buf.clear();
+    buf.extend_from_slice(states);
+}
+
+/// Vertices whose state differs between two phase boundaries.
+fn changed(before: &[State], after: &[State]) -> u64 {
+    before.iter().zip(after).filter(|(a, b)| a != b).count() as u64
 }
 
 /// Publishes one simulated batch to the [`cisgraph_obs`] registry:

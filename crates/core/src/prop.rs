@@ -9,6 +9,15 @@
 //! * ⊕/⊗ costs one ALU cycle per edge on the owning propagation unit,
 //! * activated states write back to the SPM, and the activated vertex joins
 //!   the global buffer, redistributed by `id mod units`.
+//!
+//! The host-side bookkeeping lives in a [`PropBuffers`] that the accelerator
+//! instance owns and lends to each batch's [`Propagator`]: the activation
+//! heap, the per-vertex "queued" flags, the dependence-subtree list and its
+//! marks, and the in-row buffer. Flags are `Vec<bool>`s indexed by vertex
+//! and are all false between uses (the drain clears "queued", and each tag
+//! walk clears its own marks), so once they have grown a batch allocates
+//! none of them. They are host bookkeeping only: no simulated access reads
+//! them, so they add no cycle.
 
 use crate::{CsrImage, MemoryLayout};
 use cisgraph_algo::incremental::PendingDeletions;
@@ -17,10 +26,47 @@ use cisgraph_graph::Edge;
 use cisgraph_sim::{Cycle, MemorySystem};
 use cisgraph_types::{EdgeUpdate, VertexId};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::BinaryHeap;
 
-/// The propagation engine for one batch. Borrows the functional state and
-/// the memory system; unit occupancy lives here.
+/// Host buffers a [`Propagator`] borrows, reused from batch to batch; see
+/// the [module docs](self).
+#[derive(Debug, Clone)]
+pub(crate) struct PropBuffers {
+    /// Busy-until per propagation unit (global pool, `id mod units`).
+    units: Vec<Cycle>,
+    /// Global activation buffer: earliest-ready first.
+    heap: BinaryHeap<Reverse<(Cycle, u32)>>,
+    /// `queued[v]` iff `v` is in `heap`.
+    queued: Vec<bool>,
+    /// The dependence subtree of the deletion being repaired, in tag order.
+    tagged: Vec<VertexId>,
+    /// `tag_mark[v]` iff `v` is in `tagged`; cleared after each repair.
+    tag_mark: Vec<bool>,
+    /// Buffer for in-rows the image has to reorder (see [`CsrImage::in_row`]).
+    in_scratch: Vec<Edge>,
+}
+
+impl PropBuffers {
+    /// Empty buffers for `num_units` propagation units.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `num_units` is zero.
+    pub(crate) fn new(num_units: usize) -> Self {
+        assert!(num_units > 0, "need at least one propagation unit");
+        Self {
+            units: vec![0; num_units],
+            heap: BinaryHeap::new(),
+            queued: Vec::new(),
+            tagged: Vec::new(),
+            tag_mark: Vec::new(),
+            in_scratch: Vec::new(),
+        }
+    }
+}
+
+/// The propagation engine for one batch. Borrows the functional state, the
+/// memory system and the host buffers; unit occupancy lives in the buffers.
 pub(crate) struct Propagator<'a, A: MonotonicAlgorithm, G: CsrImage> {
     pub image: &'a G,
     pub layout: MemoryLayout,
@@ -29,26 +75,25 @@ pub(crate) struct Propagator<'a, A: MonotonicAlgorithm, G: CsrImage> {
     pub counters: &'a mut Counters,
     /// Dependence links of the batch's deletions (see `PendingDeletions`).
     pending: PendingDeletions,
-    /// Busy-until per propagation unit (global pool, `id mod units`).
-    units: Vec<Cycle>,
-    /// Global activation buffer: earliest-ready first.
-    heap: BinaryHeap<Reverse<(Cycle, u32)>>,
-    queued: HashSet<u32>,
-    /// Buffer for in-rows the image has to reorder (see [`CsrImage::in_row`]).
-    in_scratch: Vec<Edge>,
+    buf: &'a mut PropBuffers,
 }
 
 impl<'a, A: MonotonicAlgorithm, G: CsrImage> Propagator<'a, A, G> {
+    /// A propagator at cycle 0: every unit idle, nothing queued.
     pub(crate) fn new(
         image: &'a G,
         layout: MemoryLayout,
         mem: &'a mut MemorySystem,
         result: &'a mut ConvergedResult<A>,
         counters: &'a mut Counters,
-        num_units: usize,
         pending: PendingDeletions,
+        buf: &'a mut PropBuffers,
     ) -> Self {
-        assert!(num_units > 0, "need at least one propagation unit");
+        buf.units.fill(0);
+        let n = image.num_vertices();
+        buf.queued.resize(n, false);
+        buf.tag_mark.resize(n, false);
+        debug_assert!(buf.heap.is_empty() && !buf.queued.contains(&true));
         Self {
             image,
             layout,
@@ -56,18 +101,17 @@ impl<'a, A: MonotonicAlgorithm, G: CsrImage> Propagator<'a, A, G> {
             result,
             counters,
             pending,
-            units: vec![0; num_units],
-            heap: BinaryHeap::new(),
-            queued: HashSet::new(),
-            in_scratch: Vec::new(),
+            buf,
         }
     }
 
     /// Adds `v` to the global activation buffer. Activations already queued
     /// coalesce (the buffer stores vertex ids; the state is in the SPM).
     pub(crate) fn activate(&mut self, v: VertexId, ready: Cycle) {
-        if self.queued.insert(v.raw()) {
-            self.heap.push(Reverse((ready, v.raw())));
+        let queued = &mut self.buf.queued[v.index()];
+        if !*queued {
+            *queued = true;
+            self.buf.heap.push(Reverse((ready, v.raw())));
         }
     }
 
@@ -98,8 +142,8 @@ impl<'a, A: MonotonicAlgorithm, G: CsrImage> Propagator<'a, A, G> {
     /// at which the last propagation completed (or `floor` if idle).
     pub(crate) fn drain(&mut self, floor: Cycle) -> Cycle {
         let mut last = floor;
-        while let Some(Reverse((ready, raw))) = self.heap.pop() {
-            self.queued.remove(&raw);
+        while let Some(Reverse((ready, raw))) = self.buf.heap.pop() {
+            self.buf.queued[raw as usize] = false;
             let done = self.process_vertex(VertexId::new(raw), ready);
             last = last.max(done);
         }
@@ -109,8 +153,8 @@ impl<'a, A: MonotonicAlgorithm, G: CsrImage> Propagator<'a, A, G> {
     /// Propagates from one activated vertex: stream its out-edge list,
     /// relax each neighbor, write improvements back.
     fn process_vertex(&mut self, v: VertexId, ready: Cycle) -> Cycle {
-        let unit = v.raw() as usize % self.units.len();
-        let start = self.units[unit].max(ready);
+        let unit = v.raw() as usize % self.buf.units.len();
+        let start = self.buf.units[unit].max(ready);
         // Offsets (16 B covers offsets[v] and offsets[v+1]).
         let t_off = self.mem.read(self.layout.offset_addr(v), 16, start);
         // Neighbor prefetcher: one burst for the whole edge list (§III-B).
@@ -141,7 +185,7 @@ impl<'a, A: MonotonicAlgorithm, G: CsrImage> Propagator<'a, A, G> {
                 last = last.max(t_alu);
             }
         }
-        self.units[unit] = last;
+        self.buf.units[unit] = last;
         last
     }
 
@@ -172,7 +216,7 @@ impl<'a, A: MonotonicAlgorithm, G: CsrImage> Propagator<'a, A, G> {
         }
         let target = self.result.state(v);
         let mut witness = None;
-        for edge in self.image.in_row(v, &mut self.in_scratch) {
+        for edge in self.image.in_row(v, &mut self.buf.in_scratch) {
             self.counters.computations += 1;
             now = self.mem.read(self.layout.state_addr(edge.to()), 8, now) + 1;
             // A sound witness must be strictly better than v (see the
@@ -192,10 +236,13 @@ impl<'a, A: MonotonicAlgorithm, G: CsrImage> Propagator<'a, A, G> {
         }
 
         // Tag the dependence subtree by walking parent pointers of
-        // out-neighbors.
-        let mut tagged = vec![v];
-        let mut tagged_mark = HashSet::new();
-        tagged_mark.insert(v);
+        // out-neighbors. The list is taken out of the buffers for the walk
+        // and handed back with its capacity; the marks are cleared after it.
+        let mut tagged = std::mem::take(&mut self.buf.tagged);
+        let tag_mark = &mut self.buf.tag_mark;
+        tagged.clear();
+        tagged.push(v);
+        tag_mark[v.index()] = true;
         let mut cursor_idx = 0;
         while cursor_idx < tagged.len() {
             let x = tagged[cursor_idx];
@@ -208,7 +255,8 @@ impl<'a, A: MonotonicAlgorithm, G: CsrImage> Propagator<'a, A, G> {
             for edge in self.image.out_row(x) {
                 let y = edge.to();
                 now = self.mem.read(self.layout.parent_addr(y), 4, now) + 1;
-                if self.result.parent(y) == Some(x) && tagged_mark.insert(y) {
+                if self.result.parent(y) == Some(x) && !tag_mark[y.index()] {
+                    tag_mark[y.index()] = true;
                     tagged.push(y);
                 }
             }
@@ -216,10 +264,15 @@ impl<'a, A: MonotonicAlgorithm, G: CsrImage> Propagator<'a, A, G> {
             // batch (their dependence link is invisible in the image).
             for &y in self.pending.children_of(x) {
                 now = self.mem.read(self.layout.parent_addr(y), 4, now) + 1;
-                if self.result.parent(y) == Some(x) && tagged_mark.insert(y) {
+                if self.result.parent(y) == Some(x) && !tag_mark[y.index()] {
+                    tag_mark[y.index()] = true;
                     tagged.push(y);
                 }
             }
+        }
+
+        for &x in &tagged {
+            tag_mark[x.index()] = false;
         }
 
         // Reset the subtree.
@@ -238,7 +291,7 @@ impl<'a, A: MonotonicAlgorithm, G: CsrImage> Propagator<'a, A, G> {
             }
             let mut best = A::unreached();
             let mut best_parent = None;
-            for edge in self.image.in_row(x, &mut self.in_scratch) {
+            for edge in self.image.in_row(x, &mut self.buf.in_scratch) {
                 self.counters.computations += 1;
                 now = self.mem.read(self.layout.state_addr(edge.to()), 8, now) + 1;
                 let candidate = A::combine(self.result.state(edge.to()), edge.weight());
@@ -256,6 +309,7 @@ impl<'a, A: MonotonicAlgorithm, G: CsrImage> Propagator<'a, A, G> {
                 now = t_wr;
             }
         }
+        self.buf.tagged = tagged;
         let done = self.drain(now);
         (true, done)
     }

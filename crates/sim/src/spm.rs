@@ -1,4 +1,31 @@
 //! Scratchpad (eDRAM) model, organized as a cache (CACTI substitute).
+//!
+//! # Host representation
+//!
+//! The Table I scratchpad has 524,288 line slots (32 MB / 64 B) in 16-way
+//! sets, and every simulated access looks up one set. The tag store is
+//! therefore kept as three per-way arrays rather than one array of line
+//! records, so a lookup scans only the set's tags:
+//!
+//! * `tags: Vec<u32>` holds `line / num_sets + 1` for a resident line and
+//!   0 for an invalid way. A 16-way set's tags fill one 64-byte host cache
+//!   line. The set index is `line % num_sets`, so the line (and the
+//!   write-back address of a dirty victim) is rebuilt from the tag and the
+//!   set. A tag that does not fit in `u32` panics rather than alias.
+//! * `stamps: Vec<u64>` holds the LRU stamp of the way's last touch; an
+//!   invalid way keeps stamp 0.
+//! * `dirty: Vec<bool>` holds the dirty bits.
+//!
+//! All three start zeroed, which is the empty scratchpad, so building one
+//! costs three zeroed allocations and no write to any slot.
+//!
+//! The replacement rule is that of a record per line ordered by
+//! `(valid, lru)`: a miss fills the first invalid way, else the way with the
+//! least stamp. Every touch stamps a fresh tick of at least 1, so invalid
+//! ways are exactly those with stamp 0 and the first least stamp names that
+//! victim. The layout is host bookkeeping only: hits, misses, write-backs
+//! and their order are those of the record model, which
+//! `tests/proptest_spm.rs` replays as its reference.
 
 use crate::Cycle;
 use serde::Serialize;
@@ -61,22 +88,6 @@ impl Default for SpmConfig {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Line {
-    tag: u64,
-    valid: bool,
-    dirty: bool,
-    /// LRU timestamp (larger = more recent).
-    lru: u64,
-}
-
-const INVALID: Line = Line {
-    tag: 0,
-    valid: false,
-    dirty: false,
-    lru: 0,
-};
-
 /// Result of one SPM lookup.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct SpmAccess {
@@ -109,9 +120,17 @@ pub struct SpmAccess {
 pub struct Spm {
     config: SpmConfig,
     num_sets: usize,
-    /// Every set's ways, back to back: set `s` is
-    /// `lines[s * ways..(s + 1) * ways]`.
-    lines: Vec<Line>,
+    /// Per-way tags, every set's ways back to back (set `s` is
+    /// `tags[s * ways..(s + 1) * ways]`): `line / num_sets + 1` for a
+    /// resident line, 0 for an invalid way.
+    tags: Vec<u32>,
+    /// Per-way LRU stamps (larger = more recent); 0 exactly while the way
+    /// is invalid, since every touch stamps a tick of at least 1.
+    stamps: Vec<u64>,
+    /// Per-way dirty bits.
+    dirty: Vec<bool>,
+    /// Number of valid ways; only fills of invalid ways change it.
+    occupied: usize,
     tick: u64,
     hits: u64,
     misses: u64,
@@ -128,10 +147,16 @@ impl Spm {
         let sets = config.num_sets();
         assert!(sets > 0, "spm must have at least one set");
         assert!(config.ways > 0, "spm must have at least one way");
+        let slots = sets * config.ways;
         Self {
             config,
             num_sets: sets,
-            lines: vec![INVALID; sets * config.ways],
+            // All-zero arrays: an empty scratchpad costs one zeroed
+            // allocation per array, not a pass over every slot.
+            tags: vec![0; slots],
+            stamps: vec![0; slots],
+            dirty: vec![false; slots],
+            occupied: 0,
             tick: 0,
             hits: 0,
             misses: 0,
@@ -168,54 +193,56 @@ impl Spm {
     /// occupancy. Grows monotonically from zero until the working set fills
     /// the geometry, then saturates at [`Spm::total_lines`].
     pub fn occupied_lines(&self) -> usize {
-        self.lines.iter().filter(|l| l.valid).count()
+        self.occupied
     }
 
     /// Total line slots in the geometry (`sets × ways`).
     pub fn total_lines(&self) -> usize {
-        self.lines.len()
+        self.tags.len()
     }
 
-    fn set_and_tag(&self, line_addr: u64) -> (usize, u64) {
-        let line = line_addr / self.config.line_bytes;
-        let set = (line % self.num_sets as u64) as usize;
-        (set, line)
-    }
-
-    fn touch_line(&mut self, line_addr: u64, write: bool) -> (bool, Option<u64>) {
+    fn touch_line(&mut self, line: u64, write: bool) -> (bool, Option<u64>) {
         self.tick += 1;
-        let (set_idx, tag) = self.set_and_tag(line_addr);
-        let line_bytes = self.config.line_bytes;
+        let num_sets = self.num_sets as u64;
+        let set = (line % num_sets) as usize;
+        let tag = u32::try_from(line / num_sets + 1).expect("spm tag overflows u32");
         let ways = self.config.ways;
-        let set = &mut self.lines[set_idx * ways..(set_idx + 1) * ways];
-        if let Some(line) = set.iter_mut().find(|l| l.valid && l.tag == tag) {
-            line.lru = self.tick;
-            line.dirty |= write;
+        let base = set * ways;
+        let range = base..base + ways;
+        if let Some(way) = self.tags[range.clone()].iter().position(|&t| t == tag) {
+            self.stamps[base + way] = self.tick;
+            if write {
+                self.dirty[base + way] = true;
+            }
             self.hits += 1;
             return (true, None);
         }
         self.misses += 1;
-        // Choose a victim: invalid first, else LRU.
-        let victim_idx = set
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, l)| (l.valid, l.lru))
-            .map(|(i, _)| i)
-            .expect("ways > 0");
-        let victim = set[victim_idx];
-        let writeback = if victim.valid && victim.dirty {
+        // Choose a victim: the first invalid way, else the least recently
+        // used. Invalid ways carry stamp 0 and valid ones a unique stamp of
+        // at least 1, so the first least stamp is exactly
+        // `min_by_key((valid, lru))`.
+        let victim = base
+            + self.stamps[range]
+                .iter()
+                .enumerate()
+                .min_by_key(|&(_, &stamp)| stamp)
+                .map(|(i, _)| i)
+                .expect("ways > 0");
+        let old = self.tags[victim];
+        let writeback = if old == 0 {
+            self.occupied += 1;
+            None
+        } else if self.dirty[victim] {
             self.writebacks += 1;
-            // Reconstruct the victim's address from its tag.
-            Some(victim.tag * line_bytes)
+            // Rebuild the victim's address from its tag and set.
+            Some((u64::from(old - 1) * num_sets + set as u64) * self.config.line_bytes)
         } else {
             None
         };
-        set[victim_idx] = Line {
-            tag,
-            valid: true,
-            dirty: write,
-            lru: self.tick,
-        };
+        self.tags[victim] = tag;
+        self.stamps[victim] = self.tick;
+        self.dirty[victim] = write;
         (false, writeback)
     }
 
@@ -238,10 +265,9 @@ impl Spm {
         let first = addr / lb;
         let last = (addr + bytes - 1) / lb;
         for line in first..=last {
-            let line_addr = line * lb;
-            let (hit, wb) = self.touch_line(line_addr, write);
+            let (hit, wb) = self.touch_line(line, write);
             if !hit {
-                miss_lines.push(line_addr);
+                miss_lines.push(line * lb);
             }
             if let Some(wb) = wb {
                 writebacks.push(wb);
@@ -351,6 +377,26 @@ mod tests {
             ways: 2,
             access_latency: 1,
         });
+    }
+
+    #[test]
+    fn fills_take_the_first_invalid_way_and_count_occupancy() {
+        let cfg = SpmConfig::date2025();
+        let mut s = Spm::new(cfg.with_capacity(2 * cfg.ways as u64 * cfg.line_bytes));
+        let sets = s.num_sets as u64;
+        // Lines of set 1, in order; 40 of them wrap the 16 ways twice.
+        for (i, k) in (0..40u64).enumerate() {
+            s.write((k * sets + 1) * cfg.line_bytes, 8);
+            let set = &s.tags[cfg.ways..2 * cfg.ways];
+            let filled = (i + 1).min(cfg.ways);
+            assert!(set[..filled].iter().all(|&t| t != 0), "after {i}: {set:?}");
+            assert!(set[filled..].iter().all(|&t| t == 0), "after {i}: {set:?}");
+            let scan = s.tags.iter().filter(|&&t| t != 0).count();
+            assert_eq!(s.occupied_lines(), scan);
+            assert_eq!(s.occupied_lines(), filled);
+        }
+        // The 16 newest lines stayed; the rest were written back in order.
+        assert_eq!(s.writebacks(), 40 - cfg.ways as u64);
     }
 
     #[test]

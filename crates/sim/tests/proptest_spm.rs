@@ -1,5 +1,11 @@
 //! Property tests: the scratchpad cache model against a naive reference
 //! implementation of a set-associative LRU cache, and DRAM timing sanity.
+//!
+//! The reference keeps each set as a list of `(tag, dirty, stamp)` records
+//! and evicts the least stamp once the set is full, so it pins the
+//! replacement rule, the dirty bits and the rebuilt write-back addresses of
+//! the model's packed tag store, at a tiny 2-way geometry and at the
+//! Table I 16-way geometry shrunk to a few sets.
 
 use cisgraph_sim::{DramConfig, DramModel, Spm, SpmConfig};
 use proptest::prelude::*;
@@ -50,6 +56,26 @@ impl RefCache {
         set.push((tag, write, self.tick));
         (false, wb)
     }
+
+    /// Touches every line of an access spanning `bytes` at `addr`; returns
+    /// the missing lines and the dirty victims' addresses, in line order.
+    fn access(&mut self, addr: u64, bytes: u64, write: bool) -> (Vec<u64>, Vec<u64>) {
+        let (mut misses, mut writebacks) = (Vec::new(), Vec::new());
+        let bytes = bytes.max(1);
+        for line in addr / self.line..=(addr + bytes - 1) / self.line {
+            let (hit, wb) = self.touch(line * self.line, write);
+            if !hit {
+                misses.push(line * self.line);
+            }
+            writebacks.extend(wb);
+        }
+        (misses, writebacks)
+    }
+
+    /// Resident lines, by a scan of every set.
+    fn occupied(&self) -> usize {
+        self.sets.values().map(Vec::len).sum()
+    }
 }
 
 fn tiny_cfg() -> SpmConfig {
@@ -61,8 +87,72 @@ fn tiny_cfg() -> SpmConfig {
     }
 }
 
+/// The Table I geometry (64-byte lines, 16 ways) cut to 4 sets, so a few
+/// hundred distinct lines evict often.
+fn table1_few_sets() -> SpmConfig {
+    let cfg = SpmConfig::date2025();
+    cfg.with_capacity(4 * cfg.ways as u64 * cfg.line_bytes)
+}
+
+/// Replays `ops` — `(byte address, bytes, write)` — on the model and the
+/// reference, comparing each access's misses and write-backs in order, the
+/// totals, and the occupancy after every access.
+fn check_accesses(cfg: SpmConfig, ops: &[(u64, u64, bool)]) -> Result<(), TestCaseError> {
+    let mut spm = Spm::new(cfg);
+    let mut reference = RefCache::new(cfg);
+    let (mut misses, mut writebacks) = (0, 0);
+    for &(addr, bytes, write) in ops {
+        let access = if write {
+            spm.write(addr, bytes)
+        } else {
+            spm.read(addr, bytes)
+        };
+        let (ref_misses, ref_wbs) = reference.access(addr, bytes, write);
+        prop_assert_eq!(
+            &access.miss_lines,
+            &ref_misses,
+            "misses of {}+{}",
+            addr,
+            bytes
+        );
+        prop_assert_eq!(
+            &access.writebacks,
+            &ref_wbs,
+            "write-backs of {}+{}",
+            addr,
+            bytes
+        );
+        prop_assert_eq!(access.all_hit, ref_misses.is_empty());
+        prop_assert_eq!(spm.occupied_lines(), reference.occupied());
+        misses += ref_misses.len() as u64;
+        writebacks += ref_wbs.len() as u64;
+    }
+    prop_assert_eq!(spm.hits(), reference.tick - misses);
+    prop_assert_eq!(spm.misses(), misses);
+    prop_assert_eq!(spm.writebacks(), writebacks);
+    prop_assert!(spm.occupied_lines() <= spm.total_lines());
+    Ok(())
+}
+
+/// Accesses over `lines` distinct lines: any byte offset, 1 to 256 bytes
+/// (up to five lines), reads and writes.
+fn accesses(lines: u64) -> impl Strategy<Value = Vec<(u64, u64, bool)>> {
+    proptest::collection::vec((0..lines * 64, 1u64..=256, any::<bool>()), 1..400)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn table1_ways_match_reference_lru(ops in accesses(3 * 64)) {
+        // 4 sets x 16 ways = 64 slots over 192 distinct lines.
+        check_accesses(table1_few_sets(), &ops)?;
+    }
+
+    #[test]
+    fn tiny_geometry_multi_line_accesses_match_reference(ops in accesses(64)) {
+        check_accesses(tiny_cfg(), &ops)?;
+    }
 
     #[test]
     fn spm_matches_reference_lru(ops in proptest::collection::vec((0u64..64, any::<bool>()), 1..300)) {
