@@ -284,11 +284,13 @@ fn bench(args: &Args, bundle: &WorkloadBundle) {
 
     // --- End-to-end ingest: plain vs durable (fsync off) ----------------
     // The two variants interleave at *batch* granularity: each batch is
-    // applied plain, then applied-and-logged durable, and the two running
+    // applied plain and applied-and-logged durable, and the two running
     // sums are compared. Scheduler and writeback noise lands on both sides
     // of the pair almost equally, where phase-level timing would charge an
-    // unlucky interval to one variant. The gate reads the median ratio
-    // across repeats.
+    // unlucky interval to one variant. Which side runs first alternates
+    // from batch to batch: the second side of a pair runs on caches the
+    // first one left, so a fixed order charges that to one side only. The
+    // gate reads the median ratio across repeats.
     let mut plain_ns = u64::MAX;
     let mut durable_ns = u64::MAX;
     let mut ratios = Vec::new();
@@ -311,17 +313,27 @@ fn bench(args: &Args, bundle: &WorkloadBundle) {
 
         let mut plain_r = 0u64;
         let mut durable_r = 0u64;
-        for batch in &bundle.batches {
-            let start = Instant::now();
-            plain_graph.apply_batch(batch).expect("consistent workload");
-            plain_r += u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-
-            let start = Instant::now();
-            durable_graph
-                .apply_batch(batch)
-                .expect("consistent workload");
-            store.log_batch(batch).expect("log");
-            durable_r += u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        for (i, batch) in bundle.batches.iter().enumerate() {
+            let mut plain = || {
+                let start = Instant::now();
+                plain_graph.apply_batch(batch).expect("consistent workload");
+                plain_r += u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+            };
+            let mut durable = || {
+                let start = Instant::now();
+                durable_graph
+                    .apply_batch(batch)
+                    .expect("consistent workload");
+                store.log_batch(batch).expect("log");
+                durable_r += u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+            };
+            if i % 2 == 0 {
+                plain();
+                durable();
+            } else {
+                durable();
+                plain();
+            }
         }
         plain_ns = plain_ns.min(plain_r);
         durable_ns = durable_ns.min(durable_r);

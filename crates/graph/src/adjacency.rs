@@ -163,6 +163,12 @@ impl AdjacencyList {
         self.index.is_some()
     }
 
+    /// Entries the list holds room for without reallocating.
+    #[cfg(test)]
+    pub(crate) fn capacity(&self) -> usize {
+        self.edges.capacity()
+    }
+
     #[inline]
     fn positions(&self, dst: VertexId) -> Option<&[u32]> {
         Some(self.index.as_ref()?.get(&dst.raw())?.as_slice())
@@ -192,6 +198,40 @@ impl AdjacencyList {
         } else {
             false
         }
+    }
+
+    /// An empty, unindexed list with room for `len` entries: the capacity
+    /// `len` pushes onto an empty list would have grown it to, so a list
+    /// built in bulk costs the same memory, and later pushes the same
+    /// reallocations, as one built by pushes.
+    pub(crate) fn with_push_capacity(len: usize) -> Self {
+        let capacity = if len == 0 {
+            0
+        } else {
+            len.max(4).next_power_of_two()
+        };
+        Self {
+            edges: Vec::with_capacity(capacity),
+            index: None,
+        }
+    }
+
+    /// Appends an entry with no index upkeep. Bulk builds push every entry
+    /// this way, then call [`promote_past`](Self::promote_past) once.
+    #[inline]
+    pub(crate) fn push_unindexed(&mut self, edge: Edge) {
+        debug_assert!(self.index.is_none(), "bulk push onto an indexed list");
+        self.edges.push(edge);
+    }
+
+    /// Builds the index of an unindexed list longer than `threshold`, as
+    /// the push that crossed it would have. Returns whether it did.
+    pub(crate) fn promote_past(&mut self, threshold: usize) -> bool {
+        let promote = self.index.is_none() && self.edges.len() > threshold;
+        if promote {
+            self.build_index();
+        }
+        promote
     }
 
     /// Undoes the latest [`push`](Self::push); `demote` drops the index

@@ -504,13 +504,19 @@ impl DynamicGraph {
     }
 
     /// Rebuilds a dynamic graph from its out-adjacency rows, one per vertex
-    /// (the checkpoint recovery path): rows are inserted in ascending
-    /// vertex order, so every **out**-adjacency list reproduces the
-    /// checkpointed order exactly — which is all replay determinism needs,
+    /// (the checkpoint recovery path). Every **out**-adjacency list
+    /// reproduces its row exactly — which is all replay determinism needs,
     /// because deletion resolution ([`DynamicGraph::remove_edge`]) picks its
     /// victim from the out-list and future snapshots derive the reverse CSR
     /// from the forward one. In-lists are multiset-equal but normalized to
-    /// ascending-source order.
+    /// ascending-source order (a source's parallel edges in row order).
+    ///
+    /// The result is exactly the graph inserting the rows edge by edge in
+    /// ascending vertex order would build — every slice, list capacity,
+    /// hub index, `num_edges` and `index_promotions` — but it is built in
+    /// bulk: each out-list is copied whole, in-degrees are counted so each
+    /// in-list is allocated once, and each hub's index is built once at the
+    /// end.
     ///
     /// # Panics
     ///
@@ -519,14 +525,43 @@ impl DynamicGraph {
         rows: impl ExactSizeIterator<Item = &'a [Edge]>,
         threshold: usize,
     ) -> Self {
-        let mut g = Self::with_promotion_threshold(rows.len(), threshold);
-        for (u, row) in rows.enumerate() {
+        let n = rows.len();
+        let mut in_degree = vec![0u32; n];
+        let mut out: Vec<AdjacencyList> = rows
+            .map(|row| {
+                let mut list = AdjacencyList::with_push_capacity(row.len());
+                for &e in row {
+                    in_degree[e.to().index()] += 1;
+                    list.push_unindexed(e);
+                }
+                list
+            })
+            .collect();
+        let mut inc: Vec<AdjacencyList> = in_degree
+            .iter()
+            .map(|&d| AdjacencyList::with_push_capacity(d as usize))
+            .collect();
+        let mut num_edges = 0;
+        for (u, list) in out.iter().enumerate() {
             let src = VertexId::from_index(u);
-            for e in row {
-                g.insert_edge_unchecked(src, e.to(), e.weight());
+            num_edges += list.as_slice().len();
+            for e in list.as_slice() {
+                inc[e.to().index()].push_unindexed(Edge::new(src, e.weight()));
             }
         }
-        g
+        let promotions = out
+            .iter_mut()
+            .chain(inc.iter_mut())
+            .map(|list| u64::from(list.promote_past(threshold)))
+            .sum();
+        Self {
+            out,
+            inc,
+            num_edges,
+            threshold,
+            promotions,
+            dirty: None,
+        }
     }
 
     /// Iterates over every edge as `(src, dst, weight)` triples.
@@ -886,5 +921,117 @@ mod tests {
             naive.insert_edge(v(0), v(1), w(1.0)).unwrap();
         }
         assert_eq!(naive.index_promotions(), 0);
+    }
+
+    mod bulk {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// The graph `from_rows` must reproduce: every row's edges
+        /// inserted one at a time, in ascending vertex order.
+        fn push_built(rows: &[Vec<Edge>], threshold: usize) -> DynamicGraph {
+            let mut g = DynamicGraph::with_promotion_threshold(rows.len(), threshold);
+            for (u, row) in rows.iter().enumerate() {
+                for e in row {
+                    g.insert_edge(VertexId::from_index(u), e.to(), e.weight())
+                        .unwrap();
+                }
+            }
+            g
+        }
+
+        /// Both graphs hold the same lists — slices, capacities and which
+        /// lists are indexed — and the same counts and snapshot.
+        fn assert_same(a: &DynamicGraph, b: &DynamicGraph) -> Result<(), TestCaseError> {
+            prop_assert_eq!(a.num_edges(), b.num_edges());
+            prop_assert_eq!(a.index_promotions(), b.index_promotions());
+            for (side, x, y) in [("out", &a.out, &b.out), ("in", &a.inc, &b.inc)] {
+                prop_assert_eq!(x.len(), y.len());
+                for (u, (x, y)) in x.iter().zip(y).enumerate() {
+                    prop_assert_eq!(x.as_slice(), y.as_slice(), "{}-list of {}", side, u);
+                    prop_assert_eq!(x.capacity(), y.capacity(), "{}-capacity of {}", side, u);
+                    prop_assert_eq!(x.is_indexed(), y.is_indexed(), "{}-index of {}", side, u);
+                }
+            }
+            prop_assert_eq!(a.snapshot(), b.snapshot());
+            Ok(())
+        }
+
+        /// `(src, dst)` of an edge `g` holds, picked by `pick` from `src`'s
+        /// out-list; an absent pair when that list is empty.
+        fn target(g: &DynamicGraph, src: u32, pick: u32) -> (VertexId, VertexId) {
+            let row = g.out_edges(v(src));
+            let dst = match row.len() {
+                0 => v(pick % g.num_vertices() as u32),
+                len => row[pick as usize % len].to(),
+            };
+            (v(src), dst)
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// The bulk build equals the push loop it replaced, down to
+            /// the hub indexes: removals resolve their victims through the
+            /// indexes, and undo restores positions through them.
+            #[test]
+            fn from_rows_matches_the_push_built_graph(
+                threshold in 1..5usize,
+                raw in proptest::collection::vec(
+                    proptest::collection::vec((0..12u32, 1..4u32), 0..10),
+                    1..13,
+                ),
+                ops in proptest::collection::vec((0..12u32, 0..16u32, 1..4u32, any::<bool>()), 0..24),
+            ) {
+                // Rows over at most 12 vertices: empty rows, parallel edges
+                // (few destinations and weights) and hubs past the 1–4
+                // threshold on both sides.
+                let n = raw.len() as u32;
+                let rows: Vec<Vec<Edge>> = raw
+                    .iter()
+                    .map(|row| row.iter().map(|&(to, wt)| Edge::new(v(to % n), w(wt.into()))).collect())
+                    .collect();
+                let mut bulk = DynamicGraph::from_rows(rows.iter().map(Vec::as_slice), threshold);
+                let mut pushed = push_built(&rows, threshold);
+                assert_same(&bulk, &pushed)?;
+
+                let (removals, updates) = ops.split_at(ops.len() / 2);
+                for &(src, pick, wt, exact) in removals {
+                    let (src, dst) = target(&pushed, src % n, pick);
+                    let expect = exact.then(|| w(wt.into()));
+                    prop_assert_eq!(
+                        bulk.remove_edge(src, dst, expect).ok(),
+                        pushed.remove_edge(src, dst, expect).ok()
+                    );
+                    assert_same(&bulk, &pushed)?;
+                }
+
+                // A valid batch: each delete names an edge standing when
+                // it applies (with a weight that may not match).
+                let mut probe = pushed.clone();
+                let batch: Vec<EdgeUpdate> = updates
+                    .iter()
+                    .map(|&(src, pick, wt, insert)| {
+                        let src = src % n;
+                        let update = if insert || probe.out_edges(v(src)).is_empty() {
+                            EdgeUpdate::insert(v(src), v(pick % n), w(wt.into()))
+                        } else {
+                            let (src, dst) = target(&probe, src, pick);
+                            EdgeUpdate::delete(src, dst, w(wt.into()))
+                        };
+                        probe.apply(update).unwrap();
+                        update
+                    })
+                    .collect();
+                let before = pushed.snapshot();
+                let undo_bulk = bulk.apply_batch_undoable(&batch).unwrap();
+                let undo_pushed = pushed.apply_batch_undoable(&batch).unwrap();
+                assert_same(&bulk, &pushed)?;
+                bulk.undo(undo_bulk);
+                pushed.undo(undo_pushed);
+                assert_same(&bulk, &pushed)?;
+                prop_assert_eq!(bulk.snapshot(), before);
+            }
+        }
     }
 }

@@ -75,6 +75,20 @@ pub(crate) fn base_row_bytes(graph: &DynamicGraph) -> usize {
     row_bytes(rows, graph.num_edges())
 }
 
+/// [`row_bytes`] of a delta capture of `graph` listing the rows in `dirty`
+/// (rows past the vertex count are skipped, as [`Checkpoint::capture`]
+/// skips them). Reads only row lengths.
+pub(crate) fn delta_row_bytes(graph: &DynamicGraph, dirty: &[u32]) -> usize {
+    let n = graph.num_vertices();
+    let (rows, edges) = dirty
+        .iter()
+        .filter(|&&row| (row as usize) < n)
+        .fold((0, 0), |(rows, edges), &row| {
+            (rows + 1, edges + graph.out_edges(VertexId::new(row)).len())
+        });
+    row_bytes(rows, edges)
+}
+
 /// Checkpoint metric handles, resolved on first use.
 pub(crate) struct CkptObs {
     full_count: &'static Counter,

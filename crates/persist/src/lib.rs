@@ -18,7 +18,8 @@
 //!   replay position, so recovery only replays the frames logged *after*
 //!   the checkpoint chain.
 //! * [`recover`](recover()) — loads the newest intact checkpoint chain,
-//!   scans segments, **tolerates and truncates** a torn or bit-flipped
+//!   scans the segments it does not fully cover, **tolerates and
+//!   truncates** a torn or bit-flipped
 //!   tail (detected by the per-frame CRC), replays the surviving frames,
 //!   and hands back a graph whose
 //!   materialized [`Snapshot`](cisgraph_graph::Snapshot) is byte-identical

@@ -10,8 +10,10 @@
 //!    delta` (each delta listing only the rows that changed, see
 //!    [`crate::checkpoint`]); a head whose chain has any corrupt or missing
 //!    link is skipped entirely (falling back to an older head),
-//! 2. segments are scanned in sequence order; frames already covered by
-//!    the chosen chain are skipped,
+//! 2. segments are scanned in sequence order, except that a segment whose
+//!    successor starts at or below the chosen chain's position holds only
+//!    covered frames and is not read at all; covered frames in the
+//!    segments that are read are skipped,
 //! 3. the first torn or corrupt frame ends the log: the damaged segment is
 //!    **truncated in place** at the last good frame boundary and any later
 //!    segments are deleted, as is any segment named past the recovered
@@ -21,6 +23,12 @@
 //!    graph rejected in the original run (possible only for a writer that
 //!    logs before applying) is rejected whole here too, so replay is
 //!    deterministic.
+//!
+//! With the metrics sink on, the whole call is timed as
+//! `persist.recover.replay_ns` and its three phases as `chain_ns` (list,
+//! read, validate and overlay the checkpoints), `build_ns` (build the
+//! graph from the overlaid rows, or call `bootstrap`) and `tail_ns` (scan
+//! and replay the WAL, cut its damaged tail).
 
 use std::fs::{self, OpenOptions};
 use std::ops::Range;
@@ -28,6 +36,7 @@ use std::path::Path;
 use std::time::Instant;
 
 use cisgraph_graph::{DynamicGraph, Edge};
+use cisgraph_obs::Histogram;
 
 use crate::checkpoint::{self, CheckpointEntry};
 use crate::error::PersistError;
@@ -48,7 +57,12 @@ pub struct RecoveryStats {
     /// Delta checkpoints overlaid onto the base (0 when recovery started
     /// from a base checkpoint or the bootstrap graph).
     pub delta_checkpoints: u64,
-    /// Frames already covered by the checkpoint and therefore skipped.
+    /// Row bytes of those deltas (8 per row plus 12 per edge): what the
+    /// store's chain byte bound counts against a base's row bytes.
+    pub delta_row_bytes: u64,
+    /// Frames that were read but already covered by the checkpoint, and
+    /// therefore skipped. Segments holding only covered frames are not
+    /// read, so their frames are not counted.
     pub skipped_frames: u64,
     /// Batches replayed onto the checkpoint.
     pub replayed_batches: u64,
@@ -100,8 +114,8 @@ pub fn recover_with(
     bootstrap: impl FnOnce() -> DynamicGraph,
     track_dirty: bool,
 ) -> Result<Recovered> {
-    let obs_on = cisgraph_obs::enabled();
-    let start = obs_on.then(Instant::now);
+    let start = cisgraph_obs::enabled().then(Instant::now);
+    let mut phases = start.map(Phases::new);
     fs::create_dir_all(dir)?;
     let mut stats = RecoveryStats::default();
 
@@ -109,31 +123,37 @@ pub fn recover_with(
     // time: a delta whose ancestry is damaged anywhere is useless, but an
     // older head (often the full base itself) may still be intact.
     let entries = checkpoint::list_all(dir)?;
-    let had_checkpoints = !entries.is_empty();
     let mut loaded = None;
     for head in entries.iter().rev() {
         match load_chain(&entries, head) {
-            Ok((graph, deltas_applied)) => {
-                stats.delta_checkpoints = deltas_applied;
-                loaded = Some((head.next_seq, graph));
+            Ok(chain) => {
+                loaded = Some((head.next_seq, chain));
                 break;
             }
             Err(PersistError::Corrupt { .. }) => stats.corrupt_checkpoints += 1,
             Err(e) => return Err(e),
         }
     }
+    if loaded.is_none() && !entries.is_empty() {
+        let newest = &entries.last().expect("nonempty").path;
+        return Err(PersistError::corrupt(
+            newest.clone(),
+            0,
+            format!(
+                "all {} checkpoints failed validation; refusing to replay from scratch",
+                entries.len()
+            ),
+        ));
+    }
+    if let Some(phases) = &mut phases {
+        phases.lap(phases.chain_ns);
+    }
+
     let (mut replay_pos, mut graph) = match loaded {
-        Some((seq, graph)) => (seq, graph),
-        None if had_checkpoints => {
-            let newest = &entries.last().expect("nonempty").path;
-            return Err(PersistError::corrupt(
-                newest.clone(),
-                0,
-                format!(
-                    "all {} checkpoints failed validation; refusing to replay from scratch",
-                    entries.len()
-                ),
-            ));
+        Some((seq, chain)) => {
+            stats.delta_checkpoints = chain.deltas;
+            stats.delta_row_bytes = chain.delta_row_bytes;
+            (seq, chain.build())
         }
         None => (0, bootstrap()),
     };
@@ -141,11 +161,24 @@ pub fn recover_with(
     if track_dirty {
         graph.enable_dirty_rows();
     }
+    if let Some(phases) = &mut phases {
+        phases.lap(phases.build_ns);
+    }
 
-    // Replay segments in order, stopping at the first damage.
+    // Replay segments in order, stopping at the first damage. A segment
+    // whose successor starts at or below the checkpoint holds only frames
+    // the checkpoint covers: it is not read, so damage inside it can
+    // neither cost time nor cut the segments after it.
+    let covered = replay_pos;
     let segments = list_segments(dir)?;
     let mut stop_at = None; // (segment index, in-file offset) of the damage
     'segments: for (idx, (first_seq, path)) in segments.iter().enumerate() {
+        if segments
+            .get(idx + 1)
+            .is_some_and(|&(next_first, _)| next_first <= covered)
+        {
+            continue;
+        }
         let bytes = fs::read(path)?;
         let mut offset = 0usize;
         let mut expect_seq = *first_seq;
@@ -208,14 +241,12 @@ pub fn recover_with(
         }
     }
 
-    if obs_on {
+    if let (Some(start), Some(mut phases)) = (start, phases) {
+        let end = phases.lap(phases.tail_ns);
+        cisgraph_obs::histogram("persist.recover.replay_ns").record_duration(end - start);
         cisgraph_obs::counter("persist.recover.replayed_batches").add(stats.replayed_batches);
         cisgraph_obs::counter("persist.recover.replayed_updates").add(stats.replayed_updates);
         cisgraph_obs::counter("persist.recover.truncated_bytes").add(stats.truncated_bytes);
-        if let Some(start) = start {
-            cisgraph_obs::histogram("persist.recover.replay_ns")
-                .record(start.elapsed().as_nanos() as u64);
-        }
     }
     Ok(Recovered {
         graph,
@@ -224,15 +255,70 @@ pub fn recover_with(
     })
 }
 
+/// The clock behind recovery's phase histograms: each [`Phases::lap`]
+/// charges the time since the previous lap to one phase, so the phases
+/// split the whole call between them and sum to `replay_ns`.
+struct Phases {
+    last: Instant,
+    chain_ns: &'static Histogram,
+    build_ns: &'static Histogram,
+    tail_ns: &'static Histogram,
+}
+
+impl Phases {
+    fn new(start: Instant) -> Self {
+        Self {
+            last: start,
+            chain_ns: cisgraph_obs::histogram("persist.recover.chain_ns"),
+            build_ns: cisgraph_obs::histogram("persist.recover.build_ns"),
+            tail_ns: cisgraph_obs::histogram("persist.recover.tail_ns"),
+        }
+    }
+
+    /// Charges the time since the last lap to `phase`; returns the lap's
+    /// end.
+    fn lap(&mut self, phase: &Histogram) -> Instant {
+        let now = Instant::now();
+        phase.record_duration(now - self.last);
+        self.last = now;
+        now
+    }
+}
+
+/// A validated checkpoint chain, overlaid into one row table but not yet
+/// built into a graph.
+struct Chain {
+    /// Each row's edges as a range of `edges`; `None` for a row no link
+    /// lists (empty).
+    rows: Vec<Option<Range<usize>>>,
+    edges: Vec<Edge>,
+    threshold: u64,
+    /// Deltas overlaid onto the base, and their row bytes.
+    deltas: u64,
+    delta_row_bytes: u64,
+}
+
+impl Chain {
+    fn build(self) -> DynamicGraph {
+        let Self {
+            rows,
+            edges,
+            threshold,
+            ..
+        } = self;
+        let rows = rows.into_iter().map(|r| r.map_or(&[][..], |r| &edges[r]));
+        DynamicGraph::from_rows(rows, usize::try_from(threshold).unwrap_or(usize::MAX))
+    }
+}
+
 /// Loads the checkpoint chain headed by `head`: follows parent links down
-/// to a base, overlays the files' rows into one per-row table (the newest
-/// file listing a row wins; a row no file lists stays empty), and builds
-/// the graph once. A base alone is a chain of length one. Returns the
-/// graph and how many deltas were overlaid.
+/// to a base and overlays the files' rows into one per-row table (the
+/// newest file listing a row wins; a row no file lists stays empty). A
+/// base alone is a chain of length one.
 ///
 /// Any corrupt or missing link makes the whole chain unusable — the error
 /// propagates and the caller falls back to an older head.
-fn load_chain(entries: &[CheckpointEntry], head: &CheckpointEntry) -> Result<(DynamicGraph, u64)> {
+fn load_chain(entries: &[CheckpointEntry], head: &CheckpointEntry) -> Result<Chain> {
     let mut links = vec![head];
     while let Some(parent) = checkpoint::parent_of(entries, links[links.len() - 1])? {
         links.push(parent);
@@ -243,8 +329,13 @@ fn load_chain(entries: &[CheckpointEntry], head: &CheckpointEntry) -> Result<(Dy
     let mut files = links.iter().map(|entry| checkpoint::read(&entry.path));
     let newest = files.next().expect("a chain has a head")?;
     let (num_rows, threshold) = (newest.header.num_rows, newest.header.threshold);
-    let mut table: Vec<Option<Range<usize>>> = vec![None; num_rows as usize];
-    let mut edges: Vec<Edge> = Vec::new();
+    let mut chain = Chain {
+        rows: vec![None; num_rows as usize],
+        edges: Vec::new(),
+        threshold,
+        deltas: links.len() as u64 - 1,
+        delta_row_bytes: 0,
+    };
     for file in std::iter::once(Ok(newest)).chain(files) {
         let file = file?;
         // A graph never loses vertices, so no link can be wider than the head.
@@ -258,20 +349,19 @@ fn load_chain(entries: &[CheckpointEntry], head: &CheckpointEntry) -> Result<(Dy
                 ),
             ));
         }
+        if file.header.parent.is_some() {
+            chain.delta_row_bytes += file.rows.encoded_len() as u64;
+        }
         for (row, row_edges) in file.rows.iter() {
-            let slot = &mut table[row as usize];
+            let slot = &mut chain.rows[row as usize];
             if slot.is_none() {
-                *slot = Some(edges.len()..edges.len() + row_edges.len());
-                edges.extend_from_slice(row_edges);
+                let at = chain.edges.len();
+                *slot = Some(at..at + row_edges.len());
+                chain.edges.extend_from_slice(row_edges);
             }
         }
     }
-    let rows = table.into_iter().map(|r| r.map_or(&[][..], |r| &edges[r]));
-    let threshold = usize::try_from(threshold).unwrap_or(usize::MAX);
-    Ok((
-        DynamicGraph::from_rows(rows, threshold),
-        links.len() as u64 - 1,
-    ))
+    Ok(chain)
 }
 
 #[cfg(test)]

@@ -66,7 +66,10 @@ pub struct PersistConfig {
     pub mode: CheckpointMode,
     /// In [`CheckpointMode::Delta`], every `full_every`-th checkpoint is
     /// written full anyway, bounding recovery chain length. `1` means
-    /// every checkpoint is full; values are clamped to at least 1.
+    /// every checkpoint is full; values are clamped to at least 1. (The
+    /// chain's bytes are bounded as well, with no knob: a delta that would
+    /// bring the chain's delta rows to a base's row bytes is written as a
+    /// base instead.)
     pub full_every: u64,
     /// Serialize + fsync + rename on a background worker thread instead of
     /// the ingest thread. The ingest thread syncs the WAL and copies the
@@ -99,7 +102,8 @@ impl PersistConfig {
 /// The worker's answer.
 struct WriteDone {
     next_seq: u64,
-    wrote_full: bool,
+    /// Row bytes of the delta written; `None` for a base.
+    delta_row_bytes: Option<u64>,
     result: Result<()>,
 }
 
@@ -112,7 +116,7 @@ fn run_write_job(dir: &Path, keep: usize, ckpt: Checkpoint) -> WriteDone {
     }
     WriteDone {
         next_seq: ckpt.header.next_seq,
-        wrote_full: ckpt.header.parent.is_none(),
+        delta_row_bytes: ckpt.header.parent.map(|_| ckpt.rows.encoded_len() as u64),
         result,
     }
 }
@@ -172,6 +176,9 @@ pub struct DurableStore {
     last_ckpt_seq: u64,
     /// Deltas written since the last full checkpoint (drives `full_every`).
     deltas_since_full: u64,
+    /// Row bytes of those deltas: recovery reads them all, so the chain is
+    /// rebased before they reach a base's row bytes.
+    delta_bytes_since_full: u64,
     /// Set after any checkpoint failure or suspicious recovery: the next
     /// checkpoint is written full so the chain self-heals.
     force_full: bool,
@@ -245,6 +252,7 @@ impl DurableStore {
                 // The chain recovery loaded is the one the next delta
                 // extends (a fresh bootstrap base has no deltas).
                 deltas_since_full: recovered.stats.delta_checkpoints,
+                delta_bytes_since_full: recovered.stats.delta_row_bytes,
                 worker: None,
                 pending_error: None,
             },
@@ -372,8 +380,10 @@ impl DurableStore {
     /// no CSR is ever materialized (that cost is what background
     /// checkpointing exists to keep off the ingest path). A base whenever
     /// the mode says so, the chain must be re-anchored (`force_full`,
-    /// missing tracking, `full_every`), or the delta's rows would not be
-    /// smaller than a base's.
+    /// missing tracking, `full_every`), or the chain's delta rows with this
+    /// delta's would not take fewer bytes than a base's rows — so recovery
+    /// never reads more than about two bases' worth of rows. The choice is
+    /// made from row lengths, before any row is copied.
     fn capture(&mut self, graph: &mut DynamicGraph, next_seq: u64) -> Checkpoint {
         let base = |graph: &DynamicGraph| Checkpoint::capture(graph, next_seq, None);
         if self.config.mode == CheckpointMode::Full {
@@ -391,10 +401,10 @@ impl DurableStore {
             }
             Some(_) if must_full => base(graph),
             Some(dirty) => {
-                let delta =
-                    Checkpoint::capture(graph, next_seq, Some((self.last_ckpt_seq, &dirty)));
-                if delta.rows.encoded_len() < checkpoint::base_row_bytes(graph) {
-                    delta
+                let chain_bytes =
+                    self.delta_bytes_since_full + checkpoint::delta_row_bytes(graph, &dirty) as u64;
+                if chain_bytes < checkpoint::base_row_bytes(graph) as u64 {
+                    Checkpoint::capture(graph, next_seq, Some((self.last_ckpt_seq, &dirty)))
                 } else {
                     base(graph)
                 }
@@ -408,11 +418,16 @@ impl DurableStore {
         match done.result {
             Ok(()) => {
                 self.last_ckpt_seq = done.next_seq;
-                if done.wrote_full {
-                    self.deltas_since_full = 0;
-                    self.force_full = false;
-                } else {
-                    self.deltas_since_full += 1;
+                match done.delta_row_bytes {
+                    None => {
+                        self.deltas_since_full = 0;
+                        self.delta_bytes_since_full = 0;
+                        self.force_full = false;
+                    }
+                    Some(bytes) => {
+                        self.deltas_since_full += 1;
+                        self.delta_bytes_since_full += bytes;
+                    }
                 }
                 Ok(())
             }
@@ -775,6 +790,81 @@ mod tests {
         let deltas = count_files(dir, ".dckpt");
         assert_eq!(fulls + deltas, 10);
         assert_eq!(fulls, 4, "bootstrap + every third cadence checkpoint");
+    }
+
+    /// `(deltas, delta row bytes)` of the chain the newest checkpoint in
+    /// `dir` heads. Reads the files only.
+    fn newest_chain(dir: &Path) -> (u64, u64) {
+        let entries = checkpoint::list_all(dir).unwrap();
+        let (mut deltas, mut bytes) = (0, 0);
+        let mut link = entries.last();
+        while let Some(entry) = link.filter(|e| e.has_parent) {
+            deltas += 1;
+            bytes += checkpoint::read(&entry.path).unwrap().rows.encoded_len() as u64;
+            link = checkpoint::parent_of(&entries, entry).unwrap();
+        }
+        (deltas, bytes)
+    }
+
+    #[test]
+    fn chain_bytes_stay_under_a_base_and_full_every_caps_its_length() {
+        let tmp = TempDir::new("chain_bytes");
+        let dir = tmp.path();
+        let mut cfg = PersistConfig::new(dir);
+        cfg.checkpoint_every = Some(1);
+        cfg.fsync = FsyncPolicy::Never;
+        cfg.mode = CheckpointMode::Delta;
+        cfg.full_every = 4;
+        cfg.keep_checkpoints = 100;
+        let (mut store, recovered) = DurableStore::open(cfg.clone(), bootstrap).unwrap();
+        let mut graph = recovered.graph;
+        let (mut byte_rebases, mut longest) = (0, 0);
+        for b in 0..24u32 {
+            // The first 12 batches each rewrite 10 of the 16 rows, so two
+            // deltas outweigh a base; the rest rewrite one row each.
+            let rows = if b < 12 { 10 } else { 1 };
+            let batch: Vec<_> = (0..rows)
+                .map(|i| {
+                    EdgeUpdate::insert(
+                        VertexId::new((b * 3 + i) % 16),
+                        VertexId::new((b + 5 * i) % 16),
+                        Weight::new(1.0).unwrap(),
+                    )
+                })
+                .collect();
+            store.log_batch(&batch).unwrap();
+            graph.apply_batch(&batch).unwrap();
+            let before = store.deltas_since_full;
+            assert!(store.maybe_checkpoint(&mut graph).unwrap());
+
+            let (deltas, bytes) = newest_chain(dir);
+            let base = checkpoint::base_row_bytes(&graph) as u64;
+            assert!(
+                bytes < base,
+                "batch {b}: chain deltas {bytes} B, base {base} B"
+            );
+            assert!(deltas < cfg.full_every, "batch {b}: {deltas} deltas");
+            if deltas == 0 && before + 1 < cfg.full_every {
+                byte_rebases += 1;
+            }
+            longest = longest.max(deltas);
+            if b % 3 == 2 {
+                // The reopened store must count the chain it recovered.
+                drop(store);
+                let (reopened, recovered) = DurableStore::open(cfg.clone(), bootstrap).unwrap();
+                assert_eq!(recovered.stats.delta_row_bytes, bytes);
+                (store, graph) = (reopened, recovered.graph);
+            }
+        }
+        assert!(
+            byte_rebases >= 4,
+            "heavy deltas rebase early: {byte_rebases}"
+        );
+        assert_eq!(
+            longest,
+            cfg.full_every - 1,
+            "light deltas run to full_every"
+        );
     }
 
     #[test]

@@ -560,13 +560,18 @@ fn background_checkpoint_failure_surfaces_on_a_later_batch() {
 #[test]
 fn every_crash_shape_recovers_resumes_and_recovers_again() {
     // Six batches with a checkpoint at 4: only the WAL holds batches 4 and
-    // 5, so a damaged WAL falls back to the checkpoint.
+    // 5, so a damaged WAL tail falls back to the checkpoint. The segments
+    // (128 bytes) rotate every third frame, so `wal-0` holds only frames
+    // the checkpoint covers: recovery never reads it, and a flip there
+    // costs nothing.
     let six: Vec<Step> = (0..6).map(|i| batch(&[(i, i + 1), (i + 6, i)])).collect();
+    let frame = (FRAME_HEADER_BYTES + 4 + 2 * UPDATE_BYTES) as u64;
     let cases = [
         (Damage::None, 6),
         (Damage::Truncate(0), 4),
         (Damage::TearNextFrame(50), 6),
-        (Damage::FlipBit(0, 0), 4),
+        (Damage::FlipBit(0, 0), 6),
+        (Damage::FlipBit(4 * frame, 0), 4),
         (Damage::LoseNewestCheckpoint, 6),
         (Damage::LeaveTmp, 6),
         (Damage::EmptyWal, 4),
@@ -613,6 +618,38 @@ fn segments_named_past_the_recovered_position_are_dropped() {
     // `wal-9`, so batch 12 has to survive in `wal-8`.
     steps.extend((0..5).map(|_| Step::Batch(Vec::new())));
     assert_eq!(run(1, cfg, &steps).next_seqs, [0, 8, 13]);
+}
+
+/// Regression: recovery used to read every segment from the first, so a
+/// flipped byte in a segment the checkpoint already covered ended the log
+/// there. Recovery then cut that segment, deleted every later one, and
+/// came back without the acknowledged batches past the checkpoint.
+#[test]
+fn bit_rot_in_a_covered_segment_loses_no_batch() {
+    let mut cfg = config(CheckpointMode::Full, 1, None);
+    cfg.segment_bytes = 128; // two-update frames rotate every third batch
+    let mut h = Harness::new(1, cfg);
+    for i in 0..9 {
+        h.step(&batch(&[(i, i + 1), (i + 2, i)]));
+        if i == 4 {
+            // Covers batches 0..5: all of `wal-0`, part of `wal-3`.
+            h.step(&Step::CheckpointNow);
+        }
+    }
+    h.shutdown();
+    let segments = files(h.dir(), ".seg");
+    assert!(segments.len() >= 3, "wal-0, wal-3, wal-6: {segments:?}");
+    flip(&segments[..1], len(&segments[0]) / 2, 0x01);
+
+    let recovered = recover(h.dir(), bootstrap).unwrap();
+    assert_eq!(
+        recovered.next_seq, 9,
+        "every acknowledged batch is replayed"
+    );
+    assert_eq!(recovered.stats.checkpoint_seq, 5);
+    assert_eq!(recovered.stats.replayed_batches, 4);
+    assert_eq!(digest(&recovered.graph), digest(&h.model));
+    assert_eq!(files(h.dir(), ".seg"), segments, "no segment is deleted");
 }
 
 /// Eight batches of four updates, every third a delete. Each batch
